@@ -21,6 +21,7 @@ test-suite through the operator representations in :mod:`kooplift.theory`.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Union
@@ -90,10 +91,10 @@ class KoopmanModel:
     gamma: float
     lam: float
     gram_out_pinv_sqrt: FloatArray
+    # orthonormal basis (m, r) of the lift's retained range, from the same
+    # decision as the embedding weight (see ``_lift_range``); not serialized
+    _range: FloatArray = field(repr=False, compare=False)
     diagnostics: dict = field(default_factory=dict)
-    # eigendecomposition of the output Gram, kept so LQR synthesis can work in
-    # the numerical range of the lift without re-factorizing; not serialized
-    _range_cache: tuple | None = field(default=None, repr=False, compare=False)
 
     @property
     def m(self) -> int:
@@ -138,18 +139,9 @@ class KoopmanModel:
 
         return readout
 
-    def range_basis(self, tol: RankTolerance = RankTolerance()):
+    def range_basis(self) -> FloatArray:
         """Orthonormal basis (m, r) of the numerically retained lift range."""
-        if self._range_cache is None:
-            w, V = np.linalg.eigh(0.5 * (self.gram_out_pinv_sqrt + self.gram_out_pinv_sqrt.T))
-            # retained directions of the pinv-sqrt all have eigenvalue at least
-            # 1/sqrt(lambda_max) while clipped ones sit at round-off level, so a
-            # coarse relative threshold separates them cleanly
-            wmax = float(w[-1]) if w.size else 0.0
-            kept = w > 1e-9 * wmax if wmax > 0 else np.zeros_like(w, dtype=bool)
-            self._range_cache = (w, V, kept)
-        w, V, kept = self._range_cache
-        return V[:, kept]
+        return self._range
 
 
 def embed_state(model: KoopmanModel, x) -> FloatArray:
@@ -197,7 +189,18 @@ def _dedup_rows(P: FloatArray) -> FloatArray:
     return P[np.sort(first)]
 
 
-def _fit_nystrom(ds: Dataset, lifting: NystromLift, gamma: float, lam: float, tol: RankTolerance):
+def _lift_range(spec: KernelSpec, lm_out: FloatArray):
+    """Embedding weight W = (K_out^+)^(1/2) and the range basis it keeps.
+
+    The lift's one rank decision: fitted and loaded models both take W and the
+    kept eigenvectors (m, r) of the output-landmark Gram from this clipped
+    eigendecomposition, so Riccati synthesis sees the same range either way.
+    """
+    W, info = psd_pinv_sqrt(gram(spec, lm_out), return_info=True)
+    return W, info["basis"], info
+
+
+def _fit_nystrom(ds: Dataset, lifting: NystromLift, gamma: float, lam: float):
     spec = lifting.kernel
     lm_in = _dedup_rows(lifting.landmarks.inputs)
     lm_out = _dedup_rows(lifting.landmarks.outputs)
@@ -205,8 +208,7 @@ def _fit_nystrom(ds: Dataset, lifting: NystromLift, gamma: float, lam: float, to
     n, n_u = ds.n, ds.n_u
     U = ds.U
 
-    K_out = gram(spec, lm_out)
-    W, info = psd_pinv_sqrt(K_out, tol, return_info=True)
+    W, V, info = _lift_range(spec, lm_out)
     K_out_n = gram(spec, lm_out, ds.Y)  # (m_out, n)
     K_n_in = gram(spec, ds.X, lm_in)  # (n, m_in)
     K_in = gram(spec, lm_in)
@@ -235,7 +237,7 @@ def _fit_nystrom(ds: Dataset, lifting: NystromLift, gamma: float, lam: float, to
 
     if m_in <= 1200:
         ew = np.linalg.eigvalsh(K_in)
-        cutoff = tol.rel_cutoff * max(ew[-1], 0.0)
+        cutoff = RankTolerance().rel_cutoff * max(ew[-1], 0.0)
         kept = ew[ew > cutoff]
         cond_in = float(ew[-1] / kept[0]) if len(kept) else np.inf
     else:
@@ -258,8 +260,8 @@ def _fit_nystrom(ds: Dataset, lifting: NystromLift, gamma: float, lam: float, to
         gamma=gamma,
         lam=lam,
         gram_out_pinv_sqrt=W,
+        _range=V,
         diagnostics=diagnostics,
-        _range_cache=(info["eigvals"], info["eigvecs"], info["kept"]),
     )
     return model
 
@@ -290,6 +292,7 @@ def _fit_thinplate(ds: Dataset, lifting: ThinPlateLift, gamma: float, lam: float
         gamma=gamma,
         lam=lam,
         gram_out_pinv_sqrt=np.eye(m),
+        _range=np.eye(m),
         diagnostics=diagnostics,
     )
 
@@ -299,7 +302,6 @@ def fit(
     lifting: LiftingSpec,
     gamma: float,
     lam: float | None = None,
-    tol: RankTolerance = RankTolerance(),
 ) -> KoopmanModel:
     """Fit the surrogate dynamics and the state-reconstruction map.
 
@@ -314,7 +316,7 @@ def fit(
     if isinstance(lifting, NystromLift):
         if lifting.landmarks.inputs.shape[1] != ds.d:
             raise ValueError("landmark dimension does not match dataset")
-        return _fit_nystrom(ds, lifting, gamma, lam, tol)
+        return _fit_nystrom(ds, lifting, gamma, lam)
     if isinstance(lifting, ThinPlateLift):
         if lifting.centers.shape[1] != ds.d:
             raise ValueError("center dimension does not match dataset")
@@ -392,7 +394,31 @@ def model_to_dict(model: KoopmanModel) -> dict:
     }
 
 
+def _json_array(doc: dict, key: str, shape: tuple) -> FloatArray:
+    """doc[key] as a finite float array of ``shape`` (None matches any size)."""
+    a = np.array(doc[key], dtype=float)
+    if a.ndim != len(shape) or any(s is not None and s != k for s, k in zip(shape, a.shape)):
+        raise ValueError(f"model {key} has shape {a.shape}, expected {shape}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError(f"model {key} has non-finite entries")
+    return a
+
+
 def model_from_dict(doc: dict) -> KoopmanModel:
+    """Rebuild a model, checking shapes, finiteness and the stored embedding weight.
+
+    The range basis is rebuilt from the landmarks through the same rank decision
+    as the fit, so a loaded model synthesizes the same gain as the fitted one.
+    """
+    m = len(doc["A_m"])
+    A_m = _json_array(doc, "A_m", (m, m))
+    B_m = _json_array(doc, "B_m", (m, None))
+    C = _json_array(doc, "C", (None, m))
+    d = C.shape[0]
+    W = _json_array(doc, "gram_out_pinv_sqrt", (m, m))
+    gamma, lam = float(doc["gamma"]), float(doc["lambda"])
+    if not all(math.isfinite(v) and v > 0 for v in (gamma, lam)):
+        raise ValueError(f"model gamma and lambda must be finite and positive, got {gamma}, {lam}")
     lift_doc = doc["lifting"]
     if lift_doc["variant"] == "nystrom":
         spec = KernelSpec(
@@ -400,26 +426,28 @@ def model_from_dict(doc: dict) -> KoopmanModel:
             lengthscale=lift_doc["kernel"]["lengthscale"],
             variance=lift_doc["kernel"]["variance"],
         )
+        lm_out = _json_array(lift_doc, "landmarks_out", (m, d))
+        lm_in = _json_array(lift_doc, "landmarks_in", (None, d))
         lifting: LiftingSpec = NystromLift(
-            spec,
-            LandmarkSet(
-                np.array(lift_doc["landmarks_in"]),
-                np.array(lift_doc["landmarks_out"]),
-                seed=lift_doc.get("landmark_seed", 0),
-            ),
+            spec, LandmarkSet(lm_in, lm_out, seed=lift_doc.get("landmark_seed", 0))
         )
+        W_built, V, _ = _lift_range(spec, lm_out)
     elif lift_doc["variant"] == "thinplate":
-        lifting = ThinPlateLift(np.array(lift_doc["centers"]))
+        lifting = ThinPlateLift(_json_array(lift_doc, "centers", (m, d)))
+        W_built = V = np.eye(m)
     else:
         raise ValueError(f"unknown lifting variant {lift_doc['variant']!r}")
+    if np.linalg.norm(W - W_built) > 1e-8 * np.linalg.norm(W_built):
+        raise ValueError("model gram_out_pinv_sqrt does not match the one rebuilt from the landmarks")
     return KoopmanModel(
         lifting=lifting,
-        A_m=np.array(doc["A_m"], dtype=float),
-        B_m=np.array(doc["B_m"], dtype=float).reshape(len(doc["A_m"]), -1),
-        C=np.array(doc["C"], dtype=float),
-        gamma=float(doc["gamma"]),
-        lam=float(doc["lambda"]),
-        gram_out_pinv_sqrt=np.array(doc["gram_out_pinv_sqrt"], dtype=float),
+        A_m=A_m,
+        B_m=B_m,
+        C=C,
+        gamma=gamma,
+        lam=lam,
+        gram_out_pinv_sqrt=W,
+        _range=V,
         diagnostics=dict(doc.get("diagnostics", {})),
     )
 

@@ -81,8 +81,9 @@ def psd_pinv_sqrt(M, tol: RankTolerance = RankTolerance(), return_info: bool = F
     eigenvectors are preserved and the result is symmetric.  The all-zero
     matrix maps to the zero matrix.
 
-    With ``return_info=True`` also returns a dict with the spectrum, the number
-    of clipped eigenvalues and the condition number of the retained block.
+    With ``return_info=True`` also returns a dict with the retained eigenvectors
+    (an orthonormal basis of the range), the rank, the number of clipped
+    eigenvalues and the condition number of the retained block.
     """
     M = _check_finite_square(M, "M")
     w, V, kept = _clipped_eigh(M, tol)
@@ -95,9 +96,7 @@ def psd_pinv_sqrt(M, tol: RankTolerance = RankTolerance(), return_info: bool = F
     nkept = int(np.count_nonzero(kept))
     cond = float(w[-1] / w[kept][0]) if nkept else math.inf
     info = {
-        "eigvals": w,
-        "eigvecs": V,
-        "kept": kept,
+        "basis": V[:, kept],
         "rank": nkept,
         "clipped": int(w.size - nkept),
         "cond": cond,

@@ -192,24 +192,18 @@ def collect_training_data(sys: SystemSpec, protocol: CollectionProtocol) -> list
         raise ValueError(f"duration {protocol.duration} is not a multiple of dt = {sys.dt}")
     rng_init = derived_rng("init-conditions", protocol.seed)
     rng_u = derived_rng("training-inputs", protocol.seed)
+
+    def control(t, x):
+        return np.asarray(protocol.input_law.sample(rng_u, t * sys.dt, sys.n_u), dtype=float)
+
     trajs = []
     for j in range(protocol.n_traj):
         x = np.asarray(protocol.init_law.sample(rng_init, sys.d), dtype=float)
-        states = [x]
-        controls = []
-        for k in range(T):
-            u = np.asarray(protocol.input_law.sample(rng_u, k * sys.dt, sys.n_u), dtype=float)
-            x_next = rk4_step(sys, x, u)
-            if not np.all(np.isfinite(x_next)) or np.linalg.norm(x_next) > DIVERGENCE_NORM:
-                break
-            controls.append(u)
-            states.append(x_next)
-            x = x_next
-        if len(states) < 2:
+        res = _rollout(sys, x, T, control)
+        keep = len(res.states) - int(res.diverged)  # the diverging step is dropped
+        if keep < 2:
             raise RuntimeError(f"trajectory {j} diverged on its first step")
-        trajs.append(
-            Trajectory(dt=sys.dt, states=np.array(states), controls=np.array(controls), traj_id=str(j))
-        )
+        trajs.append(Trajectory(sys.dt, res.states[:keep], res.controls[: keep - 1], traj_id=str(j)))
     return trajs
 
 
@@ -233,9 +227,51 @@ class RolloutResult:
         return float(np.sum(self.stage_costs))
 
 
-def _stage_cost(x, u, r, Qprime, R) -> float:
-    e = x - r
-    return float(e @ Qprime @ e + u @ R @ u)
+def _rollout(sys: SystemSpec, x, T_steps: int, control, weights=None, stop_norm=None) -> RolloutResult:
+    """The RK4 loop every trajectory runs: u_t = control(t, x_t), up to T_steps.
+
+    A step whose state is non-finite or has norm above DIVERGENCE_NORM ends the
+    run; it is kept, with non-finite entries set to inf, and flagged.  With
+    ``weights = (r, Q', R)`` each step records the stage cost
+    (x - r)' Q' (x - r) + u' R u of the state it starts from, and ``stop_norm``
+    ends the run once ||x - r|| falls below it; without, stage costs are zero.
+    """
+    if weights is not None:
+        r, Qprime, R = weights
+    states = [x]
+    controls = []
+    costs = []
+    diverged_step = None
+    for t in range(T_steps):
+        u = control(t, x)
+        x_next = rk4_step(sys, x, u)
+        controls.append(u)
+        if weights is not None:
+            e = x - r
+            costs.append(float(e @ Qprime @ e + u @ R @ u))
+        if not np.linalg.norm(x_next) <= DIVERGENCE_NORM:  # also true for inf and nan
+            diverged_step = t + 1
+            states.append(np.where(np.isfinite(x_next), x_next, np.inf))
+            break
+        states.append(x_next)
+        x = x_next
+        if stop_norm is not None and np.linalg.norm(x - r) < stop_norm:
+            break
+    return RolloutResult(
+        states=np.array(states),
+        controls=np.array(controls).reshape(len(controls), sys.n_u),
+        stage_costs=np.array(costs) if weights is not None else np.zeros(len(controls)),
+        diverged=diverged_step is not None,
+        diverged_step=diverged_step,
+    )
+
+
+def _stage_weights(sys: SystemSpec, reference, Qprime, R):
+    """(r, Q', R) with the defaults: the origin and identity weights."""
+    r = np.zeros(sys.d) if reference is None else np.asarray(reference, dtype=float).ravel()
+    Qprime = np.eye(sys.d) if Qprime is None else np.atleast_2d(np.asarray(Qprime, dtype=float))
+    R = np.eye(sys.n_u) if R is None else np.atleast_2d(np.asarray(R, dtype=float))
+    return r, Qprime, R
 
 
 def rollout_closed_loop(
@@ -264,38 +300,10 @@ def rollout_closed_loop(
     x = np.asarray(x0, dtype=float).ravel()
     if x.shape[0] != sys.d or model.d != sys.d:
         raise ValueError("state dimension mismatch between system, model and x0")
-    r = np.zeros(sys.d) if reference is None else np.asarray(reference, dtype=float).ravel()
-    Qprime = np.eye(sys.d) if Qprime is None else np.atleast_2d(np.asarray(Qprime, dtype=float))
-    R = np.eye(sys.n_u) if R is None else np.atleast_2d(np.asarray(R, dtype=float))
+    r, Qprime, R = _stage_weights(sys, reference, Qprime, R)
     policy = model.linear_readout(sol.K_m)
     shift = policy(r)
-
-    states = [x]
-    controls = []
-    costs = []
-    diverged = False
-    diverged_step = None
-    for t in range(T_steps):
-        u = policy(x) - shift
-        x_next = rk4_step(sys, x, u)
-        controls.append(u)
-        costs.append(_stage_cost(x, u, r, Qprime, R))
-        if not np.all(np.isfinite(x_next)) or np.linalg.norm(x_next) > DIVERGENCE_NORM:
-            diverged = True
-            diverged_step = t + 1
-            states.append(np.where(np.isfinite(x_next), x_next, np.inf))
-            break
-        states.append(x_next)
-        x = x_next
-        if stop_norm is not None and np.linalg.norm(x - r) < stop_norm:
-            break
-    return RolloutResult(
-        states=np.array(states),
-        controls=np.array(controls).reshape(len(controls), sys.n_u),
-        stage_costs=np.array(costs),
-        diverged=diverged,
-        diverged_step=diverged_step,
-    )
+    return _rollout(sys, x, T_steps, lambda t, x: policy(x) - shift, (r, Qprime, R), stop_norm)
 
 
 def rollout_policy(
@@ -310,35 +318,8 @@ def rollout_policy(
 ) -> RolloutResult:
     """Rollout under an arbitrary state-feedback policy (baselines, oracles)."""
     x = np.asarray(x0, dtype=float).ravel()
-    r = np.zeros(sys.d) if reference is None else np.asarray(reference, dtype=float).ravel()
-    Qprime = np.eye(sys.d) if Qprime is None else np.atleast_2d(np.asarray(Qprime, dtype=float))
-    R = np.eye(sys.n_u) if R is None else np.atleast_2d(np.asarray(R, dtype=float))
-    states = [x]
-    controls = []
-    costs = []
-    diverged = False
-    diverged_step = None
-    for t in range(T_steps):
-        u = np.asarray(policy(x), dtype=float).ravel()
-        x_next = rk4_step(sys, x, u)
-        controls.append(u)
-        costs.append(_stage_cost(x, u, r, Qprime, R))
-        if not np.all(np.isfinite(x_next)) or np.linalg.norm(x_next) > DIVERGENCE_NORM:
-            diverged = True
-            diverged_step = t + 1
-            states.append(np.where(np.isfinite(x_next), x_next, np.inf))
-            break
-        states.append(x_next)
-        x = x_next
-        if stop_norm is not None and np.linalg.norm(x - r) < stop_norm:
-            break
-    return RolloutResult(
-        states=np.array(states),
-        controls=np.array(controls).reshape(len(controls), sys.n_u),
-        stage_costs=np.array(costs),
-        diverged=diverged,
-        diverged_step=diverged_step,
-    )
+    weights = _stage_weights(sys, reference, Qprime, R)
+    return _rollout(sys, x, T_steps, lambda t, x: np.asarray(policy(x), dtype=float).ravel(), weights, stop_norm)
 
 
 def rollout_open_loop(sys: SystemSpec, x0, controls) -> RolloutResult:
@@ -347,27 +328,7 @@ def rollout_open_loop(sys: SystemSpec, x0, controls) -> RolloutResult:
     if controls.ndim == 1:
         controls = controls[:, None]
     x = np.asarray(x0, dtype=float).ravel()
-    states = [x]
-    diverged = False
-    diverged_step = None
-    used = []
-    for t, u in enumerate(controls):
-        x_next = rk4_step(sys, x, u)
-        used.append(u)
-        if not np.all(np.isfinite(x_next)) or np.linalg.norm(x_next) > DIVERGENCE_NORM:
-            diverged = True
-            diverged_step = t + 1
-            states.append(np.where(np.isfinite(x_next), x_next, np.inf))
-            break
-        states.append(x_next)
-        x = x_next
-    return RolloutResult(
-        states=np.array(states),
-        controls=np.array(used).reshape(len(used), sys.n_u),
-        stage_costs=np.zeros(len(used)),
-        diverged=diverged,
-        diverged_step=diverged_step,
-    )
+    return _rollout(sys, x, len(controls), lambda t, x: controls[t])
 
 
 # ---------------------------------------------------------------------------

@@ -209,6 +209,74 @@ def test_serialization_round_trip_lossless(tmp_path, linear_model):
     assert model_to_dict(model_from_dict(model_to_dict(model))) == model_to_dict(model)
 
 
+def _edit(path, change):
+    """A corruption of a model document: replace doc[path] by change(doc[path])."""
+
+    def corrupt(doc):
+        *outer, key = path
+        for k in outer:
+            doc = doc[k]
+        doc[key] = change(doc[key])
+
+    return corrupt
+
+
+@pytest.mark.parametrize(
+    "corrupt, match",
+    [
+        pytest.param(_edit(["A_m"], lambda A: [row[:-1] for row in A]), "A_m has shape", id="A_m-not-square"),
+        pytest.param(_edit(["B_m"], lambda B: B[:-1]), "B_m has shape", id="B_m-rows"),
+        pytest.param(_edit(["C"], lambda C: [row[:-1] for row in C]), "C has shape", id="C-columns"),
+        pytest.param(_edit(["gram_out_pinv_sqrt"], lambda W: W[:-1]), "gram_out_pinv_sqrt has shape", id="W-shape"),
+        pytest.param(
+            _edit(["lifting", "landmarks_out"], lambda L: L[:-1]), "landmarks_out has shape", id="landmark-count"
+        ),
+        pytest.param(
+            _edit(["lifting", "landmarks_in"], lambda L: [row + [0.0] for row in L]),
+            "landmarks_in has shape",
+            id="landmark-dimension",
+        ),
+        pytest.param(
+            _edit(["A_m"], lambda A: [[float("nan")] + row[1:] for row in A]), "A_m has non-finite", id="nan-A_m"
+        ),
+        pytest.param(
+            _edit(["lifting", "landmarks_out"], lambda L: [[float("inf")]] + L[1:]),
+            "landmarks_out has non-finite",
+            id="inf-landmark",
+        ),
+        pytest.param(_edit(["gamma"], lambda g: float("inf")), "gamma and lambda", id="gamma-not-finite"),
+        pytest.param(
+            _edit(["gram_out_pinv_sqrt"], lambda W: (1 + 1e-6) * np.array(W)),
+            "does not match",
+            id="W-disagrees-with-landmarks",
+        ),
+    ],
+)
+def test_model_from_dict_rejects(linear_model, corrupt, match):
+    _, model = linear_model
+    doc = model_to_dict(model)
+    corrupt(doc)
+    with pytest.raises(ValueError, match=match):
+        model_from_dict(doc)
+
+
+def test_model_from_dict_rejects_thinplate_center_count():
+    ds = scalar_dataset(lambda x, u: 0.5 * x + 0.25 * u, n=40, seed=15)
+    doc = model_to_dict(fit(ds, ThinPlateLift(np.linspace(-1.0, 1.0, 6)[:, None]), gamma=1e-6))
+    model_from_dict(doc)
+    doc["lifting"]["centers"] = doc["lifting"]["centers"][:-1]
+    with pytest.raises(ValueError, match="centers has shape"):
+        model_from_dict(doc)
+
+
+def test_model_from_dict_accepts_round_off_in_stored_weight(linear_model):
+    _, model = linear_model
+    doc = model_to_dict(model)
+    doc["gram_out_pinv_sqrt"] = ((1 + 1e-12) * model.gram_out_pinv_sqrt).tolist()
+    back = model_from_dict(doc)
+    np.testing.assert_array_equal(back.range_basis(), model.range_basis())
+
+
 def test_fit_rejects_bad_regularization(linear_model):
     ds, model = linear_model
     with pytest.raises(ValueError):

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from kooplift.data import Dataset, LandmarkStrategy, sample_landmarks
-from kooplift.identify import NystromLift, fit
+from kooplift.data import Dataset, LandmarkStrategy, build_pairs, sample_landmarks
+from kooplift.identify import NystromLift, fit, load_model, save_model
 from kooplift.kernels import KernelFamily, KernelSpec
 from kooplift.lqr import (
     LqrWeights,
@@ -13,6 +13,14 @@ from kooplift.lqr import (
     dare_residual,
     solve_dare,
     solve_model_dare,
+)
+from kooplift.simulate import (
+    CollectionProtocol,
+    UniformBox,
+    UniformIID,
+    collect_training_data,
+    cubic_system,
+    rollout_closed_loop,
 )
 
 M52 = KernelSpec(KernelFamily.Matern52, 1.0, 1.0)
@@ -185,3 +193,19 @@ def test_model_dare_requires_weights_or_qr():
     model = fit(ds, NystromLift(M52, sample_landmarks(ds, 2, seed=0)), gamma=1e-4)
     with pytest.raises(ValueError):
         solve_model_dare(model)
+
+
+def test_saved_model_synthesizes_the_fitted_gain(tmp_path):
+    # the reloaded model must keep the lift range the fit kept, so synthesis
+    # and the closed loop reproduce the in-memory results bit for bit
+    sys = cubic_system()
+    protocol = CollectionProtocol(5, 1.0, UniformIID(-1, 1), UniformBox(-1, 1), seed=0)
+    ds = build_pairs(collect_training_data(sys, protocol))
+    model = fit(ds, NystromLift(M52, sample_landmarks(ds, 40, LandmarkStrategy.SharedUniform, seed=0)), gamma=1e-6)
+    assert model.diagnostics["clipped_gram_out"] > 0
+    save_model(tmp_path / "model.json", model)
+    loaded = load_model(tmp_path / "model.json")
+    sols = [solve_model_dare(m, np.eye(1), np.eye(1), horizon=300) for m in (model, loaded)]
+    np.testing.assert_array_equal(sols[1].K_m, sols[0].K_m)
+    costs = [rollout_closed_loop(sys, m, s, [0.9], 300).total_cost for m, s in zip((model, loaded), sols)]
+    assert costs[1] == costs[0]

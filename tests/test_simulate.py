@@ -1,9 +1,13 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from kooplift.data import build_pairs
+from kooplift.identify import ThinPlateLift, fit
 from kooplift.simulate import (
+    DIVERGENCE_NORM,
     CollectionProtocol,
     FixedInit,
     SquareWave,
@@ -19,6 +23,7 @@ from kooplift.simulate import (
     metric_rmse_pct,
     metric_rmse_u_pct,
     rk4_step,
+    rollout_closed_loop,
     rollout_open_loop,
     rollout_policy,
     true_optimal_control_cubic,
@@ -136,12 +141,54 @@ def test_rollout_policy_uncontrolled_cubic_decays():
     assert not res.diverged
 
 
-def test_rollout_policy_divergence_flagged():
-    sys = custom_system("boom", 1, 1, 0.1, lambda x, u: x**2 + 1.0)
-    res = rollout_policy(sys, lambda x: np.zeros(1), [5.0], 500)
+def _boom():
+    # finite-time blow-up: x' = x^2 + 1 leaves the divergence ball within a few steps
+    return custom_system("boom", 1, 1, 0.1, lambda x, u: x**2 + 1.0)
+
+
+def _closed_loop_zero_gain(sys, x0, T):
+    ds = build_pairs(collect_training_data(cubic_system(), CollectionProtocol(1, 0.2, UniformIID(), UniformBox())))
+    model = fit(ds, ThinPlateLift(np.linspace(-1.0, 1.0, 5)[:, None]), gamma=1e-6)
+    return rollout_closed_loop(sys, model, SimpleNamespace(K_m=np.zeros((1, model.m))), x0, T)
+
+
+@pytest.mark.parametrize(
+    "rollout",
+    [
+        pytest.param(lambda sys, x0, T: rollout_policy(sys, lambda x: np.zeros(1), x0, T), id="policy"),
+        pytest.param(lambda sys, x0, T: rollout_open_loop(sys, x0, np.zeros((T, 1))), id="open_loop"),
+        pytest.param(_closed_loop_zero_gain, id="closed_loop"),
+    ],
+)
+def test_rollout_policy_divergence_flagged(rollout):
+    res = rollout(_boom(), [5.0], 500)
     assert res.diverged
     assert res.diverged_step is not None
     assert len(res.states) == res.diverged_step + 1
+    assert len(res.controls) == len(res.stage_costs) == res.diverged_step
+    assert not np.abs(res.states[-1, 0]) <= DIVERGENCE_NORM
+    assert np.all(np.abs(res.states[:-1, 0]) <= DIVERGENCE_NORM)
+
+
+def test_collect_truncates_at_diverging_step():
+    sys = _boom()
+    tr = collect_training_data(sys, CollectionProtocol(1, 50.0, ZeroInput(), FixedInit((5.0,))))[0]
+    # step by hand up to the first state outside the ball, which is dropped
+    expected = [np.array([5.0])]
+    while True:
+        x = rk4_step(sys, expected[-1], [0.0])
+        if not (np.all(np.isfinite(x)) and np.linalg.norm(x) <= DIVERGENCE_NORM):
+            break
+        expected.append(x)
+    assert 2 <= len(expected) < 500
+    np.testing.assert_array_equal(tr.states, np.array(expected))
+    np.testing.assert_array_equal(tr.controls, np.zeros((len(expected) - 1, 1)))
+
+
+def test_collect_raises_when_first_step_diverges():
+    protocol = CollectionProtocol(1, 1.0, ZeroInput(), FixedInit((1e4,)))
+    with pytest.raises(RuntimeError, match="first step"):
+        collect_training_data(_boom(), protocol)
 
 
 def test_open_loop_rollout_matches_manual_stepping():
