@@ -15,6 +15,7 @@ with 17 significant digits so files round-trip losslessly.
 from __future__ import annotations
 
 import argparse
+import glob
 import json
 import sys
 from pathlib import Path
@@ -148,10 +149,11 @@ def _load_dataset(cfg: dict):
     path = Path(cfg["data.path"])
     if path.is_dir():
         files = sorted(path.glob("*.csv"))
-    elif "*" in path.name:
-        files = sorted(path.parent.glob(path.name))
-    else:
+    elif path.exists():
         files = [path]
+    else:
+        # a pattern may have wildcards in any component, e.g. runs/*/traj_*.csv
+        files = sorted(Path(p) for p in glob.glob(str(path)))
     if not files:
         raise FileNotFoundError(f"no trajectory files under {path}")
     trajs: list[Trajectory] = []
@@ -266,6 +268,9 @@ def cmd_control(cfg: dict, out: Path) -> int:
         "rho_closed_loop": sol.rho_L,
         "dare_residual": sol.residual,
         "dare_iterations": sol.iterations,
+        "converged": sol.converged,
+        "deflated": sol.deflated,
+        "rho_L_full": sol.rho_L_full,
         "final_state": list(res.states[-1]),
         "avg_running_cost": metric_avg_running_cost(
             res.states[: len(res.controls)],

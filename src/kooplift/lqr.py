@@ -1,18 +1,25 @@
 """Discrete-time infinite-horizon LQR on the lifted surrogate.
 
-The Riccati equation is solved by the plain fixed-point (value) iteration
+The Riccati equation is approached through its value iteration
 
-    P <- A' P A - A' P B (R + B' P B)^(-1) B' P A + Q,   P_0 = Q,
+    P_{k+1} = A' P_k A - A' P_k B (R + B' P_k B)^(-1) B' P_k A + Q,   P_0 = Q,
 
-which converges for stabilizable/detectable systems and doubles as its own
-verification path against a finite-horizon backward recursion.  Gains follow
-the convention u = K z with K = -(R + B' P B)^(-1) B' P A.
+which converges for stabilizable/detectable systems.  The iterate P_N is not
+computed step by step but by segment doubling (the structure-preserving
+doubling of Chu, Fan & Lin, LAA 2005, and Anderson, IJC 1978): a segment of k
+stages is the map X -> H + A' X (I + G X)^(-1) A, held as the triple
+(A_k, G_k, H_k), whose value at X = 0 is P_{k-1}.  The one-stage segment is
+(A, B R^(-1) B', Q), and two segments compose into one with a single linear
+solve, so the binary decomposition of N + 1 stages gives the same P_N in
+O(log N) products.  Gains follow the convention u = K z with
+K = -(R + B' P B)^(-1) B' P A.
 
-``solve_model_dare`` is the entry point used by the pipeline: it iterates on
-the numerically retained range of the model's lift (same solution, much
+``solve_model_dare`` is the entry point used by the pipeline: it synthesizes
+on the numerically retained range of the model's lift (same solution, much
 cheaper when the landmark set is the whole training set) and stays usable on
 lifts whose marginal modes make the textbook infinite-horizon problem
-ill-posed; see its docstring.
+ill-posed; see its docstring.  ``solve_dare`` and ``solve_model_dare`` share
+one core, ``_riccati_core``.
 """
 
 from __future__ import annotations
@@ -63,6 +70,13 @@ class LqrWeights:
 class RiccatiSolution:
     """DARE solution with gain, closed loop and solver diagnostics.
 
+    ``iterations`` is the N of the returned value iterate P_N (P_0 = Q).  The
+    stopping rule ||P_{k+1} - P_k||_2 <= tol * (1 + ||P_k||_2) is checked at
+    the doubled iterates k = 2^j - 1; the first that meets it is returned with
+    ``converged=True`` and N = k.  Otherwise N is the horizon cap and
+    ``converged`` is the rule at k = N.  ``delta_history`` holds the checked
+    one-step deltas ||P_{k+1} - P_k||_2 in order, at most about log2(N) + 2.
+
     ``deflated`` counts lifted modes excluded from synthesis because they sit
     numerically on the unit circle with negligible control authority; the gain
     leaves them untouched and ``rho_L`` refers to the synthesized subsystem.
@@ -92,46 +106,86 @@ def build_weights(model: KoopmanModel, Qprime, R) -> LqrWeights:
     return LqrWeights(Q_m=Q_m, R=np.atleast_2d(np.asarray(R, dtype=float)))
 
 
-def _riccati_map(P, A, B, Q, R):
+def _riccati_step_delta(P, A, B, Q, R) -> float:
+    """||P_{k+1} - P_k||_2 for one step of the value iteration from P_k = P."""
     BtP = B.T @ P
-    S = R + BtP @ B
-    gain_part, _ = solve_psd(S, BtP @ A)
-    return A.T @ (P @ A - BtP.T @ gain_part) + Q, gain_part
+    gain_part, _ = solve_psd(R + BtP @ B, BtP @ A)
+    P_next = A.T @ (P @ A - BtP.T @ gain_part) + Q
+    return float(np.linalg.norm(0.5 * (P_next + P_next.T) - P, 2))
 
 
-def _value_iterate(A, B, Q, R, tol: float, max_iter: int):
-    """Run the fixed-point Riccati recursion; returns (P, deltas, converged)."""
-    P = Q.copy()
+def _compose(early, late):
+    """Segment of ``early``'s stages followed by ``late``'s: early(late(X)).
+
+    With early = (A1, G1, H1) and late = (A2, G2, H2) the product is
+    (A2 W A1, G2 + A2 W G1 A2', H1 + A1' H2 W A1) with W = (I + G1 H2)^(-1),
+    which exists because G1 and H2 are PSD.
+    """
+    A1, G1, H1 = early
+    A2, G2, H2 = late
+    n = A1.shape[0]
+    W = np.linalg.solve(np.eye(n) + G1 @ H2, np.hstack([A1, G1]))
+    WA, WG = W[:, :n], W[:, n:]
+    G = G2 + A2 @ WG @ A2.T
+    H = H1 + A1.T @ H2 @ WA
+    return A2 @ WA, 0.5 * (G + G.T), 0.5 * (H + H.T)
+
+
+def _riccati_core(A, B, weights: LqrWeights, tol: float, horizon: int) -> RiccatiSolution:
+    """Value iterate P_N by segment doubling, with its gain and closed loop.
+
+    Doubles the one-stage segment, checking the stopping rule at each doubled
+    iterate P_k, k = 2^j - 1 <= horizon, and otherwise composes the binary
+    decomposition of horizon + 1 stages from the doubled segments.  Raises
+    RuntimeError on the first segment that is not finite.
+    """
+    Q, R = weights.Q_m, weights.R
+    G = B @ solve_psd(R, B.T)[0]
+    seg = (A, 0.5 * (G + G.T), Q)
+    powers = []  # powers[j] spans 2^j stages
     deltas: list[float] = []
-    converged = False
-    for _ in range(max_iter):
-        P_next, _ = _riccati_map(P, A, B, Q, R)
-        P_next = 0.5 * (P_next + P_next.T)
-        delta = float(np.linalg.norm(P_next - P, 2))
-        deltas.append(delta)
-        normP = float(np.linalg.norm(P, 2))
-        P = P_next
-        if delta <= tol * (1.0 + normP):
-            converged = True
+
+    def meets_rule(P) -> bool:
+        deltas.append(_riccati_step_delta(P, A, B, Q, R))
+        return deltas[-1] <= tol * (1.0 + float(np.linalg.norm(P, 2)))
+
+    def extend(early, late, reached: int):
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = _compose(early, late)
+        if not all(np.all(np.isfinite(M)) for M in out):
+            raise RuntimeError(
+                f"Riccati iterate is not finite beyond iteration {reached} (horizon {horizon})"
+            )
+        return out
+
+    stages = 1
+    while True:
+        powers.append(seg)
+        converged = meets_rule(seg[2])
+        if converged or 2 * stages > horizon + 1:
             break
-    return P, deltas, converged
-
-
-def _close_solution(P, A, B, weights: LqrWeights, deltas, converged: bool) -> RiccatiSolution:
+        seg = extend(seg, seg, stages - 1)
+        stages *= 2
+    if not converged and stages <= horizon:
+        rest = horizon + 1 - stages
+        for j, piece in enumerate(powers):
+            if rest >> j & 1:
+                seg = extend(seg, piece, stages - 1)
+                stages += 1 << j
+        converged = meets_rule(seg[2])
+    P = seg[2]
     BtP = B.T @ P
-    gain_part, _ = solve_psd(weights.R + BtP @ B, BtP @ A)
+    gain_part, _ = solve_psd(R + BtP @ B, BtP @ A)
     K = -gain_part
     L = A + B @ K
-    rho = spectral_radius(L)
-    res = dare_residual(P, A, B, weights)
     return RiccatiSolution(
         P_m=P,
         K_m=K,
         L_m=L,
-        residual=res,
-        rho_L=rho,
-        iterations=len(deltas),
-        delta_history=tuple(deltas[-16:]),
+        residual=dare_residual(P, A, B, weights),
+        rho_L=spectral_radius(L),
+        iterations=stages - 1,
+        delta_history=tuple(deltas),
         converged=converged,
     )
 
@@ -143,22 +197,22 @@ def solve_dare(
     tol: float = 1e-12,
     max_iter: int = 1_000_000,
 ) -> RiccatiSolution:
-    """Fixed-point Riccati iteration from P_0 = Q.
+    """Riccati value iterate from P_0 = Q, capped at ``max_iter`` steps.
 
-    Stops when ||P_{k+1} - P_k||_2 <= tol * (1 + ||P_k||_2).  Raises on
-    non-convergence or when the resulting closed loop is not contractive.
+    Converged when ||P_{k+1} - P_k||_2 <= tol * (1 + ||P_k||_2) at the
+    returned P_k (see ``RiccatiSolution``).  Raises RuntimeError on
+    non-convergence, on an iterate that overflows, or when the resulting
+    closed loop is not contractive.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     B = np.asarray(B, dtype=float)
     if B.ndim == 1:
         B = B[:, None]
-    Q, R = weights.Q_m, weights.R
-    if A.shape[0] != A.shape[1] or B.shape[0] != A.shape[0] or Q.shape != A.shape:
+    if A.shape[0] != A.shape[1] or B.shape[0] != A.shape[0] or weights.Q_m.shape != A.shape:
         raise ValueError("inconsistent shapes in solve_dare")
-    P, deltas, converged = _value_iterate(A, B, Q, R, tol, max_iter)
-    if not converged:
+    sol = _riccati_core(A, B, weights, tol, max_iter)
+    if not sol.converged:
         raise RuntimeError(f"Riccati iteration did not converge in {max_iter} iterations")
-    sol = _close_solution(P, A, B, weights, deltas, converged=True)
     if not sol.rho_L < 1.0:
         raise RuntimeError(f"closed loop is not contractive: rho(A + BK) = {sol.rho_L:.6g}")
     return sol
@@ -222,7 +276,8 @@ def solve_model_dare(
     * ``horizon`` caps the iteration count.  The capped iterate is the
       finite-horizon cost-to-go, whose gain acts on everything the iteration
       has resolved while leaving un-inflated marginal directions alone;
-      ``converged=False`` records the cap.
+      ``converged=False`` records the cap.  An iterate that overflows before
+      the cap raises RuntimeError.
     * ``rho_cap`` (optional) deflates modes with |eig(A)| >= rho_cap from the
       synthesis outright via an ordered Schur form, which yields a strictly
       contractive synthesized loop.  Only appropriate when no genuine
@@ -247,8 +302,7 @@ def solve_model_dare(
         basis = V
         A_s, B_s, Q_s = A_r, B_r, Q_r
         deflated = 0
-    P_s, deltas, converged = _value_iterate(A_s, B_s, Q_s, weights.R, tol, horizon)
-    red = _close_solution(P_s, A_s, B_s, LqrWeights(Q_s, weights.R), deltas, converged)
+    red = _riccati_core(A_s, B_s, LqrWeights(Q_s, weights.R), tol, horizon)
     P = basis @ red.P_m @ basis.T
     K = red.K_m @ basis.T
     L = model.A_m + model.B_m @ K

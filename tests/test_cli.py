@@ -195,3 +195,43 @@ def test_json17_round_trip(tmp_path):
     back = json.loads(text)
     assert back["a"] == doc["a"]
     assert back["b"][0] == doc["b"][0] and back["b"][1] == doc["b"][1]
+
+
+def test_fit_expands_glob_across_collect_runs(collected, tmp_path):
+    cfg, _ = collected
+    for name, seed in (("a", 0), ("b", 1)):
+        out = tmp_path / "runs" / name
+        assert main(["collect", "--config", cfg, "--out", str(out), "--seed", str(seed)]) == 0
+    fit_cfg = write_config(
+        tmp_path / "fit.json",
+        {"data.path": str(tmp_path / "runs" / "*" / "traj_*.csv"), "fit.m": 12, "seed": 1},
+    )
+    out = tmp_path / "fit"
+    assert main(["fit", "--config", fit_cfg, "--out", str(out)]) == 0
+    # 2 runs x 3 trajectories x 20 pairs
+    assert json.loads((out / "fit_report.json").read_text())["n_pairs"] == 120
+
+
+def test_control_reports_horizon_cap_for_readme_example(tmp_path):
+    cfg = write_config(
+        tmp_path / "cubic.json",
+        {
+            "system.name": "cubic",
+            "collect.n_traj": 20,
+            "collect.duration": 2.0,
+            "collect.input": "uniform",
+            "collect.init": "box",
+            "seed": 0,
+        },
+    )
+    data, fit_out, run = tmp_path / "data", tmp_path / "fit", tmp_path / "run"
+    assert main(["collect", "--config", cfg, "--out", str(data)]) == 0
+    overrides = ["--override", f"data.path={data}", "--override", "fit.m=100", "--override", "fit.gamma=1e-6"]
+    assert main(["fit", "--config", cfg, "--out", str(fit_out), *overrides]) == 0
+    overrides = ["--override", f"model.path={fit_out / 'model.json'}", "--override", "control.x0=[0.9]"]
+    assert main(["control", "--config", cfg, "--out", str(run), *overrides]) == 0
+    metrics = json.loads((run / "metrics.json").read_text())
+    assert metrics["dare_iterations"] == 10_000
+    assert metrics["converged"] is False
+    assert metrics["deflated"] == 0
+    assert metrics["rho_L_full"] == metrics["rho_closed_loop"]

@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -209,3 +210,60 @@ def test_saved_model_synthesizes_the_fitted_gain(tmp_path):
     np.testing.assert_array_equal(sols[1].K_m, sols[0].K_m)
     costs = [rollout_closed_loop(sys, m, s, [0.9], 300).total_cost for m, s in zip((model, loaded), sols)]
     assert costs[1] == costs[0]
+
+
+@pytest.fixture(scope="module")
+def marginal_cubic_model():
+    # a kernel lift of the cubic system: constants sit at eigenvalue ~1 with
+    # negligible control authority, so the value iteration does not settle
+    sys = cubic_system()
+    protocol = CollectionProtocol(5, 1.0, UniformIID(-1, 1), UniformBox(-1, 1), seed=0)
+    ds = build_pairs(collect_training_data(sys, protocol))
+    return fit(ds, NystromLift(M52, sample_landmarks(ds, 40, LandmarkStrategy.SharedUniform, seed=0)), gamma=1e-6)
+
+
+def restricted_problem(model, sol):
+    V = sol.basis
+    Q_r = V.T @ build_weights(model, np.eye(1), np.eye(1)).Q_m @ V
+    return V.T @ model.A_m @ V, V.T @ model.B_m, 0.5 * (Q_r + Q_r.T), np.eye(1)
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 5, 100, 1000, 3001])
+def test_doubling_matches_value_iteration_at_capped_horizon(marginal_cubic_model, N):
+    model = marginal_cubic_model
+    sol = solve_model_dare(model, np.eye(1), np.eye(1), horizon=N)
+    A, B, Q, R = restricted_problem(model, sol)
+    P_oracle = value_iteration_oracle(A, B, Q, R, horizon=N)
+    P_solver = sol.basis.T @ sol.P_m @ sol.basis
+    assert np.linalg.norm(P_solver - P_oracle, 2) <= 1e-10 * np.linalg.norm(P_oracle, 2)
+    assert sol.iterations == N
+    delta = np.linalg.norm(value_iteration_oracle(A, B, Q, R, horizon=N + 1) - P_oracle, 2)
+    assert sol.converged == bool(delta <= 1e-12 * (1.0 + np.linalg.norm(P_oracle, 2)))
+
+
+def test_doubling_stops_at_converged_doubled_iterate(marginal_cubic_model):
+    model = marginal_cubic_model
+    sol = solve_model_dare(model, np.eye(1), np.eye(1), horizon=10_000, rho_cap=0.9995)
+    assert sol.converged and sol.deflated > 0
+    assert sol.iterations < 10_000
+    assert math.log2(sol.iterations + 1).is_integer()
+    A, B, Q, R = restricted_problem(model, sol)
+    P_oracle = value_iteration_oracle(A, B, Q, R, horizon=sol.iterations)
+    P_solver = sol.basis.T @ sol.P_m @ sol.basis
+    assert np.linalg.norm(P_solver - P_oracle, 2) <= 1e-10 * np.linalg.norm(P_oracle, 2)
+
+
+def test_overflowing_iterate_raises_in_solve_dare():
+    # the unstable mode is out of reach of the input, so P_k grows as 2.25^k
+    A = np.diag([1.5, 0.5])
+    B = np.array([[0.0], [1.0]])
+    with pytest.raises(RuntimeError, match="not finite beyond iteration 511"):
+        solve_dare(A, B, LqrWeights(np.eye(2), np.eye(1)))
+
+
+def test_overflowing_iterate_raises_in_solve_model_dare(marginal_cubic_model):
+    model = copy.deepcopy(marginal_cubic_model)
+    model.A_m = 1.5 * model.A_m
+    model.B_m = np.zeros_like(model.B_m)
+    with pytest.raises(RuntimeError, match=r"not finite beyond iteration \d+ \(horizon 10000\)"):
+        solve_model_dare(model, np.eye(1), np.eye(1))
