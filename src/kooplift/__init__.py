@@ -34,7 +34,7 @@ from .identify import (
 )
 from .kernels import KernelFamily, KernelSpec, gram, kernel_eval, thin_plate_features
 from .lqr import LqrWeights, RiccatiSolution, build_weights, control_policy, dare_residual, solve_dare, solve_model_dare
-from .numerics import RankTolerance, operator_norm_sym, psd_pinv_sqrt, spectral_radius, tau
+from .numerics import RankTolerance, psd_pinv_sqrt, spectral_radius, tau
 from .simulate import (
     CollectionProtocol,
     RolloutResult,

@@ -8,7 +8,7 @@ so repeated runs are bit-identical.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -344,6 +344,35 @@ def fixture_dataset(n: int = 500, seed: int = 7) -> tuple[SystemSpec, Dataset]:
     return sys, ds
 
 
+def _gap_study(ds: Dataset, gamma: float, delta: float, kernel: KernelSpec, tol: RankTolerance):
+    """The exact operator G, its norm, and the per-seed gap row of both sweeps.
+
+    ``row(m, seed)`` draws the landmarks, measures the operator gap and the two
+    projection errors, and returns the row with the landmarks it used.
+    """
+    G = theory.build_exact_operator(ds, kernel, gamma)
+    norm_G = theory.operator_norm(G, tol)
+
+    def row(m: int, seed: int) -> tuple[theory.BoundReport, LandmarkSet]:
+        lm = sample_landmarks(ds, m, LandmarkStrategy.IndependentUniform, seed=seed)
+        G_ny = theory.build_nystrom_operator(ds, kernel, gamma, lm, tol)
+        report = theory.BoundReport(
+            m=m,
+            seed=seed,
+            gamma=gamma,
+            delta=delta,
+            kappa=kernel.kappa,
+            empirical_gap=theory.operator_gap_norm(G, G_ny, tol),
+            gap_bound=theory.nystrom_gap_bound(kernel.kappa, gamma, m, delta),
+            proj_in=theory.projection_error(ds, "input", kernel, lm, tol),
+            proj_out=theory.projection_error(ds, "output", kernel, lm, tol),
+            norm_G=norm_G,
+        )
+        return report, lm
+
+    return G, norm_G, row
+
+
 def gap_sweep(
     ds: Dataset,
     m_list=(10, 20, 40, 80, 160),
@@ -359,30 +388,10 @@ def gap_sweep(
     Returns the sweep rows and the norm of the uncompressed operator (the
     yardstick for deciding whether the bound is informative).
     """
-    G = theory.build_exact_operator(ds, kernel, gamma)
-    norm_G = theory.operator_norm(G, tol)
+    _, norm_G, row = _gap_study(ds, gamma, delta, kernel, tol)
     rows = []
     for m in m_list:
-        bound = theory.nystrom_gap_bound(kernel.kappa, gamma, m, delta)
-
-        def one(seed: int) -> theory.BoundReport:
-            lm = sample_landmarks(ds, m, LandmarkStrategy.IndependentUniform, seed=seed)
-            G_ny = theory.build_nystrom_operator(ds, kernel, gamma, lm, tol)
-            gap = theory.operator_gap_norm(G, G_ny, tol)
-            return theory.BoundReport(
-                m=m,
-                seed=seed,
-                gamma=gamma,
-                delta=delta,
-                kappa=kernel.kappa,
-                empirical_gap=gap,
-                gap_bound=bound,
-                proj_in=theory.projection_error(ds, "input", kernel, lm, tol),
-                proj_out=theory.projection_error(ds, "output", kernel, lm, tol),
-                norm_G=norm_G,
-            )
-
-        rows.extend(seed_map(one, range(n_seeds), workers))
+        rows.extend(seed_map(lambda seed: row(m, seed)[0], range(n_seeds), workers))
     return rows, norm_G
 
 
@@ -404,20 +413,16 @@ def riccati_objective_sweep(
     equations weigh the same operator on the lifted space.
     """
     R = np.eye(1)
-    G = theory.build_exact_operator(ds, kernel, gamma)
-    norm_G = theory.operator_norm(G, tol)
+    G, _, row = _gap_study(ds, gamma, delta, kernel, tol)
     exact_model = fit_exact(ds, gamma, kernel)
     Q_exact = exact_model.C.T @ exact_model.C
     exact_sol = solve_model_dare(exact_model, np.eye(ds.d), R, rho_cap=0.9995)
     norms = theory.exact_model_norms(G, exact_model, exact_sol, tol)
     rows = []
     for m in m_list:
-        bound = theory.nystrom_gap_bound(kernel.kappa, gamma, m, delta)
-
         def one(seed: int) -> theory.BoundReport:
-            lm = sample_landmarks(ds, m, LandmarkStrategy.IndependentUniform, seed=seed)
-            G_ny = theory.build_nystrom_operator(ds, kernel, gamma, lm, tol)
-            eps = theory.operator_gap_norm(G, G_ny, tol)
+            gap_row, lm = row(m, seed)
+            eps = gap_row.empirical_gap
             ny_model = fit(ds, NystromLift(kernel, lm), gamma=gamma, lam=gamma)
             Q_ny = theory.transport_weights(exact_model, Q_exact, ny_model)
             ny_sol = solve_model_dare(ny_model, weights=LqrWeights(Q_ny, R), rho_cap=0.9995)
@@ -434,16 +439,8 @@ def riccati_objective_sweep(
                 g_eps=ric.bound,
                 riccati_precondition_ok=ric.precondition_ok,
             )
-            return theory.BoundReport(
-                m=m,
-                seed=seed,
-                gamma=gamma,
-                delta=delta,
-                kappa=kernel.kappa,
-                empirical_gap=eps,
-                gap_bound=bound,
-                proj_in=theory.projection_error(ds, "input", kernel, lm, tol),
-                proj_out=theory.projection_error(ds, "output", kernel, lm, tol),
+            return replace(
+                gap_row,
                 riccati_gap=ric.gap,
                 riccati_bound=ric.bound,
                 riccati_precondition=ric.precondition_ok,
@@ -454,7 +451,6 @@ def riccati_objective_sweep(
                 tau=norms.tau,
                 zeta=norms.zeta,
                 sigma_min_P=norms.sigma_min_P,
-                norm_G=norm_G,
             )
 
         rows.extend(seed_map(one, range(n_seeds), workers))

@@ -23,7 +23,6 @@ __all__ = [
     "psd_pinv_sqrt",
     "psd_sqrt",
     "spectral_radius",
-    "operator_norm_sym",
     "tau",
     "TauResult",
     "solve_psd",
@@ -105,13 +104,14 @@ def psd_pinv_sqrt(M, tol: RankTolerance = RankTolerance(), return_info: bool = F
 
 
 def psd_sqrt(M, tol: RankTolerance = RankTolerance()) -> FloatArray:
-    """Symmetric PSD square root under the same clipping policy."""
+    """Thin square-root factor R = sqrt(Lambda_r) V_r' of a symmetric PSD matrix.
+
+    One row per eigenvalue above the relative cutoff, so R has shape (r, N)
+    and R'R = M on the kept range.  The all-zero matrix gives 0 rows.
+    """
     M = _check_finite_square(M, "M")
     w, V, kept = _clipped_eigh(M, tol)
-    s = np.zeros_like(w)
-    s[kept] = np.sqrt(w[kept])
-    R = (V * s[None, :]) @ V.T
-    return 0.5 * (R + R.T)
+    return np.sqrt(w[kept])[:, None] * V[:, kept].T
 
 
 def psd_pinv(M, tol: RankTolerance = RankTolerance()) -> FloatArray:
@@ -130,15 +130,6 @@ def spectral_radius(L) -> float:
     if L.shape[0] == 0:
         return 0.0
     return float(np.max(np.abs(np.linalg.eigvals(L))))
-
-
-def operator_norm_sym(M) -> float:
-    """Operator (spectral) norm of a symmetric matrix via eigvalsh."""
-    M = _check_finite_square(M, "M")
-    if M.shape[0] == 0:
-        return 0.0
-    M = 0.5 * (M + M.T)
-    return float(np.max(np.abs(np.linalg.eigvalsh(M))))
 
 
 def _spectral_norm(M: FloatArray) -> float:

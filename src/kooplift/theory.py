@@ -11,11 +11,15 @@ with ``F_out`` the formal row of features at the output anchors.  Operator and
 Hilbert-Schmidt norms then reduce to ordinary singular values of the whitened
 factor
 
-    C = sqrt(G_out) @ out_weight @ core @ blockdiag(in_weight @ sqrt-block, I).
+    C = [ (R_out @ out_weight) @ core_x @ (in_weight @ R_in') | (R_out @ out_weight) @ core_u ]
 
-The product is evaluated in exactly that order: the sqrt(G) @ weight factors
-are contractions, so differences of nearly equal operators keep full relative
-precision instead of being squared away.
+where R_out (r_out, q) and R_in (r_in, p) are thin square-root factors of the
+anchor Grams (R'R = Gram on the kept range), so C is only r_out x (r_in + n_u).
+A signed sum of operators stacks the anchors and adds each term on its own
+columns of R_out and R_in.  Each weight multiplies whitened columns first: the
+R @ weight factors are contractions, so differences of nearly equal operators
+keep full relative precision instead of being squared away.  The Riccati
+solutions and the closed loop are operators of the same form.
 
 The closed-form rate bounds evaluated here:
 
@@ -154,68 +158,44 @@ def _whitened_factor(ops: list[tuple[RkhsOperator, float]], tol: RankTolerance) 
 
     ``ops`` is a list of (operator, sign); D is the signed sum.  Output and
     input anchor sets are stacked; each operator's weights act on its own
-    block, and the shared control block is summed with signs.
+    columns of the thin factors, and the shared control block is summed.
     """
-    n_u = ops[0][0].n_u
-    out_blocks = [op.out_anchors for op, _ in ops]
-    q_sizes = [op.q for op, _ in ops]
-    out_all = np.vstack(out_blocks)
-    Gf = gram(ops[0][0].kernel, out_all)
-    Sf = psd_sqrt(Gf, tol)
-    # E_out = sqrt(Gf) @ blockdiag(out_weights): contractive columns per block
-    E_out = np.empty((len(out_all), len(out_all)))
-    col = 0
-    for (op, _), q in zip(ops, q_sizes):
-        blockcols = Sf[:, col : col + q]
-        E_out[:, col : col + q] = blockcols if op.out_weight is None else blockcols @ op.out_weight
-        col += q
+    kernel, n_u = ops[0][0].kernel, ops[0][0].n_u
+    R_out = psd_sqrt(gram(kernel, np.vstack([op.out_anchors for op, _ in ops])), tol)
     in_blocks = [op.in_anchors for op, _ in ops if op.p]
-    p_total = sum(op.p for op, _ in ops)
-    if p_total:
-        in_all = np.vstack(in_blocks)
-        Kp = gram(ops[0][0].kernel, in_all)
-        Sp = psd_sqrt(Kp, tol)
-    # assemble signed core, then E_in per input block
-    row = 0
-    prow = 0
-    core_full = np.zeros((sum(q_sizes), p_total + n_u))
-    for (op, sign), q in zip(ops, q_sizes):
+    R_in = psd_sqrt(gram(kernel, np.vstack(in_blocks)), tol) if in_blocks else np.zeros((0, 0))
+    r_in = len(R_in)
+    C = np.zeros((len(R_out), r_in + n_u))
+    q0 = p0 = 0
+    for op, sign in ops:
+        E_out = R_out[:, q0 : q0 + op.q]
+        if op.out_weight is not None:
+            E_out = E_out @ op.out_weight
         if op.p:
-            block = op.core[:, : op.p]
-            core_full[row : row + q, prow : prow + op.p] = sign * block
-        if n_u:
-            core_full[row : row + q, p_total:] += sign * op.core[:, op.p :]
-        row += q
-        prow += op.p
-    # E_in' = blockdiag(in_weights) @ sqrt(Kp) rows, identity on the control part
-    if p_total:
-        Ein = np.empty((p_total, Sp.shape[1]))
-        prow = 0
-        for op, _ in ops:
-            if not op.p:
-                continue
-            rowsW = Sp[prow : prow + op.p, :]
-            Ein[prow : prow + op.p, :] = rowsW if op.in_weight is None else op.in_weight @ rowsW
-            prow += op.p
-        left = (E_out @ core_full[:, :p_total]) @ Ein
-    else:
-        left = np.zeros((sum(q_sizes), 0))
-    if n_u:
-        right = E_out @ core_full[:, p_total:]
-        return np.hstack([left, right])
-    return left
+            E_in = R_in[:, p0 : p0 + op.p].T
+            if op.in_weight is not None:
+                E_in = op.in_weight @ E_in
+            C[:, :r_in] += sign * ((E_out @ op.core[:, : op.p]) @ E_in)
+        C[:, r_in:] += sign * (E_out @ op.core[:, op.p :])
+        q0 += op.q
+        p0 += op.p
+    return C
+
+
+def _sum_norm(ops: list[tuple[RkhsOperator, float]], tol: RankTolerance) -> float:
+    """Operator norm of the signed sum of ``ops``."""
+    C = _whitened_factor(ops, tol)
+    return float(np.linalg.norm(C, 2)) if C.size else 0.0
 
 
 def operator_gap_norm(A: RkhsOperator, B: RkhsOperator, tol: RankTolerance = RankTolerance()) -> float:
     """Operator norm of A - B over the lifted input space."""
     _check_compatible(A, B)
-    C = _whitened_factor([(A, 1.0), (B, -1.0)], tol)
-    return float(np.linalg.norm(C, 2)) if C.size else 0.0
+    return _sum_norm([(A, 1.0), (B, -1.0)], tol)
 
 
 def operator_norm(A: RkhsOperator, tol: RankTolerance = RankTolerance()) -> float:
-    C = _whitened_factor([(A, 1.0)], tol)
-    return float(np.linalg.norm(C, 2)) if C.size else 0.0
+    return _sum_norm([(A, 1.0)], tol)
 
 
 def operator_gap_hs_norm(A: RkhsOperator, B: RkhsOperator, tol: RankTolerance = RankTolerance()) -> float:
@@ -225,30 +205,18 @@ def operator_gap_hs_norm(A: RkhsOperator, B: RkhsOperator, tol: RankTolerance = 
     return float(np.linalg.norm(C, "fro"))
 
 
-def _selfadjoint_gap(
-    kernel: KernelSpec,
-    anchors_a: FloatArray,
-    weight_a: FloatArray,
-    core_a: FloatArray,
-    anchors_b: FloatArray | None = None,
-    weight_b: FloatArray | None = None,
-    core_b: FloatArray | None = None,
-    tol: RankTolerance = RankTolerance(),
-) -> float:
-    """Operator norm of F_a W_a core_a W_a F_a^* - F_b W_b core_b W_b F_b^*."""
-    if anchors_b is None:
-        out_all = np.atleast_2d(anchors_a)
-        Sf = psd_sqrt(gram(kernel, out_all), tol)
-        E = Sf @ weight_a
-        M = E @ core_a @ E.T
-        return float(np.max(np.abs(np.linalg.eigvalsh(0.5 * (M + M.T)))))
-    qa = len(anchors_a)
-    out_all = np.vstack([anchors_a, anchors_b])
-    Sf = psd_sqrt(gram(kernel, out_all), tol)
-    Ea = Sf[:, :qa] @ weight_a
-    Eb = Sf[:, qa:] @ weight_b
-    M = Ea @ core_a @ Ea.T - Eb @ core_b @ Eb.T
-    return float(np.max(np.abs(np.linalg.eigvalsh(0.5 * (M + M.T)))))
+def _riccati_operator(model: KoopmanModel, P: FloatArray) -> RkhsOperator:
+    """The quadratic form P on the model's lifted coordinates, F W P W F^*."""
+    out = model.lifting.landmarks.outputs
+    W = model.gram_out_pinv_sqrt
+    return RkhsOperator(
+        kernel=model.lifting.kernel,
+        out_anchors=out,
+        core=P,
+        in_anchors=out,
+        out_weight=W,
+        in_weight=W,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -429,38 +397,24 @@ def exact_model_norms(
     tol: RankTolerance = RankTolerance(),
 ) -> ExactModelNorms:
     """Bundle the norms entering the rate formulas, computed once per fixture."""
-    kernel = G_exact.kernel
-    norm_A = operator_norm(G_exact.state_part(), tol)
+    A = G_exact.state_part()
+    norm_A = operator_norm(A, tol)
     norm_B = operator_norm(G_exact.control_part(), tol)
-    W = exact_model.gram_out_pinv_sqrt
+    norm_P = operator_norm(_riccati_operator(exact_model, exact_sol.P_m), tol)
     out = exact_model.lifting.landmarks.outputs
-    norm_P = _selfadjoint_gap(kernel, out, W, exact_sol.P_m, tol=tol)
-    G_out = gram(kernel, out)
-    KW = exact_sol.K_m @ W
+    G_out = gram(G_exact.kernel, out)
+    KW = exact_sol.K_m @ exact_model.gram_out_pinv_sqrt
     norm_K = math.sqrt(max(float(np.max(np.linalg.eigvalsh(KW @ G_out @ KW.T))), 0.0))
-    # closed loop A + B K as an operator: the gain reads the state through the
-    # output anchors, so the input side stacks G's anchors with the out anchors
-    ctrl_core = G_exact.core[:, G_exact.p :]
-    L_core = np.hstack([G_exact.core[:, : G_exact.p], ctrl_core @ KW])
-    ein = np.eye(len(out))
-    in_weight = G_exact.in_weight
-    if in_weight is not None:
-        p = G_exact.p
-        L_in_weight = np.zeros((p + len(out), p + len(out)))
-        L_in_weight[:p, :p] = in_weight
-        L_in_weight[p:, p:] = ein
-    else:
-        L_in_weight = None
-    L_op = RkhsOperator(
-        kernel=kernel,
+    # closed loop A + B K: the gain reads the state at the model's output
+    # landmarks and feeds G's control block
+    gain = RkhsOperator(
+        kernel=G_exact.kernel,
         out_anchors=G_exact.out_anchors,
-        core=L_core,
-        in_anchors=np.vstack([G_exact.in_anchors, out]),
+        core=G_exact.core[:, G_exact.p :] @ KW,
+        in_anchors=out,
         out_weight=G_exact.out_weight,
-        in_weight=L_in_weight,
-        n_u=0,
     )
-    norm_L = operator_norm(L_op, tol)
+    norm_L = _sum_norm([(A, 1.0), (gain, 1.0)], tol)
     # transient growth and sigma_min are taken on the synthesized subsystem:
     # the basis spans an A-invariant subspace, so this block is exactly the
     # closed loop the gain was designed for
@@ -538,17 +492,11 @@ def riccati_gap(
 ) -> RiccatiGapReport:
     """Operator-norm gap between the two Riccati solutions on the lifted space,
     with the matching perturbation bound evaluated at the measured operator gap.
+
+    Both models must lift with the same kernel (``ValueError`` otherwise).
     """
-    kernel = exact_model.lifting.kernel
-    gap = _selfadjoint_gap(
-        kernel,
-        exact_model.lifting.landmarks.outputs,
-        exact_model.gram_out_pinv_sqrt,
-        exact_sol.P_m,
-        ny_model.lifting.landmarks.outputs,
-        ny_model.gram_out_pinv_sqrt,
-        ny_sol.P_m,
-        tol=tol,
+    gap = operator_gap_norm(
+        _riccati_operator(exact_model, exact_sol.P_m), _riccati_operator(ny_model, ny_sol.P_m), tol
     )
     R = np.atleast_2d(np.asarray(R, dtype=float))
     norm_R_inv = 1.0 / float(np.min(np.linalg.eigvalsh(R)))

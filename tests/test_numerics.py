@@ -3,7 +3,6 @@ import pytest
 
 from kooplift.numerics import (
     RankTolerance,
-    operator_norm_sym,
     psd_pinv,
     psd_pinv_sqrt,
     psd_sqrt,
@@ -68,8 +67,14 @@ def test_psd_sqrt():
     rng = np.random.default_rng(2)
     A = rng.normal(size=(5, 5))
     M = A @ A.T
-    S = psd_sqrt(M)
-    np.testing.assert_allclose(S @ S, M, atol=1e-10)
+    R = psd_sqrt(M)
+    assert R.shape == (5, 5)
+    np.testing.assert_allclose(R.T @ R, M, atol=1e-10)
+    # thin: one row per kept eigenvalue
+    R = psd_sqrt(np.diag([4.0, 1.0, 0.0]))
+    assert R.shape == (2, 3)
+    np.testing.assert_allclose(R.T @ R, np.diag([4.0, 1.0, 0.0]), atol=1e-14)
+    assert psd_sqrt(np.zeros((4, 4))).shape == (0, 4)
 
 
 def test_spectral_radius_diagonal():
@@ -96,16 +101,6 @@ def test_spectral_radius_bounded_by_two_norm():
 def test_spectral_radius_rejects_nonfinite():
     with pytest.raises(ValueError):
         spectral_radius(np.array([[np.inf, 0.0], [0.0, 0.0]]))
-
-
-def test_operator_norm_sym():
-    assert operator_norm_sym(np.diag([-3.0, 2.0])) == pytest.approx(3.0)
-    assert operator_norm_sym(np.zeros((3, 3))) == 0.0
-    rng = np.random.default_rng(4)
-    A = rng.normal(size=(8, 8))
-    M = 0.5 * (A + A.T)
-    oracle = float(np.max(np.abs(np.linalg.eigvals(M))))
-    assert operator_norm_sym(M) == pytest.approx(oracle, abs=1e-12)
 
 
 def test_tau_contraction_identity():

@@ -198,6 +198,90 @@ def test_operator_gap_matches_dense_oracle():
             assert val == pytest.approx(dense_operator_gap(ds, spec, gamma, lm), rel=1e-7)
 
 
+ORACLE_SPEC = KernelSpec(KernelFamily.Matern52, 0.3, 1.0)
+ORACLE_GAMMA = 1e-4
+# norms only enter the bound, which these oracle checks do not read
+UNIT_NORMS = theory.ExactModelNorms(
+    A=1.0, B=1.0, P=1.0, K=1.0, L=1.0, sigma_min_P=1.0, rho_L=0.5, zeta=0.75, tau=1.0, tau_truncated=False
+)
+
+
+def test_riccati_gap_matches_dense_oracle():
+    # two compressed models of the operator-oracle fixture; each Riccati
+    # operator is written out as Phi W P W Phi' on explicit coordinates of
+    # both models' output landmarks
+    ds = toy_dataset(n=60, seed=11)
+    for m in (3, 8, 15):
+        models = []
+        for seed in (0, 1):
+            lm = sample_landmarks(ds, m, LandmarkStrategy.IndependentUniform, seed=seed)
+            model = fit(ds, NystromLift(ORACLE_SPEC, lm), gamma=ORACLE_GAMMA)
+            w = np.linalg.eigvalsh(gram(ORACLE_SPEC, model.lifting.landmarks.outputs))
+            assert w[0] > RankTolerance().rel_cutoff * w[-1]
+            models.append((model, solve_model_dare(model, np.eye(1), np.eye(1), rho_cap=0.9995)))
+        (a, sol_a), (b, sol_b) = models
+        out_a, out_b = a.lifting.landmarks.outputs, b.lifting.landmarks.outputs
+        Phi = explicit_coordinates(ORACLE_SPEC, np.vstack([out_a, out_b]))
+        Pa, Pb = Phi[:, : len(out_a)] @ a.gram_out_pinv_sqrt, Phi[:, len(out_a) :] @ b.gram_out_pinv_sqrt
+        oracle = np.linalg.norm(Pa @ sol_a.P_m @ Pa.T - Pb @ sol_b.P_m @ Pb.T, 2)
+        rep = theory.riccati_gap(a, sol_a, b, sol_b, UNIT_NORMS, np.eye(1), 0.1, RankTolerance(1e-13))
+        assert rep.gap == pytest.approx(oracle, rel=1e-9)
+
+
+@pytest.mark.parametrize("data_seed", [11, 0, 3])
+def test_exact_model_norms_match_dense_oracle(data_seed):
+    # A, B, P, K and L = A + B K as explicit matrices on the coordinates of
+    # span{psi(X), psi(Y)}; the exact model's landmarks are (X, Y)
+    ds = toy_dataset(n=60, seed=data_seed)
+    n = ds.n
+    G = theory.build_exact_operator(ds, ORACLE_SPEC, ORACLE_GAMMA)
+    lift = NystromLift(ORACLE_SPEC, LandmarkSet(ds.X.copy(), ds.Y.copy(), seed=-1))
+    model = fit(ds, lift, gamma=ORACLE_GAMMA)
+    sol = solve_model_dare(model, np.eye(1), np.eye(1), rho_cap=0.9995)
+    norms = theory.exact_model_norms(G, model, sol, RankTolerance(1e-13))
+
+    Phi = explicit_coordinates(ORACLE_SPEC, np.vstack([ds.X, ds.Y]))
+    PX, PY = Phi[:, :n], Phi[:, n:]
+    r = Phi.shape[0]
+    F = np.vstack([PX, ds.U.T])
+    G_dense = (PY @ F.T / n) @ np.linalg.inv(F @ F.T / n + ORACLE_GAMMA * np.eye(r + ds.n_u))
+    A, B = G_dense[:, :r], G_dense[:, r:]
+    PW = PY @ model.gram_out_pinv_sqrt
+    K = sol.K_m @ PW.T  # the gain reads the state through the output landmarks
+    oracle = {
+        "A": np.linalg.norm(A, 2),
+        "B": np.linalg.norm(B, 2),
+        "P": np.linalg.norm(PW @ sol.P_m @ PW.T, 2),
+        "K": np.linalg.norm(K, 2),
+        "L": np.linalg.norm(A + B @ K, 2),
+    }
+    for name, val in oracle.items():
+        assert getattr(norms, name) == pytest.approx(val, rel=1e-9), name
+
+
+def test_riccati_gap_rejects_kernel_mismatch(small_control_fixture):
+    ds, gamma, exact_model, exact_sol, _, _, norms = small_control_fixture
+    lm = sample_landmarks(ds, 10, LandmarkStrategy.IndependentUniform, seed=0)
+    rbf_model = fit(ds, NystromLift(RBF, lm), gamma=gamma)
+    rbf_sol = solve_model_dare(rbf_model, np.eye(1), np.eye(1), rho_cap=0.9995)
+    with pytest.raises(ValueError, match="different kernels"):
+        theory.riccati_gap(exact_model, exact_sol, rbf_model, rbf_sol, norms, np.eye(1), epsilon=0.1)
+
+
+def test_operator_norm_of_empty_factor_is_zero(monkeypatch):
+    # an operator with no input block, and one whose anchor Gram whitens to
+    # zero rows, both have an empty factor and norm 0
+    ds = toy_dataset(n=10, seed=13)
+    G = theory.build_exact_operator(Dataset(ds.X, np.zeros((ds.n, 0)), ds.Y), M52, 1e-2)
+    assert theory.operator_norm(G.control_part()) == 0.0
+
+    def zero_gram(spec, A, B=None):
+        return np.zeros((len(A), len(A if B is None else B)))
+
+    monkeypatch.setattr(theory, "gram", zero_gram)
+    assert theory.operator_norm(G) == 0.0
+
+
 def test_gap_bound_formula_example():
     val = theory.nystrom_gap_bound(1.0, 1.0, 100, 0.05)
     lg = math.log(8 * 100 / (5 * 0.05))
