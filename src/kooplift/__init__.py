@@ -29,11 +29,10 @@ from .identify import (
     fit,
     forecast,
     load_model,
-    predict_step,
     save_model,
 )
 from .kernels import KernelFamily, KernelSpec, gram, kernel_eval, thin_plate_features
-from .lqr import LqrWeights, RiccatiSolution, build_weights, control_policy, dare_residual, solve_dare, solve_model_dare
+from .lqr import LqrWeights, RiccatiSolution, build_weights, dare_residual, solve_dare, solve_model_dare
 from .numerics import RankTolerance, psd_pinv_sqrt, spectral_radius, tau
 from .simulate import (
     CollectionProtocol,

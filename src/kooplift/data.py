@@ -33,7 +33,6 @@ __all__ = [
     "derived_rng",
     "load_trajectories",
     "save_trajectories",
-    "save_dataset",
     "build_pairs",
     "sample_landmarks",
     "cross_validate",
@@ -235,20 +234,6 @@ def save_trajectories(path, trajs: Sequence[Trajectory]) -> None:
                 row = [tr.traj_id, _fmt(k * tr.dt)] + [_fmt(v) for v in x]
                 row += [_fmt(v) for v in tr.controls[k]] if k < T else [""] * n_u
                 writer.writerow(row)
-
-
-def save_dataset(path, ds: "Dataset", dt: float) -> None:
-    """Write a dataset's pairs in the trajectory schema, one 2-row trajectory each."""
-    trajs = [
-        Trajectory(
-            dt=dt,
-            states=np.vstack([ds.X[i], ds.Y[i]]),
-            controls=ds.U[i][None, :],
-            traj_id=str(i),
-        )
-        for i in range(ds.n)
-    ]
-    save_trajectories(path, trajs)
 
 
 def _parse_header(header: list[str], path) -> tuple[int, int]:

@@ -43,10 +43,7 @@ __all__ = [
     "ForecastDivergence",
     "fit",
     "embed_state",
-    "predict_step",
     "forecast",
-    "lifted_training_risk",
-    "reconstruction_objective",
     "save_model",
     "load_model",
 ]
@@ -150,15 +147,6 @@ def embed_state(model: KoopmanModel, x) -> FloatArray:
     if x.shape[0] != model.d:
         raise ValueError(f"state has dimension {x.shape[0]}, model expects {model.d}")
     return model.embed_states(x[None, :])[:, 0]
-
-
-def predict_step(model: KoopmanModel, z, u) -> FloatArray:
-    """One linear step in lifted coordinates."""
-    z = np.asarray(z, dtype=float).ravel()
-    u = np.asarray(u, dtype=float).ravel()
-    if z.shape[0] != model.m or u.shape[0] != model.n_u:
-        raise ValueError("dimension mismatch in predict_step")
-    return model.A_m @ z + model.B_m @ u
 
 
 def forecast(model: KoopmanModel, x0, controls) -> FloatArray:
@@ -322,37 +310,6 @@ def fit(
             raise ValueError("center dimension does not match dataset")
         return _fit_thinplate(ds, lifting, gamma, lam)
     raise TypeError(f"unknown lifting {type(lifting).__name__}")
-
-
-def lifted_training_risk(model: KoopmanModel, ds: Dataset) -> float:
-    """Mean squared one-step residual in the lifted space on the training set.
-
-    For the kernel lift the residual norm of pair i is evaluated through Gram
-    identities:  ||psi(y) - B_out v||^2 = k(y,y) - 2 k_out(y)' W v + v' W K W v.
-    """
-    Z_in = model.embed_states(ds.X)
-    Z_hat = model.A_m @ Z_in + model.B_m @ ds.U.T  # (m, n)
-    if isinstance(model.lifting, NystromLift):
-        spec = model.lifting.kernel
-        lm_out = model.lifting.landmarks.outputs
-        W = model.gram_out_pinv_sqrt
-        K_out = gram(spec, lm_out)
-        k_yy = np.full(ds.n, spec.variance)
-        k_out_y = gram(spec, lm_out, ds.Y)  # (m, n)
-        cross = np.sum((W @ k_out_y) * Z_hat, axis=0)
-        WKW = W @ K_out @ W
-        quad = np.sum(Z_hat * (WKW @ Z_hat), axis=0)
-        return float(np.mean(k_yy - 2.0 * cross + quad))
-    Phi_out = thin_plate_matrix(ds.Y, model.lifting.centers).T
-    return float(np.mean(np.sum((Phi_out - Z_hat) ** 2, axis=0)))
-
-
-def reconstruction_objective(model: KoopmanModel, ds: Dataset, C=None) -> float:
-    """Ridge objective that the reconstruction matrix C minimizes."""
-    C = model.C if C is None else np.asarray(C, dtype=float)
-    Z = model.embed_states(ds.Y)
-    resid = ds.Y - (C @ Z).T
-    return float(np.mean(np.sum(resid**2, axis=1)) + model.lam * np.sum(C**2))
 
 
 # ---------------------------------------------------------------------------

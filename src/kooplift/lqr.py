@@ -19,7 +19,12 @@ on the numerically retained range of the model's lift (same solution, much
 cheaper when the landmark set is the whole training set) and stays usable on
 lifts whose marginal modes make the textbook infinite-horizon problem
 ill-posed; see its docstring.  ``solve_dare`` and ``solve_model_dare`` share
-one core, ``_riccati_core``.
+one core, ``_riccati_core``.  The core also serves fixed-gain costs: with
+B = 0 the iteration is P_{k+1} = A' P_k A + Q, whose iterates are the Lyapunov
+sums sum_{t<=k} A^t' Q A^t, and doubling them is Smith's method.  Given the
+closed loop A + B K in place of A and the stage weight Q + K' R K in place of
+Q, the limit P gives the infinite-horizon cost z0' P z0 of the fixed gain K
+from z0 (used by ``theory.objective_gap``).
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.typing import NDArray
 
-from .identify import KoopmanModel, embed_state
+from .identify import KoopmanModel
 from .numerics import solve_psd, spectral_radius
 
 FloatArray = NDArray[np.float64]
@@ -40,7 +45,6 @@ __all__ = [
     "build_weights",
     "solve_dare",
     "dare_residual",
-    "control_policy",
     "solve_model_dare",
 ]
 
@@ -75,7 +79,8 @@ class RiccatiSolution:
     the doubled iterates k = 2^j - 1; the first that meets it is returned with
     ``converged=True`` and N = k.  Otherwise N is the horizon cap and
     ``converged`` is the rule at k = N.  ``delta_history`` holds the checked
-    one-step deltas ||P_{k+1} - P_k||_2 in order, at most about log2(N) + 2.
+    one-step deltas ||P_{k+1} - P_k||_2 in order, at most about log2(N) + 2;
+    each is the DARE residual of its iterate, and ``residual`` is the last.
 
     ``deflated`` counts lifted modes excluded from synthesis because they sit
     numerically on the unit circle with negligible control authority; the gain
@@ -104,14 +109,6 @@ def build_weights(model: KoopmanModel, Qprime, R) -> LqrWeights:
         raise ValueError(f"Qprime must be ({model.d}, {model.d}), got {Qprime.shape}")
     Q_m = model.C.T @ Qprime @ model.C
     return LqrWeights(Q_m=Q_m, R=np.atleast_2d(np.asarray(R, dtype=float)))
-
-
-def _riccati_step_delta(P, A, B, Q, R) -> float:
-    """||P_{k+1} - P_k||_2 for one step of the value iteration from P_k = P."""
-    BtP = B.T @ P
-    gain_part, _ = solve_psd(R + BtP @ B, BtP @ A)
-    P_next = A.T @ (P @ A - BtP.T @ gain_part) + Q
-    return float(np.linalg.norm(0.5 * (P_next + P_next.T) - P, 2))
 
 
 def _compose(early, late):
@@ -146,7 +143,7 @@ def _riccati_core(A, B, weights: LqrWeights, tol: float, horizon: int) -> Riccat
     deltas: list[float] = []
 
     def meets_rule(P) -> bool:
-        deltas.append(_riccati_step_delta(P, A, B, Q, R))
+        deltas.append(dare_residual(P, A, B, weights))
         return deltas[-1] <= tol * (1.0 + float(np.linalg.norm(P, 2)))
 
     def extend(early, late, reached: int):
@@ -182,7 +179,7 @@ def _riccati_core(A, B, weights: LqrWeights, tol: float, horizon: int) -> Riccat
         P_m=P,
         K_m=K,
         L_m=L,
-        residual=dare_residual(P, A, B, weights),
+        residual=deltas[-1],
         rho_L=spectral_radius(L),
         iterations=stages - 1,
         delta_history=tuple(deltas),
@@ -229,11 +226,6 @@ def dare_residual(P, A, B, weights: LqrWeights) -> float:
     inner_part, _ = solve_psd(weights.R + BtP @ B, BtP)
     F = P - A.T @ (P - BtP.T @ inner_part) @ A - weights.Q_m
     return float(np.linalg.norm(F, 2))
-
-
-def control_policy(model: KoopmanModel, sol: RiccatiSolution, x) -> FloatArray:
-    """State-feedback input on the true state: u = K_m z(x)."""
-    return sol.K_m @ embed_state(model, x)
 
 
 def _deflate_marginal_modes(A: FloatArray, rho_cap: float):

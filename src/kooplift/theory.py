@@ -7,19 +7,20 @@ exactly as
 
     D [l; u]  =  F_out @ out_weight @ core @ [ in_weight @ (l at in_anchors); u ]
 
-with ``F_out`` the formal row of features at the output anchors.  Operator and
-Hilbert-Schmidt norms then reduce to ordinary singular values of the whitened
-factor
+with ``F_out`` the formal row of features at the output anchors.  Operator
+norms then reduce to the largest singular value of the whitened factor
 
     C = [ (R_out @ out_weight) @ core_x @ (in_weight @ R_in') | (R_out @ out_weight) @ core_u ]
 
 where R_out (r_out, q) and R_in (r_in, p) are thin square-root factors of the
 anchor Grams (R'R = Gram on the kept range), so C is only r_out x (r_in + n_u).
 A signed sum of operators stacks the anchors and adds each term on its own
-columns of R_out and R_in.  Each weight multiplies whitened columns first: the
-R @ weight factors are contractions, so differences of nearly equal operators
-keep full relative precision instead of being squared away.  The Riccati
-solutions and the closed loop are operators of the same form.
+columns of R_out and R_in; when every term reads its input at its own output
+anchors, the two stacks are one and are whitened once.  Each weight multiplies
+whitened columns first: the R @ weight factors are contractions, so
+differences of nearly equal operators keep full relative precision instead of
+being squared away.  The Riccati solutions and the closed loop are operators
+of the same form.
 
 The closed-form rate bounds evaluated here:
 
@@ -44,7 +45,7 @@ from numpy.typing import NDArray
 from .data import Dataset, LandmarkSet
 from .identify import KoopmanModel, NystromLift
 from .kernels import KernelSpec, gram
-from .lqr import RiccatiSolution
+from .lqr import LqrWeights, RiccatiSolution, solve_dare
 from .numerics import RankTolerance, psd_pinv_sqrt, psd_sqrt, solve_psd, spectral_radius, tau
 
 FloatArray = NDArray[np.float64]
@@ -55,8 +56,6 @@ __all__ = [
     "build_nystrom_operator",
     "operator_gap_norm",
     "operator_norm",
-    "operator_gap_hs_norm",
-    "operator_risk",
     "nystrom_gap_bound",
     "projection_bound",
     "projection_error",
@@ -131,20 +130,6 @@ class RkhsOperator:
             n_u=self.n_u,
         )
 
-    def apply_coeff(self, X, U=None) -> FloatArray:
-        """Output-feature coefficients of D applied to (psi(x_i), u_i) columns."""
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        evals = gram(self.kernel, self.in_anchors, X) if self.p else np.zeros((0, len(X)))
-        if self.in_weight is not None:
-            evals = self.in_weight @ evals
-        if self.n_u:
-            U = np.zeros((len(X), self.n_u)) if U is None else np.atleast_2d(np.asarray(U, dtype=float))
-            evals = np.vstack([evals, U.T])
-        out = self.core @ evals
-        if self.out_weight is not None:
-            out = self.out_weight @ out
-        return out
-
 
 def _check_compatible(A: RkhsOperator, B: RkhsOperator) -> None:
     if A.kernel != B.kernel:
@@ -154,7 +139,7 @@ def _check_compatible(A: RkhsOperator, B: RkhsOperator) -> None:
 
 
 def _whitened_factor(ops: list[tuple[RkhsOperator, float]], tol: RankTolerance) -> FloatArray:
-    """The factor C with ||D||_op = sigma_max(C), ||D||_HS = ||C||_F.
+    """The factor C with ||D||_op = sigma_max(C).
 
     ``ops`` is a list of (operator, sign); D is the signed sum.  Output and
     input anchor sets are stacked; each operator's weights act on its own
@@ -162,8 +147,11 @@ def _whitened_factor(ops: list[tuple[RkhsOperator, float]], tol: RankTolerance) 
     """
     kernel, n_u = ops[0][0].kernel, ops[0][0].n_u
     R_out = psd_sqrt(gram(kernel, np.vstack([op.out_anchors for op, _ in ops])), tol)
-    in_blocks = [op.in_anchors for op, _ in ops if op.p]
-    R_in = psd_sqrt(gram(kernel, np.vstack(in_blocks)), tol) if in_blocks else np.zeros((0, 0))
+    if all(op.in_anchors is op.out_anchors for op, _ in ops):
+        R_in = R_out  # the same stack, so the same Gram
+    else:
+        in_blocks = [op.in_anchors for op, _ in ops if op.p]
+        R_in = psd_sqrt(gram(kernel, np.vstack(in_blocks)), tol) if in_blocks else np.zeros((0, 0))
     r_in = len(R_in)
     C = np.zeros((len(R_out), r_in + n_u))
     q0 = p0 = 0
@@ -196,13 +184,6 @@ def operator_gap_norm(A: RkhsOperator, B: RkhsOperator, tol: RankTolerance = Ran
 
 def operator_norm(A: RkhsOperator, tol: RankTolerance = RankTolerance()) -> float:
     return _sum_norm([(A, 1.0)], tol)
-
-
-def operator_gap_hs_norm(A: RkhsOperator, B: RkhsOperator, tol: RankTolerance = RankTolerance()) -> float:
-    """Hilbert-Schmidt norm of A - B (always >= the operator norm)."""
-    _check_compatible(A, B)
-    C = _whitened_factor([(A, 1.0), (B, -1.0)], tol)
-    return float(np.linalg.norm(C, "fro"))
 
 
 def _riccati_operator(model: KoopmanModel, P: FloatArray) -> RkhsOperator:
@@ -283,16 +264,6 @@ def build_nystrom_operator(
     )
 
 
-def operator_risk(op: RkhsOperator, ds: Dataset) -> float:
-    """Mean squared lifted one-step residual of the operator on a dataset."""
-    coeffs = op.apply_coeff(ds.X, ds.U)  # (q, n) output-feature coefficients
-    G_out = gram(op.kernel, op.out_anchors)
-    k_y_out = gram(op.kernel, op.out_anchors, ds.Y)  # (q, n)
-    quad = np.sum(coeffs * (G_out @ coeffs), axis=0)
-    cross = np.sum(coeffs * k_y_out, axis=0)
-    return float(np.mean(op.kernel.variance - 2.0 * cross + quad))
-
-
 # ---------------------------------------------------------------------------
 # Closed-form bounds
 # ---------------------------------------------------------------------------
@@ -317,9 +288,8 @@ def nystrom_gap_bound(kappa: float, gamma: float, m: int, delta: float) -> float
     count m and failure probability delta."""
     if not (kappa > 0 and gamma > 0):
         raise ValueError("kappa and gamma must be positive")
-    lg = _log_term(m, delta)
-    first = (kappa / gamma + gamma**-0.5) * 4.0 * kappa * math.sqrt(3.0 / m * lg)
-    second = 48.0 * kappa**3 / gamma**1.5 / m * lg
+    first = (kappa / gamma + gamma**-0.5) * projection_bound(kappa, m, delta)
+    second = 48.0 * kappa**3 / gamma**1.5 / m * _log_term(m, delta)
     return first + second
 
 
@@ -523,18 +493,6 @@ class ObjectiveGapReport:
     stabilizes: bool
 
 
-def _truncated_cost(L, Qbar, z0, rtol: float = 1e-14, max_steps: int = 2_000_000) -> float:
-    total = 0.0
-    z = z0.copy()
-    for _ in range(max_steps):
-        stage = float(z @ Qbar @ z)
-        total += stage
-        if stage <= rtol * (1.0 + total):
-            return total
-        z = L @ z
-    raise RuntimeError("truncated cost did not converge; closed loop too slow")
-
-
 def objective_gap(
     exact_model: KoopmanModel,
     exact_sol: RiccatiSolution,
@@ -549,14 +507,17 @@ def objective_gap(
 ) -> ObjectiveGapReport:
     """Certainty-equivalence cost of the compressed gain on the exact surrogate.
 
-    Both costs roll the exact surrogate dynamics from the embedding of ``x0``:
-    once under its own optimal gain and once under the compressed model's gain
-    mapped into the exact coordinates.  A non-contractive mapped gain is
-    reported with an infinite gap rather than an exception.
+    Both costs are infinite-horizon costs of the exact surrogate from the
+    embedding z0 of ``x0``: once under its own optimal gain and once under the
+    compressed model's gain mapped into the exact coordinates.  Each is
+    z0' X z0, with X the closed loop's Lyapunov sum sum_t L^t' (Q + K' R K) L^t
+    from the Riccati core (``solve_dare`` with a zero input matrix), which
+    raises RuntimeError if the sum does not converge.  A non-contractive mapped
+    gain is reported with an infinite gap rather than an exception.
     """
     kernel = exact_model.lifting.kernel
     R = np.atleast_2d(np.asarray(R, dtype=float))
-    # roll on the synthesized (invariant) subspace of the exact surrogate, the
+    # costs on the synthesized (invariant) subspace of the exact surrogate, the
     # system both gains were designed against
     V = exact_sol.basis if exact_sol.basis is not None else exact_model.range_basis()
     A_r = V.T @ exact_model.A_m @ V
@@ -598,8 +559,11 @@ def objective_gap(
             precondition_ok=precondition_ok,
             stabilizes=False,
         )
-    J = _truncated_cost(L_opt, Q_r + K_r.T @ R @ K_r, z0)
-    J_hat = _truncated_cost(L_hat, Q_r + K_hat.T @ R @ K_hat, z0)
+    no_input = np.zeros_like(B_r)
+    X = solve_dare(L_opt, no_input, LqrWeights(Q_r + K_r.T @ R @ K_r, R), max_iter=2_000_000).P_m
+    X_hat = solve_dare(L_hat, no_input, LqrWeights(Q_r + K_hat.T @ R @ K_hat, R), max_iter=2_000_000).P_m
+    J = float(z0 @ X @ z0)
+    J_hat = float(z0 @ X_hat @ z0)
     return ObjectiveGapReport(
         J=J,
         J_hat=J_hat,

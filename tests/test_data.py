@@ -11,7 +11,6 @@ from kooplift.data import (
     fit_fold,
     load_trajectories,
     sample_landmarks,
-    save_dataset,
     save_trajectories,
 )
 from kooplift.identify import model_to_dict
@@ -70,16 +69,6 @@ def test_csv_round_trip_bit_exact(tmp_path):
     np.testing.assert_array_equal(back[0].controls, tr.controls)
     assert back[0].dt == pytest.approx(tr.dt, rel=1e-12)
     assert back[0].traj_id == "7"
-
-
-def test_dataset_export_round_trip(tmp_path):
-    ds = linear_dataset(n=5, seed=4)
-    path = tmp_path / "pairs.csv"
-    save_dataset(path, ds, dt=0.1)
-    back = build_pairs(load_trajectories(path))
-    np.testing.assert_array_equal(back.X, ds.X)
-    np.testing.assert_array_equal(back.U, ds.U)
-    np.testing.assert_array_equal(back.Y, ds.Y)
 
 
 def test_csv_multi_trajectory_grouping(tmp_path):

@@ -10,7 +10,6 @@ from kooplift.kernels import KernelFamily, KernelSpec
 from kooplift.lqr import (
     LqrWeights,
     build_weights,
-    control_policy,
     dare_residual,
     solve_dare,
     solve_model_dare,
@@ -147,21 +146,6 @@ def test_nonconvergence_raises():
     B = np.array([[0.0], [1.0]])
     with pytest.raises(RuntimeError):
         solve_dare(A, B, LqrWeights(np.eye(2), np.eye(1)), max_iter=2000)
-
-
-def test_control_policy_zero_gain():
-    ds = Dataset([[0.1], [0.2], [0.3]], [[0.0]] * 3, [[0.1], [0.2], [0.3]])
-    model = fit(ds, NystromLift(M52, sample_landmarks(ds, 3, seed=0)), gamma=1e-4)
-    sol = solve_model_dare(model, np.eye(1), np.eye(1))
-    zero = type(sol)(
-        P_m=sol.P_m,
-        K_m=np.zeros_like(sol.K_m),
-        L_m=model.A_m,
-        residual=0.0,
-        rho_L=0.0,
-        iterations=0,
-    )
-    assert np.all(control_policy(model, zero, [0.2]) == 0.0)
 
 
 def test_model_dare_matches_plain_solve_on_full_rank_model():
