@@ -296,7 +296,7 @@ def cmd_forecast(cfg: dict, out: Path) -> int:
         from .data import derived_rng
 
         rng = derived_rng("forecast-input", int(cfg.get("seed", 0)))
-    U = np.array([law.sample(rng, k * sys_.dt, sys_.n_u) for k in range(steps)])
+    U = law.draw(rng, 1, steps, sys_.dt, sys_.n_u)[0]
     x0 = np.array(cfg.get("forecast.x0", [0.0] * sys_.d), dtype=float)
     truth = rollout_open_loop(sys_, x0, U)
     pred = forecast(model, x0, U[: len(truth.controls)])

@@ -259,11 +259,6 @@ def duffing_stabilization_experiment(
     return StabilizationResult(reached, diverged, min_norms)
 
 
-def _square_wave_controls(T: int, dt: float, amplitude: float = 1.0, freq: float = 3.33) -> np.ndarray:
-    law = SquareWave(amplitude=amplitude, frequency=freq)
-    return np.array([law.sample(None, k * dt, 1) for k in range(T)])
-
-
 def duffing_forecast_experiment(
     m_list=(10, 20, 40, 80),
     n_seeds: int = 50,
@@ -281,7 +276,7 @@ def duffing_forecast_experiment(
     """
     sys, ds = duffing_training_data(seed=data_seed)
     T = int(round(horizon_s / sys.dt))
-    U = _square_wave_controls(T, sys.dt)
+    U = SquareWave().draw(None, 1, T, sys.dt, sys.n_u)[0]
 
     def one(seed: int):
         rng_ic = derived_rng("test-ic", seed)

@@ -9,7 +9,11 @@ The benchmark zoo:
             (origin unstable, stable equilibria at (+-0.5, 0))
 
 Continuous dynamics are discretized with classical RK4 under a zero-order hold
-on the control.  Rollouts never raise on divergence; they truncate and flag.
+on the control.  States and controls travel in stacks: a system's ``rhs`` and
+``rk4_step`` take S states as an (S, d) array and their controls as an (S, n_u)
+array, and ``_integrate`` is the one RK4 loop, stepping a whole stack at once.
+Collection steps every trajectory of a protocol together; each rollout is a
+stack of one.  Rollouts never raise on divergence; they truncate and flag.
 """
 
 from __future__ import annotations
@@ -55,7 +59,12 @@ DIVERGENCE_NORM = 1e6
 
 @dataclass(frozen=True)
 class SystemSpec:
-    """Controlled continuous-time system discretized at a fixed step."""
+    """Controlled continuous-time system discretized at a fixed step.
+
+    ``rhs(x, u)`` is the vector field of a stack of states: x is (S, d), u is
+    (S, n_u), and the result is (S, d), row s depending on row s alone.  A
+    single state of shape (d,) with control (n_u,) gives (d,).
+    """
 
     name: str
     d: int
@@ -77,8 +86,8 @@ def cubic_system(dt: float = 0.01) -> SystemSpec:
 
 def duffing_system(dt: float = 0.01) -> SystemSpec:
     def rhs(x, u):
-        x1, x2 = x
-        return np.array([x2, -0.5 * x2 - x1 * (4.0 * x1 * x1 - 1.0) + 0.5 * u[0]])
+        x1, x2 = x.T  # the last axis: scalars for one state, columns for a stack
+        return np.array([x2, -0.5 * x2 - x1 * (4.0 * x1 * x1 - 1.0) + 0.5 * u.T[0]]).T
 
     return SystemSpec("duffing", d=2, n_u=1, dt=dt, rhs=rhs)
 
@@ -88,11 +97,26 @@ def custom_system(name: str, d: int, n_u: int, dt: float, rhs) -> SystemSpec:
 
 
 def rk4_step(sys: SystemSpec, x, u) -> FloatArray:
-    """Classical 4-stage Runge-Kutta update with the control held constant."""
-    x = np.asarray(x, dtype=float).ravel()
-    u = np.asarray(u, dtype=float).ravel()
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(u))):
+    """Classical 4-stage Runge-Kutta update with the control held constant.
+
+    x is one state (d,) or a stack (S, d), u its control (n_u,) or (S, n_u);
+    the result has the shape of x.  Any non-finite entry raises.  A stack of
+    one is stepped as the (d,) state it holds, with the same arithmetic: on
+    one state numpy's cost per call, not the arithmetic, sets the time, and a
+    (d,) state lets an ``rhs`` such as Duffing's work on scalars.
+    """
+    x = np.asarray(x, dtype=float)
+    u = np.asarray(u, dtype=float)
+    if not (np.isfinite(x).all() and np.isfinite(u).all()):
         raise ValueError("non-finite state or control")
+    if x.ndim < 2:
+        return _rk4_update(sys, x.ravel(), u.ravel())
+    if len(x) == 1:
+        return _rk4_update(sys, x[0], u.ravel())[None]
+    return _rk4_update(sys, x, u)
+
+
+def _rk4_update(sys: SystemSpec, x: FloatArray, u: FloatArray) -> FloatArray:
     dt = sys.dt
     k1 = sys.rhs(x, u)
     k2 = sys.rhs(x + 0.5 * dt * k1, u)
@@ -101,15 +125,95 @@ def rk4_step(sys: SystemSpec, x, u) -> FloatArray:
     return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+def _row_norms(x) -> FloatArray:
+    """Euclidean norm of each row of an (S, d) stack."""
+    return np.sqrt((x * x).sum(axis=-1))
+
+
+@dataclass
+class _Run:
+    """What ``_integrate`` returns for a stack of S rows.
+
+    Row s ran ``steps[s]`` steps: its states are ``states[: steps[s] + 1, s]``
+    and its controls ``controls[: steps[s], s]``; entries past those are unset.
+    """
+
+    states: FloatArray  # (T+1, S, d)
+    controls: FloatArray  # (T, S, n_u)
+    steps: NDArray[np.int64]  # (S,)
+    diverged: NDArray[np.bool_]  # (S,)
+
+
+def _integrate(sys: SystemSpec, X0, T_steps: int, control, stop=None) -> _Run:
+    """The RK4 loop every trajectory runs: S rows stepped together, up to T_steps.
+
+    ``control(t, x, rows)`` gives the (S', n_u) controls of the S' rows still
+    running, whose states are x and whose indices into the stack are ``rows``
+    (a slice while every row runs).  A row ends on its own: a step whose state
+    is non-finite or has norm above DIVERGENCE_NORM is kept, with non-finite
+    entries set to inf, and flagged; with ``stop = (r, stop_norm)`` a row also
+    ends once ||x - r|| falls below stop_norm.
+    """
+    X0 = np.asarray(X0, dtype=float)
+    S = len(X0)
+    states = np.empty((T_steps + 1, S, sys.d))
+    controls = np.empty((T_steps, S, sys.n_u))
+    states[0] = X0
+    steps = np.full(S, T_steps)
+    diverged = np.zeros(S, dtype=bool)
+    rows = slice(None)
+    x = X0
+    for t in range(T_steps):
+        u = control(t, x, rows)
+        x_next = rk4_step(sys, x, u)
+        controls[t, rows] = u
+        states[t + 1, rows] = x_next
+        # the norm of the whole stack bounds each row's: one reduction clears a step no row ends on
+        if np.linalg.norm(x_next) <= DIVERGENCE_NORM and (
+            stop is None or _row_norms(x_next - stop[0]).min() >= stop[1]
+        ):
+            x = x_next
+            continue
+        inside = _row_norms(x_next) <= DIVERGENCE_NORM  # false for inf and nan
+        going = inside if stop is None else inside & (_row_norms(x_next - stop[0]) >= stop[1])
+        out = ~inside
+        idx = np.arange(S)[rows]
+        steps[idx[~going]] = t + 1
+        diverged[idx[out]] = True
+        states[t + 1, idx[out]] = np.where(np.isfinite(x_next[out]), x_next[out], np.inf)
+        rows, x = idx[going], x_next[going]
+        if not rows.size:
+            break
+    return _Run(states, controls, steps, diverged)
+
+
 # ---------------------------------------------------------------------------
 # Data collection
 # ---------------------------------------------------------------------------
 
 
+def _require_finite(law, *fields: str) -> None:
+    for name in fields:
+        value = getattr(law, name)
+        if not math.isfinite(value):
+            raise ValueError(f"{type(law).__name__}.{name} must be finite, got {value}")
+
+
+def _require_bounds(law) -> None:
+    _require_finite(law, "lo", "hi")
+    if not law.lo <= law.hi:
+        raise ValueError(f"{type(law).__name__}.lo must not exceed hi, got lo={law.lo}, hi={law.hi}")
+
+
+# An input law's ``draw(rng, n_traj, T, dt, n_u)`` gives the (n_traj, T, n_u)
+# controls of n_traj trajectories of T steps, control t held over [t dt, (t+1) dt);
+# a random law draws them from rng in (trajectory, step, component) order.
+
+
 @dataclass(frozen=True)
 class ZeroInput:
-    def sample(self, rng, t: float, n_u: int) -> FloatArray:
-        return np.zeros(n_u)
+    def draw(self, rng, n_traj: int, T: int, dt: float, n_u: int) -> FloatArray:
+        return np.zeros((n_traj, T, n_u))
 
 
 @dataclass(frozen=True)
@@ -117,8 +221,11 @@ class UniformIID:
     lo: float = -1.0
     hi: float = 1.0
 
-    def sample(self, rng, t: float, n_u: int) -> FloatArray:
-        return rng.uniform(self.lo, self.hi, size=n_u)
+    def __post_init__(self) -> None:
+        _require_bounds(self)
+
+    def draw(self, rng, n_traj: int, T: int, dt: float, n_u: int) -> FloatArray:
+        return rng.uniform(self.lo, self.hi, size=(n_traj, T, n_u))
 
 
 @dataclass(frozen=True)
@@ -126,9 +233,13 @@ class SquareWave:
     amplitude: float = 1.0
     frequency: float = 3.33
 
-    def sample(self, rng, t: float, n_u: int) -> FloatArray:
-        val = self.amplitude * np.sign(np.sin(2.0 * np.pi * self.frequency * t))
-        return np.full(n_u, val)
+    def __post_init__(self) -> None:
+        _require_finite(self, "amplitude", "frequency")
+
+    def draw(self, rng, n_traj: int, T: int, dt: float, n_u: int) -> FloatArray:
+        t = np.arange(T) * dt
+        wave = self.amplitude * np.sign(np.sin(2.0 * np.pi * self.frequency * t))
+        return np.broadcast_to(wave[None, :, None], (n_traj, T, n_u)).copy()
 
 
 InputLaw = ZeroInput | UniformIID | SquareWave
@@ -139,6 +250,9 @@ class UniformBox:
     lo: float = -1.0
     hi: float = 1.0
 
+    def __post_init__(self) -> None:
+        _require_bounds(self)
+
     def sample(self, rng, d: int) -> FloatArray:
         return rng.uniform(self.lo, self.hi, size=d)
 
@@ -146,6 +260,11 @@ class UniformBox:
 @dataclass(frozen=True)
 class UniformBall:
     radius: float = 1.0
+
+    def __post_init__(self) -> None:
+        _require_finite(self, "radius")
+        if not self.radius > 0:
+            raise ValueError(f"UniformBall.radius must be positive, got {self.radius}")
 
     def sample(self, rng, d: int) -> FloatArray:
         # rejection sampling keeps the draw exactly uniform on the ball
@@ -183,27 +302,44 @@ def collect_training_data(sys: SystemSpec, protocol: CollectionProtocol) -> list
 
     A trajectory that leaves the divergence ball is truncated at the offending
     step; truncation shows up as a shorter trajectory.
+
+    Every start is drawn first, then all trajectories are stepped as one stack
+    on a block of inputs drawn in (trajectory, step, component) order.  A
+    trajectory that diverges at step s uses only s steps of its inputs, and the
+    next trajectory's inputs start right after those, so the trajectories after
+    it are stepped again on a block drawn from that point of the stream.
     """
-    if protocol.n_traj < 1:
+    n = protocol.n_traj
+    if n < 1:
         raise ValueError("protocol needs at least one trajectory")
     steps = protocol.duration / sys.dt
     T = int(round(steps))
     if abs(steps - T) > 1e-9 or T < 1:
         raise ValueError(f"duration {protocol.duration} is not a multiple of dt = {sys.dt}")
+    law = protocol.input_law
     rng_init = derived_rng("init-conditions", protocol.seed)
+    X0 = np.array([protocol.init_law.sample(rng_init, sys.d) for _ in range(n)], dtype=float)
     rng_u = derived_rng("training-inputs", protocol.seed)
 
-    def control(t, x):
-        return np.asarray(protocol.input_law.sample(rng_u, t * sys.dt, sys.n_u), dtype=float)
-
     trajs = []
-    for j in range(protocol.n_traj):
-        x = np.asarray(protocol.init_law.sample(rng_init, sys.d), dtype=float)
-        res = _rollout(sys, x, T, control)
-        keep = len(res.states) - int(res.diverged)  # the diverging step is dropped
-        if keep < 2:
-            raise RuntimeError(f"trajectory {j} diverged on its first step")
-        trajs.append(Trajectory(sys.dt, res.states[:keep], res.controls[: keep - 1], traj_id=str(j)))
+    while len(trajs) < n:
+        first = len(trajs)
+        stream = rng_u.bit_generator.state
+        U = law.draw(rng_u, n - first, T, sys.dt, sys.n_u)
+        run = _integrate(sys, X0[first:], T, lambda t, x, rows: U[rows, t])
+        diverged = np.flatnonzero(run.diverged)
+        last = diverged[0] if diverged.size else n - first - 1
+        for k in range(last + 1):
+            keep = run.steps[k] + 1 - int(run.diverged[k])  # the diverging step is dropped
+            if keep < 2:
+                raise RuntimeError(f"trajectory {first + k} diverged on its first step")
+            states, controls = run.states[:keep, k], run.controls[: keep - 1, k]
+            trajs.append(Trajectory(sys.dt, states.copy(), controls.copy(), traj_id=str(first + k)))
+        if diverged.size:
+            # replay the draws trajectories first..first+last used
+            rng_u.bit_generator.state = stream
+            law.draw(rng_u, last, T, sys.dt, sys.n_u)
+            law.draw(rng_u, 1, run.steps[last], sys.dt, sys.n_u)
     return trajs
 
 
@@ -227,43 +363,24 @@ class RolloutResult:
         return float(np.sum(self.stage_costs))
 
 
-def _rollout(sys: SystemSpec, x, T_steps: int, control, weights=None, stop_norm=None) -> RolloutResult:
-    """The RK4 loop every trajectory runs: u_t = control(t, x_t), up to T_steps.
+def _run_single(sys: SystemSpec, x0, T_steps: int, control, weights=None, stop_norm=None) -> RolloutResult:
+    """One trajectory, a stack of one on ``_integrate``: u_t = control(t, x_t).
 
-    A step whose state is non-finite or has norm above DIVERGENCE_NORM ends the
-    run; it is kept, with non-finite entries set to inf, and flagged.  With
-    ``weights = (r, Q', R)`` each step records the stage cost
+    With ``weights = (r, Q', R)`` each step records the stage cost
     (x - r)' Q' (x - r) + u' R u of the state it starts from, and ``stop_norm``
     ends the run once ||x - r|| falls below it; without, stage costs are zero.
     """
-    if weights is not None:
+    stop = None if stop_norm is None else (weights[0], stop_norm)
+    run = _integrate(sys, x0[None, :], T_steps, lambda t, x, rows: control(t, x[0])[None, :], stop)
+    n = int(run.steps[0])
+    states, controls = run.states[: n + 1, 0], run.controls[:n, 0]
+    if weights is None:
+        costs = np.zeros(n)
+    else:
         r, Qprime, R = weights
-    states = [x]
-    controls = []
-    costs = []
-    diverged_step = None
-    for t in range(T_steps):
-        u = control(t, x)
-        x_next = rk4_step(sys, x, u)
-        controls.append(u)
-        if weights is not None:
-            e = x - r
-            costs.append(float(e @ Qprime @ e + u @ R @ u))
-        if not np.linalg.norm(x_next) <= DIVERGENCE_NORM:  # also true for inf and nan
-            diverged_step = t + 1
-            states.append(np.where(np.isfinite(x_next), x_next, np.inf))
-            break
-        states.append(x_next)
-        x = x_next
-        if stop_norm is not None and np.linalg.norm(x - r) < stop_norm:
-            break
-    return RolloutResult(
-        states=np.array(states),
-        controls=np.array(controls).reshape(len(controls), sys.n_u),
-        stage_costs=np.array(costs) if weights is not None else np.zeros(len(controls)),
-        diverged=diverged_step is not None,
-        diverged_step=diverged_step,
-    )
+        costs = np.array([float(e @ Qprime @ e + u @ R @ u) for e, u in zip(states[:n] - r, controls)])
+    diverged = bool(run.diverged[0])
+    return RolloutResult(states, controls, costs, diverged, n if diverged else None)
 
 
 def _stage_weights(sys: SystemSpec, reference, Qprime, R):
@@ -303,7 +420,7 @@ def rollout_closed_loop(
     r, Qprime, R = _stage_weights(sys, reference, Qprime, R)
     policy = model.linear_readout(sol.K_m)
     shift = policy(r)
-    return _rollout(sys, x, T_steps, lambda t, x: policy(x) - shift, (r, Qprime, R), stop_norm)
+    return _run_single(sys, x, T_steps, lambda t, x: policy(x) - shift, (r, Qprime, R), stop_norm)
 
 
 def rollout_policy(
@@ -319,7 +436,7 @@ def rollout_policy(
     """Rollout under an arbitrary state-feedback policy (baselines, oracles)."""
     x = np.asarray(x0, dtype=float).ravel()
     weights = _stage_weights(sys, reference, Qprime, R)
-    return _rollout(sys, x, T_steps, lambda t, x: np.asarray(policy(x), dtype=float).ravel(), weights, stop_norm)
+    return _run_single(sys, x, T_steps, lambda t, x: np.asarray(policy(x), dtype=float).ravel(), weights, stop_norm)
 
 
 def rollout_open_loop(sys: SystemSpec, x0, controls) -> RolloutResult:
@@ -328,7 +445,7 @@ def rollout_open_loop(sys: SystemSpec, x0, controls) -> RolloutResult:
     if controls.ndim == 1:
         controls = controls[:, None]
     x = np.asarray(x0, dtype=float).ravel()
-    return _rollout(sys, x, len(controls), lambda t, x: controls[t])
+    return _run_single(sys, x, len(controls), lambda t, x: controls[t])
 
 
 # ---------------------------------------------------------------------------

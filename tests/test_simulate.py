@@ -4,7 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from kooplift.data import build_pairs
+from kooplift.data import build_pairs, derived_rng
 from kooplift.identify import ThinPlateLift, fit
 from kooplift.simulate import (
     DIVERGENCE_NORM,
@@ -128,8 +128,59 @@ def test_uniform_ball_stays_inside():
 
 def test_square_wave_values():
     law = SquareWave(amplitude=2.0, frequency=3.33)
-    v1 = law.sample(None, 0.01, 1)
-    assert v1[0] == pytest.approx(2.0 * np.sign(np.sin(2 * np.pi * 3.33 * 0.01)))
+    U = law.draw(None, 2, 3, 0.01, 1)
+    assert U.shape == (2, 3, 1)
+    assert U[0, 1, 0] == pytest.approx(2.0 * np.sign(np.sin(2 * np.pi * 3.33 * 0.01)))
+    np.testing.assert_array_equal(U[0], U[1])
+
+
+def test_uniform_iid_validates_bounds():
+    for lo, hi, field in ((np.nan, 1.0, "lo"), (-1.0, np.inf, "hi"), (1.0, -1.0, "lo")):
+        with pytest.raises(ValueError, match=f"UniformIID.{field}"):
+            UniformIID(lo, hi)
+    assert UniformIID(0.5, 0.5).draw(np.random.default_rng(0), 1, 2, 0.1, 1).tolist() == [[[0.5], [0.5]]]
+
+
+def test_square_wave_validates_parameters():
+    with pytest.raises(ValueError, match="SquareWave.amplitude"):
+        SquareWave(amplitude=np.nan)
+    with pytest.raises(ValueError, match="SquareWave.frequency"):
+        SquareWave(frequency=-np.inf)
+
+
+def test_uniform_box_validates_bounds():
+    for lo, hi, field in ((-np.inf, 1.0, "lo"), (0.0, np.nan, "hi"), (2.0, 1.0, "lo")):
+        with pytest.raises(ValueError, match=f"UniformBox.{field}"):
+            UniformBox(lo, hi)
+
+
+def test_uniform_ball_validates_radius():
+    for radius in (0.0, -2.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="UniformBall.radius"):
+            UniformBall(radius)
+
+
+@pytest.mark.parametrize("sys", [cubic_system(), duffing_system()], ids=["cubic", "duffing"])
+@pytest.mark.parametrize("S", [1, 2, 5])
+def test_batched_rhs_and_rk4_match_rows(sys, S):
+    rng = np.random.default_rng(S)
+    X = rng.uniform(-1.5, 1.5, size=(S, sys.d))
+    U = rng.uniform(-1.0, 1.0, size=(S, sys.n_u))
+    F = sys.rhs(X, U)
+    assert F.shape == (S, sys.d)
+    np.testing.assert_array_equal(F, np.array([sys.rhs(x, u) for x, u in zip(X, U)]))
+    step = rk4_step(sys, X, U)
+    assert step.shape == (S, sys.d)
+    np.testing.assert_array_equal(step, np.array([rk4_step(sys, x, u) for x, u in zip(X, U)]))
+    for row in range(S):
+        bad = X.copy()
+        bad[row, -1] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            rk4_step(sys, bad, U)
+        bad = U.copy()
+        bad[row, 0] = np.inf
+        with pytest.raises(ValueError, match="non-finite"):
+            rk4_step(sys, X, bad)
 
 
 def test_rollout_policy_uncontrolled_cubic_decays():
@@ -183,6 +234,64 @@ def test_collect_truncates_at_diverging_step():
     assert 2 <= len(expected) < 500
     np.testing.assert_array_equal(tr.states, np.array(expected))
     np.testing.assert_array_equal(tr.controls, np.zeros((len(expected) - 1, 1)))
+
+
+def collect_one_step_at_a_time(sys, protocol):
+    """Collection written out step by step: the oracle for the batched collection.
+
+    Each trajectory starts from the next draw of the init stream and steps a
+    (d,) state with ``rk4_step``, taking one input draw per step actually
+    taken, so a trajectory that diverges at step s consumes s draws.
+    """
+    T = int(round(protocol.duration / sys.dt))
+    law = protocol.input_law
+    rng_init = derived_rng("init-conditions", protocol.seed)
+    rng_u = derived_rng("training-inputs", protocol.seed)
+    trajs = []
+    for _ in range(protocol.n_traj):
+        states = [protocol.init_law.sample(rng_init, sys.d)]
+        controls = []
+        for t in range(T):
+            if isinstance(law, UniformIID):
+                u = rng_u.uniform(law.lo, law.hi, size=sys.n_u)
+            elif isinstance(law, SquareWave):
+                u = np.full(sys.n_u, law.amplitude * np.sign(np.sin(2.0 * np.pi * law.frequency * (t * sys.dt))))
+            else:
+                u = np.zeros(sys.n_u)
+            x = rk4_step(sys, states[-1], u)
+            if not np.linalg.norm(x) <= DIVERGENCE_NORM:
+                break
+            states.append(x)
+            controls.append(u)
+        trajs.append((np.array(states), np.array(controls).reshape(-1, sys.n_u)))
+    return trajs
+
+
+def _boom_forced():
+    # x' = x^2 + u blows up in finite time from starts near the top of [-1.5, 1]
+    return custom_system("boom-forced", 1, 1, 0.1, lambda x, u: x**2 + u)
+
+
+@pytest.mark.parametrize(
+    "sys, protocol",
+    [
+        pytest.param(duffing_system(), CollectionProtocol(6, 1.0, ZeroInput(), UniformBall(1.0), seed=3), id="duffing-unforced"),
+        pytest.param(duffing_system(), CollectionProtocol(6, 0.5, UniformIID(-1, 1), UniformBall(1.0), seed=4), id="duffing-forced"),
+        pytest.param(cubic_system(), CollectionProtocol(5, 1.0, SquareWave(0.7, 2.0), UniformBox(-1, 1), seed=2), id="cubic-square"),
+        pytest.param(_boom_forced(), CollectionProtocol(8, 3.0, UniformIID(-1, 1), UniformBox(-1.5, 1.0), seed=0), id="middle-diverges"),
+    ],
+)
+def test_collect_matches_step_by_step_oracle(sys, protocol):
+    got = collect_training_data(sys, protocol)
+    want = collect_one_step_at_a_time(sys, protocol)
+    assert len(got) == len(want) == protocol.n_traj
+    for tr, (states, controls) in zip(got, want):
+        np.testing.assert_array_equal(tr.states, states)
+        np.testing.assert_array_equal(tr.controls, controls)
+    if sys.name == "boom-forced":
+        # trajectory 2 is truncated; the draws of every one after it shift
+        lengths = [len(tr.states) for tr in got]
+        assert lengths[0] == lengths[-1] == 31 and lengths[2] < 31
 
 
 def test_collect_raises_when_first_step_diverges():
