@@ -30,7 +30,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .data import Dataset, LandmarkSet
-from .kernels import KernelFamily, KernelSpec, gram, thin_plate_matrix
+from .kernels import KernelFamily, KernelSpec, gram, gram_column, thin_plate_matrix, thin_plate_row
 from .numerics import RankTolerance, psd_pinv_sqrt, solve_psd
 
 FloatArray = NDArray[np.float64]
@@ -117,22 +117,19 @@ class KoopmanModel:
         """x -> M z(x) with the (M @ embedding-weight) product taken once.
 
         Keeps per-step feedback evaluation linear in m instead of quadratic,
-        which matters when the landmark set is the whole training set.
+        which matters when the landmark set is the whole training set.  The
+        landmarks (or centers) are validated once, here, so each step
+        validates only x.
         """
         M = np.atleast_2d(np.asarray(M, dtype=float))
         if isinstance(self.lifting, NystromLift):
-            MW = M @ self.gram_out_pinv_sqrt
-            lm = self.lifting.landmarks.outputs
-            spec = self.lifting.kernel
-
-            def readout(x):
-                return MW @ gram(spec, lm, np.atleast_2d(np.asarray(x, dtype=float)))[:, 0]
-
+            M = M @ self.gram_out_pinv_sqrt
+            features = gram_column(self.lifting.kernel, self.lifting.landmarks.outputs)
         else:
-            centers = self.lifting.centers
+            features = thin_plate_row(self.lifting.centers)
 
-            def readout(x):
-                return M @ thin_plate_matrix(np.atleast_2d(np.asarray(x, dtype=float)), centers)[0]
+        def readout(x):
+            return M @ features(x)
 
         return readout
 

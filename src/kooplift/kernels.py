@@ -15,6 +15,17 @@ used by the error-rate formulas in :mod:`kooplift.theory`.
 Thin-plate-spline features (r^2 log r against a fixed set of centers) are kept
 here too; they are the finite-dimensional baseline lift that the landmark
 compression is compared against.
+
+Gram and thin-plate matrices come from one pass, ``_pairwise``.  It takes the
+whole product X Y^T in one BLAS call, then walks the result in blocks of whole
+rows of about 80 000 entries, so each block's temporaries stay in cache while
+it runs, in place, the same steps in the same order as the whole-array formula
+    sq = (||x||^2 + ||y||^2) - 2 X Y^T,   r = sqrt(max(sq, 0)),   profile(r).
+Elementwise steps are independent of where a block starts, so the result is
+bit for bit that of the whole-array formula.  The product itself is not split:
+OpenBLAS picks its kernels (and, for X Y^T with Y = X, a symmetric rank-k
+update) from the whole shape, and a product taken block by block differed in
+its last bits, even for blocks aligned to 64 rows.
 """
 
 from __future__ import annotations
@@ -33,7 +44,10 @@ __all__ = [
     "KernelSpec",
     "kernel_eval",
     "gram",
+    "gram_column",
     "thin_plate_features",
+    "thin_plate_matrix",
+    "thin_plate_row",
 ]
 
 
@@ -67,17 +81,79 @@ class KernelSpec:
         return math.sqrt(self.variance)
 
 
-def _profile(family: KernelFamily, r: FloatArray) -> FloatArray:
-    """Kernel profile as a function of scaled distance r = ||x - y|| / l."""
-    if family is KernelFamily.RBF:
-        return np.exp(-0.5 * r * r)
-    if family is KernelFamily.Matern52:
-        s = math.sqrt(5.0) * r
-        return (1.0 + s + s * s / 3.0) * np.exp(-s)
-    if family is KernelFamily.Matern32:
-        s = math.sqrt(3.0) * r
-        return (1.0 + s) * np.exp(-s)
-    raise ValueError(f"unknown kernel family {family!r}")
+def _kernel_profile(spec: KernelSpec):
+    """variance * profile(r / lengthscale), evaluated in place on a block.
+
+    The returned function reads the distances from R and writes the kernel
+    values to O, using R and T as scratch; each step is the whole-array
+    formula's, in its order.
+    """
+    family, scale, variance = spec.family, spec.lengthscale, spec.variance
+    if family not in (KernelFamily.RBF, KernelFamily.Matern52, KernelFamily.Matern32):
+        raise ValueError(f"unknown kernel family {family!r}")
+
+    def profile(R: FloatArray, T: FloatArray, O: FloatArray) -> None:
+        R /= scale
+        if family is KernelFamily.RBF:  # exp(-0.5 * r * r)
+            np.multiply(R, -0.5, out=T)
+            T *= R
+            np.exp(T, out=T)
+            np.multiply(T, variance, out=O)
+            return
+        if family is KernelFamily.Matern52:  # (1 + s + s * s / 3) exp(-s), s = sqrt(5) r
+            R *= math.sqrt(5.0)
+            np.multiply(R, R, out=O)
+            O /= 3.0
+            np.negative(R, out=T)
+            np.exp(T, out=T)
+            R += 1.0
+            R += O
+        else:  # (1 + s) exp(-s), s = sqrt(3) r
+            R *= math.sqrt(3.0)
+            np.negative(R, out=T)
+            np.exp(T, out=T)
+            R += 1.0
+        R *= T
+        np.multiply(R, variance, out=O)
+
+    return profile
+
+
+def _thin_plate_profile(R: FloatArray, T: FloatArray, O: FloatArray) -> None:
+    """r^2 log r, and 0 at r = 0, in place on a block (same contract as above)."""
+    zero = ~(R > 0.0)  # r = 0, or the nan of norms that overflow: 0 either way
+    np.multiply(R, R, out=O)
+    R[zero] = 1.0  # keeps log(0) out
+    np.log(R, out=T)
+    O *= T
+    O[zero] = 0.0
+
+
+# entries per block: a block and its two scratch arrays (1.9 MB) stay in cache
+_BLOCK_ENTRIES = 80_000
+
+
+def _sq_norms(X: FloatArray) -> FloatArray:
+    return (X * X).sum(axis=1)
+
+
+def _pairwise(X: FloatArray, xx: FloatArray, Y: FloatArray, yy: FloatArray, profile) -> FloatArray:
+    """profile(||x_i - y_j||) for validated points, with xx, yy their squared norms.
+
+    ||x - y||^2 = ||x||^2 + ||y||^2 - 2 <x, y>, clipped at 0 against round-off.
+    """
+    out = X @ Y.T
+    rows = max(1, _BLOCK_ENTRIES // len(Y))
+    for i in range(0, len(X), rows):
+        O = out[i : i + rows]
+        O *= 2.0
+        R = xx[i : i + rows, None] + yy[None, :]
+        T = np.empty_like(R)
+        R -= O
+        np.maximum(R, 0.0, out=R)
+        np.sqrt(R, out=R)
+        profile(R, T, O)
+    return out
 
 
 def _as_points(X, name: str) -> FloatArray:
@@ -86,7 +162,7 @@ def _as_points(X, name: str) -> FloatArray:
         X = X[None, :]
     if X.ndim != 2 or X.shape[0] == 0:
         raise ValueError(f"{name} must be a nonempty (n, d) array, got shape {X.shape}")
-    if not np.all(np.isfinite(X)):
+    if not np.isfinite(X).all():
         raise ValueError(f"{name} contains non-finite entries")
     return X
 
@@ -99,19 +175,9 @@ def kernel_eval(spec: KernelSpec, x, y) -> float:
         raise ValueError(f"dimension mismatch: {x.shape} vs {y.shape}")
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
         raise ValueError("non-finite input point")
-    r = float(np.linalg.norm(x - y)) / spec.lengthscale
-    return spec.variance * float(_profile(spec.family, np.asarray(r)))
-
-
-def _cross_distances(X: FloatArray, Y: FloatArray) -> FloatArray:
-    # ||x - y||^2 = ||x||^2 + ||y||^2 - 2 <x, y>, clipped against round-off
-    sq = (
-        np.sum(X * X, axis=1)[:, None]
-        + np.sum(Y * Y, axis=1)[None, :]
-        - 2.0 * (X @ Y.T)
-    )
-    np.maximum(sq, 0.0, out=sq)
-    return np.sqrt(sq)
+    R, T, O = np.full((1, 1), np.linalg.norm(x - y)), np.empty((1, 1)), np.empty((1, 1))
+    _kernel_profile(spec)(R, T, O)
+    return float(O[0, 0])
 
 
 def gram(spec: KernelSpec, X, Y=None) -> FloatArray:
@@ -126,10 +192,34 @@ def gram(spec: KernelSpec, X, Y=None) -> FloatArray:
     Yp = X if same else _as_points(Y, "Y")
     if X.shape[1] != Yp.shape[1]:
         raise ValueError(f"dimension mismatch: {X.shape[1]} vs {Yp.shape[1]}")
-    K = spec.variance * _profile(spec.family, _cross_distances(X, Yp) / spec.lengthscale)
+    xx = _sq_norms(X)
+    K = _pairwise(X, xx, Yp, xx if same else _sq_norms(Yp), _kernel_profile(spec))
     if same:
         K = 0.5 * (K + K.T)
     return K
+
+
+def _single_point(x, d: int) -> FloatArray:
+    x = _as_points(x, "x")
+    if x.shape != (1, d):
+        raise ValueError(f"expected one point of dimension {d}, got shape {x.shape}")
+    return x
+
+
+def gram_column(spec: KernelSpec, X):
+    """y -> gram(spec, X, y)[:, 0] for one point y, bit for bit.
+
+    X is validated and its squared norms taken once, here; each call then
+    validates only y.  This is the per-step feature map of a feedback law.
+    """
+    X = _as_points(X, "X")
+    xx, profile = _sq_norms(X), _kernel_profile(spec)
+
+    def column(y) -> FloatArray:
+        y = _single_point(y, X.shape[1])
+        return _pairwise(X, xx, y, _sq_norms(y), profile)[:, 0]
+
+    return column
 
 
 def thin_plate_features(x, centers) -> FloatArray:
@@ -154,8 +244,19 @@ def thin_plate_matrix(X, centers) -> FloatArray:
     C = _as_points(centers, "centers")
     if X.shape[1] != C.shape[1]:
         raise ValueError(f"dimension mismatch: {X.shape[1]} vs {C.shape[1]}")
-    r = _cross_distances(X, C)
-    out = np.zeros_like(r)
-    nz = r > 0.0
-    out[nz] = r[nz] * r[nz] * np.log(r[nz])
-    return out
+    return _pairwise(X, _sq_norms(X), C, _sq_norms(C), _thin_plate_profile)
+
+
+def thin_plate_row(centers):
+    """x -> thin_plate_matrix(x, centers)[0] for one point x, bit for bit.
+
+    The centers are validated and their squared norms taken once, here.
+    """
+    C = _as_points(centers, "centers")
+    cc = _sq_norms(C)
+
+    def row(x) -> FloatArray:
+        x = _single_point(x, C.shape[1])
+        return _pairwise(x, _sq_norms(x), C, cc, _thin_plate_profile)[0]
+
+    return row

@@ -35,6 +35,7 @@ __all__ = [
     "SystemSpec",
     "cubic_system",
     "duffing_system",
+    "custom_system",
     "InputLaw",
     "ZeroInput",
     "UniformIID",
@@ -42,11 +43,14 @@ __all__ = [
     "InitLaw",
     "UniformBox",
     "UniformBall",
+    "FixedInit",
     "CollectionProtocol",
     "RolloutResult",
     "rk4_step",
     "collect_training_data",
     "rollout_closed_loop",
+    "rollout_policy",
+    "rollout_open_loop",
     "metric_rmse_pct",
     "metric_rmse_u_pct",
     "metric_avg_running_cost",

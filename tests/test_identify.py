@@ -14,7 +14,7 @@ from kooplift.identify import (
     model_to_dict,
     save_model,
 )
-from kooplift.kernels import KernelFamily, KernelSpec, gram
+from kooplift.kernels import KernelFamily, KernelSpec, gram, thin_plate_matrix
 from kooplift.numerics import psd_pinv
 
 M52 = KernelSpec(KernelFamily.Matern52, 1.0, 1.0)
@@ -282,3 +282,27 @@ def test_fit_rejects_bad_regularization(linear_model):
         fit(ds, model.lifting, gamma=0.0)
     with pytest.raises(ValueError):
         fit(ds, model.lifting, gamma=1e-6, lam=-1.0)
+
+
+def test_linear_readout_matches_gram_bit_for_bit(linear_model):
+    ds, model = linear_model
+    M = np.random.default_rng(17).normal(size=(2, model.m))
+    readout = model.linear_readout(M)
+    lm = model.lifting.landmarks.outputs
+    for x in ([0.3], [-0.85], lm[4]):
+        k = gram(model.lifting.kernel, lm, np.atleast_2d(x))[:, 0]
+        np.testing.assert_array_equal(readout(x), M @ model.gram_out_pinv_sqrt @ k)
+    with pytest.raises(ValueError):
+        readout([np.nan])
+
+
+def test_thinplate_linear_readout_matches_features_bit_for_bit():
+    ds = scalar_dataset(lambda x, u: 0.5 * x + 0.25 * u, n=100, seed=15)
+    centers = np.linspace(-1.2, 1.2, 15)[:, None]
+    model = fit(ds, ThinPlateLift(centers), gamma=1e-8)
+    M = np.random.default_rng(18).normal(size=(1, 15))
+    readout = model.linear_readout(M)
+    for x in ([0.3], [-0.85], centers[2]):
+        np.testing.assert_array_equal(readout(x), M @ thin_plate_matrix(np.atleast_2d(x), centers)[0])
+    with pytest.raises(ValueError):
+        readout([np.inf])

@@ -9,9 +9,11 @@ from kooplift.kernels import (
     KernelFamily,
     KernelSpec,
     gram,
+    gram_column,
     kernel_eval,
     thin_plate_features,
     thin_plate_matrix,
+    thin_plate_row,
 )
 
 M52 = KernelSpec(KernelFamily.Matern52, 1.0, 1.0)
@@ -134,3 +136,81 @@ def test_thin_plate_matrix_matches_vector():
     M = thin_plate_matrix(X, C)
     for i in range(4):
         np.testing.assert_allclose(M[i], thin_plate_features(X[i], C), atol=1e-15)
+
+
+def whole_array_distances(X, Y):
+    """The distance formula as one whole-array expression (the reference)."""
+    sq = np.sum(X * X, axis=1)[:, None] + np.sum(Y * Y, axis=1)[None, :] - 2.0 * (X @ Y.T)
+    np.maximum(sq, 0.0, out=sq)
+    return np.sqrt(sq)
+
+
+def whole_array_profile(family, r):
+    if family is KernelFamily.RBF:
+        return np.exp(-0.5 * r * r)
+    if family is KernelFamily.Matern52:
+        s = math.sqrt(5.0) * r
+        return (1.0 + s + s * s / 3.0) * np.exp(-s)
+    s = math.sqrt(3.0) * r
+    return (1.0 + s) * np.exp(-s)
+
+
+def whole_array_gram(spec, X, Y=None):
+    r = whole_array_distances(X, X if Y is None else Y) / spec.lengthscale
+    K = spec.variance * whole_array_profile(spec.family, r)
+    return K if Y is not None else 0.5 * (K + K.T)
+
+
+def whole_array_thin_plate(X, C):
+    r = whole_array_distances(X, C)
+    out = np.zeros_like(r)
+    nz = r > 0.0
+    out[nz] = r[nz] * r[nz] * np.log(r[nz])
+    return out
+
+
+# tall and wide: (n, m, d) is used as (n, m) and as (m, n); 500 x 160 is the
+# rate study's landmark cross-Gram, where a product split into blocks changes bits
+BLOCK_SHAPES = [(4000, 100, 2), (9000, 37, 2), (1, 100, 1), (100, 1, 1), (500, 160, 2)]
+
+
+@pytest.mark.parametrize("n,m,d", BLOCK_SHAPES)
+def test_blocked_pass_matches_whole_array_formulas_bit_for_bit(n, m, d):
+    rng = np.random.default_rng(n + m)
+    X = rng.normal(size=(n, d))
+    Y = rng.normal(size=(m, d))
+    X[0] = Y[0]  # one zero distance, the thin-plate special case
+    for A, B in ((X, Y), (Y, X)):
+        for fam in KernelFamily:
+            spec = KernelSpec(fam, 0.7, 1.3)
+            K = gram(spec, A, B)
+            assert K.flags.c_contiguous
+            np.testing.assert_array_equal(K, whole_array_gram(spec, A, B))
+        T = thin_plate_matrix(A, B)
+        assert T.flags.c_contiguous
+        np.testing.assert_array_equal(T, whole_array_thin_plate(A, B))
+
+
+def test_blocked_symmetric_gram_matches_whole_array_bit_for_bit():
+    # 660 points: more than one block, and X X^T is a symmetric rank-k update
+    X = np.random.default_rng(660).uniform(-1.0, 1.0, size=(660, 2))
+    for fam in KernelFamily:
+        spec = KernelSpec(fam, 0.3, 1.0)
+        np.testing.assert_array_equal(gram(spec, X), whole_array_gram(spec, X))
+
+
+def test_single_point_readouts_match_matrices_bit_for_bit():
+    rng = np.random.default_rng(5)
+    L = rng.normal(size=(100, 2))
+    column = gram_column(M52, L)
+    row = thin_plate_row(L)
+    for x in (rng.normal(size=2), L[3]):
+        np.testing.assert_array_equal(column(x), gram(M52, L, x[None, :])[:, 0])
+        np.testing.assert_array_equal(row(x), thin_plate_matrix(x[None, :], L)[0])
+    for bad in ([np.nan, 0.0], [0.0], np.zeros((2, 2))):
+        with pytest.raises(ValueError):
+            column(bad)
+        with pytest.raises(ValueError):
+            row(bad)
+    with pytest.raises(ValueError):
+        gram_column(M52, [[0.0, np.inf]])

@@ -357,3 +357,11 @@ def test_true_optimal_control_cubic():
     assert true_optimal_control_cubic(1.0) == pytest.approx(1.0 - math.sqrt(2.0))
     for x in (0.3, 0.9, 1.7):
         assert true_optimal_control_cubic(-x) == pytest.approx(-true_optimal_control_cubic(x))
+
+
+def test_public_names_resolve():
+    import kooplift.simulate as simulate
+
+    missing = [name for name in simulate.__all__ if not hasattr(simulate, name)]
+    assert not missing, f"simulate.__all__ names what the module lacks: {missing}"
+    assert {"rollout_policy", "rollout_open_loop", "custom_system", "FixedInit"} <= set(simulate.__all__)
