@@ -31,7 +31,7 @@ from .identify import (
     load_model,
     save_model,
 )
-from .kernels import KernelFamily, KernelSpec, gram, kernel_eval, thin_plate_features
+from .kernels import KernelFamily, KernelSpec, gram, kernel_eval
 from .lqr import LqrWeights, RiccatiSolution, build_weights, dare_residual, solve_dare, solve_model_dare
 from .numerics import RankTolerance, psd_pinv_sqrt, spectral_radius, tau
 from .simulate import (

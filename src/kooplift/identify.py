@@ -5,17 +5,30 @@ Two lifts are supported:
 * ``NystromLift`` -- kernel features compressed onto m landmark points.  The
   lifted coordinate of a state x is z = (K_out^+)^(1/2) k_out(x) with K_out the
   output-landmark Gram and k_out(x) the kernel vector against those landmarks.
-  The surrogate transition [A_m | B_m] is the regularized least-squares
-  estimator expressed in those coordinates; only (m + n_u)-sized systems are
-  ever factorized, regardless of the number of training pairs.
 
 * ``ThinPlateLift`` -- explicit thin-plate-spline features against fixed
-  centers, fitted by plain ridge regression in feature space.  This is the
-  baseline the landmark lift is benchmarked against.
+  centers.  This is the baseline the landmark lift is benchmarked against.
 
-With landmarks equal to the full training set the Nystrom surrogate coincides
-with the uncompressed kernel estimator; that degeneracy is exercised by the
-test-suite through the operator representations in :mod:`kooplift.theory`.
+Both lifts are fitted by the same two ridge regressions through ``_ridge``, the
+one normal-equation solve: with F (n x k) and targets T (n x p) it factorizes
+only the k x k matrix F'F + reg and forms F'T before the solve, so no n-sized
+system and no n x k product of the solution is ever built.  With feature block
+F = [Phi(X) | U] and lifted training outputs Z' (n x m_out),
+
+    S = _ridge(F, Z', gamma n diag(R_in, I)),   B_m = S_u',   C = _ridge(Z', Y, lam n I)'
+
+and A_m = S_in' for thin-plate features.  The lifts differ in four things only:
+
+    feature block Phi(X)    K(X, landmarks_in)       thin_plate(X, centers)
+    lifted outputs Z'       (W K(landmarks_out, Y))'  thin_plate(Y, centers)
+    input regularizer R_in  K_in                     I
+    transport               A_m = S_in' K_in_out W   none
+
+where W = (K_out^+)^(1/2) and K_in_out is the cross-Gram of the input and
+output landmarks.  With landmarks equal to the full training set the Nystrom
+surrogate coincides with the uncompressed kernel estimator; that degeneracy is
+exercised by the test-suite through the operator representations in
+:mod:`kooplift.theory`.
 """
 
 from __future__ import annotations
@@ -185,101 +198,16 @@ def _lift_range(spec: KernelSpec, lm_out: FloatArray):
     return W, info["basis"], info
 
 
-def _fit_nystrom(ds: Dataset, lifting: NystromLift, gamma: float, lam: float):
-    spec = lifting.kernel
-    lm_in = _dedup_rows(lifting.landmarks.inputs)
-    lm_out = _dedup_rows(lifting.landmarks.outputs)
-    m_in, m_out = len(lm_in), len(lm_out)
-    n, n_u = ds.n, ds.n_u
-    U = ds.U
+def _ridge(F: FloatArray, T: FloatArray, reg: FloatArray):
+    """(F'F + reg)^-1 F'T, the package's one normal-equation solve.
 
-    W, V, info = _lift_range(spec, lm_out)
-    K_out_n = gram(spec, lm_out, ds.Y)  # (m_out, n)
-    K_n_in = gram(spec, ds.X, lm_in)  # (n, m_in)
-    K_in = gram(spec, lm_in)
-    K_in_out = gram(spec, lm_in, lm_out)
-
-    # regularized blocked normal equations; only (m_in + n_u)-sized factorizations
-    F = np.hstack([K_n_in, U])
+    F is (n, k) and T is (n, p), so the only system factorized is k x k and the
+    sum over the n training pairs is taken once, in F'T, before the solve.
+    Returns (solution (k, p), jitter_applied) as ``solve_psd`` does.
+    """
     M = F.T @ F
-    M[:m_in, :m_in] += gamma * n * K_in
-    M[m_in:, m_in:] += gamma * n * np.eye(n_u)
-    rhs = np.zeros((m_in + n_u, m_out + n_u))
-    rhs[:m_in, :m_out] = K_in_out @ W
-    rhs[m_in:, m_out:] = np.eye(n_u)
-    sol, jitter = solve_psd(M, rhs)
-    del M
-
-    Z = W @ K_out_n  # lifted training outputs, columns z_{i+1}
-    AB = Z @ (F @ sol)
-    del F, sol, K_n_in, K_out_n
-    A_m, B_m = AB[:, :m_out], AB[:, m_out:]
-
-    # ridge reconstruction on the lifted training outputs
-    G = Z @ Z.T + lam * n * np.eye(m_out)
-    Ct, c_jitter = solve_psd(G, Z @ ds.Y)
-    C = Ct.T
-
-    if m_in <= 1200:
-        ew = np.linalg.eigvalsh(K_in)
-        cutoff = RankTolerance().rel_cutoff * max(ew[-1], 0.0)
-        kept = ew[ew > cutoff]
-        cond_in = float(ew[-1] / kept[0]) if len(kept) else np.inf
-    else:
-        cond_in = None
-    diagnostics = {
-        "m_in": m_in,
-        "m_out": m_out,
-        "rank_gram_out": info["rank"],
-        "clipped_gram_out": info["clipped"],
-        "cond_gram_out": info["cond"],
-        "cond_gram_in": cond_in,
-        "jitter_applied": bool(jitter or c_jitter),
-    }
-    lifting_dedup = NystromLift(spec, LandmarkSet(lm_in, lm_out, seed=lifting.landmarks.seed))
-    model = KoopmanModel(
-        lifting=lifting_dedup,
-        A_m=A_m,
-        B_m=B_m,
-        C=C,
-        gamma=gamma,
-        lam=lam,
-        gram_out_pinv_sqrt=W,
-        _range=V,
-        diagnostics=diagnostics,
-    )
-    return model
-
-
-def _fit_thinplate(ds: Dataset, lifting: ThinPlateLift, gamma: float, lam: float):
-    centers = _dedup_rows(lifting.centers)
-    m = len(centers)
-    n, n_u = ds.n, ds.n_u
-    Phi_in = thin_plate_matrix(ds.X, centers).T  # (m, n)
-    Phi_out = thin_plate_matrix(ds.Y, centers).T
-    P = np.vstack([Phi_in, ds.U.T])  # (m + n_u, n)
-    M = P @ P.T + gamma * n * np.eye(m + n_u)
-    ABt, jitter = solve_psd(M, P @ Phi_out.T)
-    AB = ABt.T
-    A_m, B_m = AB[:, :m], AB[:, m:]
-    G = Phi_out @ Phi_out.T + lam * n * np.eye(m)
-    Ct, c_jitter = solve_psd(G, Phi_out @ ds.Y)
-    diagnostics = {
-        "m_in": m,
-        "m_out": m,
-        "jitter_applied": bool(jitter or c_jitter),
-    }
-    return KoopmanModel(
-        lifting=ThinPlateLift(centers),
-        A_m=A_m,
-        B_m=B_m,
-        C=Ct.T,
-        gamma=gamma,
-        lam=lam,
-        gram_out_pinv_sqrt=np.eye(m),
-        _range=np.eye(m),
-        diagnostics=diagnostics,
-    )
+    M += reg
+    return solve_psd(M, F.T @ T)
 
 
 def fit(
@@ -298,15 +226,67 @@ def fit(
     lam = gamma if lam is None else lam
     if not lam > 0:
         raise ValueError(f"lambda must be positive, got {lam}")
+    n, n_u = ds.n, ds.n_u
     if isinstance(lifting, NystromLift):
         if lifting.landmarks.inputs.shape[1] != ds.d:
             raise ValueError("landmark dimension does not match dataset")
-        return _fit_nystrom(ds, lifting, gamma, lam)
-    if isinstance(lifting, ThinPlateLift):
+        spec = lifting.kernel
+        lm_in = _dedup_rows(lifting.landmarks.inputs)
+        lm_out = _dedup_rows(lifting.landmarks.outputs)
+        W, V, info = _lift_range(spec, lm_out)
+        F = np.hstack([gram(spec, ds.X, lm_in), ds.U])  # (n, m_in + n_u)
+        Zt = (W @ gram(spec, lm_out, ds.Y)).T  # lifted training outputs, rows z_{i+1}
+        R_in = gram(spec, lm_in)
+        transport = gram(spec, lm_in, lm_out) @ W
+        if len(lm_in) <= 1200:
+            ew = np.linalg.eigvalsh(R_in)
+            cutoff = RankTolerance().rel_cutoff * max(ew[-1], 0.0)
+            kept = ew[ew > cutoff]
+            cond_in = float(ew[-1] / kept[0]) if len(kept) else np.inf
+        else:
+            cond_in = None
+        diagnostics = {
+            "m_in": len(lm_in),
+            "m_out": len(lm_out),
+            "rank_gram_out": info["rank"],
+            "clipped_gram_out": info["clipped"],
+            "cond_gram_out": info["cond"],
+            "cond_gram_in": cond_in,
+        }
+        lifting = NystromLift(spec, LandmarkSet(lm_in, lm_out, seed=lifting.landmarks.seed))
+    elif isinstance(lifting, ThinPlateLift):
         if lifting.centers.shape[1] != ds.d:
             raise ValueError("center dimension does not match dataset")
-        return _fit_thinplate(ds, lifting, gamma, lam)
-    raise TypeError(f"unknown lifting {type(lifting).__name__}")
+        centers = _dedup_rows(lifting.centers)
+        m = len(centers)
+        F = np.hstack([thin_plate_matrix(ds.X, centers), ds.U])
+        Zt = thin_plate_matrix(ds.Y, centers)
+        W = V = R_in = np.eye(m)
+        transport = None
+        diagnostics = {"m_in": m, "m_out": m}
+        lifting = ThinPlateLift(centers)
+    else:
+        raise TypeError(f"unknown lifting {type(lifting).__name__}")
+
+    m_in, m_out = len(R_in), Zt.shape[1]
+    reg = np.eye(m_in + n_u)  # gamma n diag(R_in, I)
+    reg[:m_in, :m_in] = R_in
+    reg *= gamma * n
+    sol, jitter = _ridge(F, Zt, reg)
+    A_m = sol[:m_in].T if transport is None else sol[:m_in].T @ transport
+    Ct, c_jitter = _ridge(Zt, ds.Y, lam * n * np.eye(m_out))
+    diagnostics["jitter_applied"] = bool(jitter or c_jitter)
+    return KoopmanModel(
+        lifting=lifting,
+        A_m=A_m,
+        B_m=sol[m_in:].T,
+        C=Ct.T,
+        gamma=gamma,
+        lam=lam,
+        gram_out_pinv_sqrt=W,
+        _range=V,
+        diagnostics=diagnostics,
+    )
 
 
 # ---------------------------------------------------------------------------

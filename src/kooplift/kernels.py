@@ -45,7 +45,6 @@ __all__ = [
     "kernel_eval",
     "gram",
     "gram_column",
-    "thin_plate_features",
     "thin_plate_matrix",
     "thin_plate_row",
 ]
@@ -220,22 +219,6 @@ def gram_column(spec: KernelSpec, X):
         return _pairwise(X, xx, y, _sq_norms(y), profile)[:, 0]
 
     return column
-
-
-def thin_plate_features(x, centers) -> FloatArray:
-    """Thin-plate-spline feature vector: entry i is r^2 log r, r = ||x - c_i||.
-
-    The r = 0 entry is set to 0, the continuous-limit convention.
-    """
-    C = _as_points(centers, "centers")
-    x = np.asarray(x, dtype=float).ravel()
-    if x.shape[0] != C.shape[1]:
-        raise ValueError(f"dimension mismatch: point has d={x.shape[0]}, centers d={C.shape[1]}")
-    r = np.linalg.norm(C - x[None, :], axis=1)
-    out = np.zeros_like(r)
-    nz = r > 0.0
-    out[nz] = r[nz] * r[nz] * np.log(r[nz])
-    return out
 
 
 def thin_plate_matrix(X, centers) -> FloatArray:

@@ -29,6 +29,8 @@ __all__ = [
 ]
 
 DEFAULT_REL_CUTOFF = 1e-10
+# solve_psd's fallback jitter, as a fraction of trace(M)
+JITTER_SCALE = 1e-12
 
 
 @dataclass(frozen=True)
@@ -137,20 +139,19 @@ def _spectral_norm(M: FloatArray) -> float:
 
 
 class TauResult(NamedTuple):
-    """sup_k ||L^k|| zeta^(-k) together with whether k_max truncated the scan."""
+    """sup_k ||L^k|| zeta^(-k) together with whether the scan hit its cap."""
 
     value: float
     truncated: bool
-    k_stop: int
 
 
-def tau(L, zeta: float | None = None, k_max: int | None = None) -> TauResult:
+def tau(L, zeta: float | None = None) -> TauResult:
     """Transient-growth constant sup over k of ||L^k||_2 * zeta^(-k).
 
     Requires rho(L) <= zeta < 1.  The scan stops at the first k >= 1 with
     ||L^k|| <= zeta^k: by submultiplicativity every later ratio is dominated by
-    one already seen.  When ``zeta`` is omitted it defaults to the midpoint
-    (rho(L) + 1) / 2; ``k_max`` defaults to 10 * ceil(1 / (1 - zeta)).
+    one already seen.  Otherwise it stops, truncated, at k = 10 ceil(1 / (1 - zeta)).
+    When ``zeta`` is omitted it defaults to the midpoint (rho(L) + 1) / 2.
     """
     L = _check_finite_square(L, "L")
     rho = spectral_radius(L)
@@ -160,10 +161,7 @@ def tau(L, zeta: float | None = None, k_max: int | None = None) -> TauResult:
         raise ValueError(f"zeta must be < 1, got {zeta}")
     if rho > zeta + 1e-12:
         raise ValueError(f"need rho(L) <= zeta, got rho = {rho:.6g} > zeta = {zeta:.6g}")
-    if k_max is None:
-        k_max = 10 * math.ceil(1.0 / (1.0 - zeta))
-    if k_max < 1:
-        raise ValueError(f"k_max must be >= 1, got {k_max}")
+    k_max = 10 * math.ceil(1.0 / (1.0 - zeta))
     best = 1.0  # k = 0 term: ||I|| = 1
     P = np.eye(L.shape[0])
     zk = 1.0
@@ -173,14 +171,14 @@ def tau(L, zeta: float | None = None, k_max: int | None = None) -> TauResult:
         nk = _spectral_norm(P)
         best = max(best, nk / zk)
         if nk <= zk:
-            return TauResult(best, False, k)
-    return TauResult(best, True, k_max)
+            return TauResult(best, False)
+    return TauResult(best, True)
 
 
-def solve_psd(M, rhs, jitter_scale: float = 1e-12):
+def solve_psd(M, rhs):
     """Solve M x = rhs for symmetric PSD M via Cholesky.
 
-    On factorization failure a jitter of ``jitter_scale * trace(M)`` is added
+    On factorization failure a jitter of ``JITTER_SCALE * trace(M)`` is added
     to the diagonal and the solve retried.  Returns (x, jitter_applied).
     """
     import scipy.linalg
@@ -195,7 +193,7 @@ def solve_psd(M, rhs, jitter_scale: float = 1e-12):
         pass
     except scipy.linalg.LinAlgError:  # pragma: no cover - alias of the above in practice
         pass
-    jitter = jitter_scale * max(float(np.trace(M)), np.finfo(float).tiny)
+    jitter = JITTER_SCALE * max(float(np.trace(M)), np.finfo(float).tiny)
     Mj = M + jitter * np.eye(M.shape[0])
     c, low = scipy.linalg.cho_factor(Mj, lower=True, check_finite=False)
     return scipy.linalg.cho_solve((c, low), rhs, check_finite=False), True

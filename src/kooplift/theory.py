@@ -43,7 +43,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .data import Dataset, LandmarkSet
-from .identify import KoopmanModel, NystromLift
+from .identify import KoopmanModel, NystromLift, _ridge
 from .kernels import KernelSpec, gram
 from .lqr import LqrWeights, RiccatiSolution, solve_dare
 from .numerics import RankTolerance, psd_pinv_sqrt, psd_sqrt, solve_psd, spectral_radius, tau
@@ -238,7 +238,12 @@ def build_nystrom_operator(
     """Landmark-compressed regression operator, anchored on the landmarks.
 
     Stored in weighted form with out_weight = (K_out^+)^(1/2) and in_weight =
-    (K_in^+)^(1/2), which keeps every stored factor bounded.
+    (K_in^+)^(1/2), which keeps every stored factor bounded.  With features
+    F = [K_n_in W_in | U] (n x (m_in + n_u)) and lifted outputs Z = W_out K_out_n,
+    the core is Z (F F'/n + gamma I)^(-1) F / n.  By the push-through identity
+    (F F' + gamma n I)^(-1) F = F (F'F + gamma n I)^(-1), that is the ridge
+    solution (F'F + gamma n I)^(-1) F'Z', transposed: only an (m_in + n_u)-sized
+    system is factorized, never an n x n one.
     """
     if not gamma > 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
@@ -246,17 +251,13 @@ def build_nystrom_operator(
     lm_in, lm_out = landmarks.inputs, landmarks.outputs
     W_in = psd_pinv_sqrt(gram(kernel, lm_in), tol)
     W_out = psd_pinv_sqrt(gram(kernel, lm_out), tol)
-    K_n_in = gram(kernel, ds.X, lm_in)  # (n, m_in)
-    K_out_n = gram(kernel, lm_out, ds.Y)  # (m_out, n)
-    T_in = K_n_in @ W_in  # (n, m_in), columns of norm <= kappa sqrt(n)
-    H = (T_in @ T_in.T + ds.U @ ds.U.T) / n + gamma * np.eye(n)
-    rhs = np.hstack([T_in, ds.U])
-    sol, _ = solve_psd(H, rhs)
-    core = (W_out @ K_out_n) @ sol / n
+    F = np.hstack([gram(kernel, ds.X, lm_in) @ W_in, ds.U])  # columns of norm <= kappa sqrt(n)
+    Zt = (W_out @ gram(kernel, lm_out, ds.Y)).T
+    sol, _ = _ridge(F, Zt, gamma * n * np.eye(F.shape[1]))
     return RkhsOperator(
         kernel=kernel,
         out_anchors=lm_out.copy(),
-        core=core,
+        core=sol.T,
         in_anchors=lm_in.copy(),
         out_weight=W_out,
         in_weight=W_in,

@@ -173,6 +173,115 @@ def test_reconstruction_matrix_is_ridge_minimizer():
         assert objective(C) >= base - 1e-12
 
 
+def _mp_oracle_fit(ds, lift_features, gamma, lam, dps=40):
+    """[A_m | B_m] and C from the regularized least-squares formulas in mpmath.
+
+    ``lift_features`` maps the dataset to the feature block Phi (n, m_in), the
+    lifted outputs Z (m_out, n), the input regularizer R_in (m_in, m_in) and the
+    transport T (m_in, m_out), all as mpmath matrices.  With F = [Phi | U]:
+        [A | B] = Z F (F'F + gamma n diag(R_in, I))^(-1) diag(T, I),
+        C' = (Z Z' + lam n I)^(-1) Z Y.
+    """
+    import mpmath
+
+    with mpmath.workdps(dps):
+        Phi, Z, R_in, T = lift_features()
+        n, n_u = ds.n, ds.n_u
+        m_in, m_out = Phi.cols, Z.rows
+        k = m_in + n_u
+        F = mpmath.matrix(n, k)
+        reg = mpmath.zeros(k, k)
+        rhs = mpmath.zeros(k, m_out + n_u)
+        for i in range(n):
+            for j in range(m_in):
+                F[i, j] = Phi[i, j]
+            for j in range(n_u):
+                F[i, m_in + j] = mpmath.mpf(float(ds.U[i, j]))
+        for i in range(m_in):
+            for j in range(m_in):
+                reg[i, j] = R_in[i, j]
+            for j in range(m_out):
+                rhs[i, j] = T[i, j]
+        for j in range(n_u):
+            reg[m_in + j, m_in + j] = 1
+            rhs[m_in + j, m_out + j] = 1
+        gn = mpmath.mpf(gamma) * n
+        AB = Z * F * mpmath.inverse(F.T * F + gn * reg) * rhs
+        Y = mpmath.matrix(ds.Y.tolist())
+        Ct = mpmath.inverse(Z * Z.T + mpmath.mpf(lam) * n * mpmath.eye(m_out)) * Z * Y
+        to_np = lambda M: np.array(M.tolist(), dtype=float)
+        AB = to_np(AB)
+        return AB[:, :m_out], AB[:, m_out:], to_np(Ct).T
+
+
+def _mp_matern52(P, Q):
+    import mpmath
+
+    K = mpmath.matrix(len(P), len(Q))
+    for i, p in enumerate(P):
+        for j, q in enumerate(Q):
+            s = mpmath.sqrt(5) * mpmath.sqrt(sum((mpmath.mpf(float(a)) - mpmath.mpf(float(b))) ** 2 for a, b in zip(p, q)))
+            K[i, j] = (1 + s + s * s / 3) * mpmath.exp(-s)
+    return K
+
+
+def _mp_thin_plate(P, Q):
+    import mpmath
+
+    K = mpmath.matrix(len(P), len(Q))
+    for i, p in enumerate(P):
+        for j, q in enumerate(Q):
+            r2 = sum((mpmath.mpf(float(a)) - mpmath.mpf(float(b))) ** 2 for a, b in zip(p, q))
+            K[i, j] = r2 * mpmath.log(r2) / 2 if r2 > 0 else mpmath.mpf(0)
+    return K
+
+
+def _oracle_dataset():
+    rng = np.random.default_rng(21)
+    X = rng.uniform(-1.0, 1.0, size=(60, 2))
+    U = rng.uniform(-1.0, 1.0, size=(60, 1))
+    Y = np.column_stack([X[:, 0] + 0.1 * X[:, 1], 0.9 * X[:, 1] - 0.2 * np.sin(X[:, 0]) + 0.1 * U[:, 0]])
+    return Dataset(X, U, Y)
+
+
+def _assert_close(got, want, rtol=1e-9):
+    assert np.linalg.norm(got - want) <= rtol * np.linalg.norm(want), np.linalg.norm(got - want) / np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("lift", ["nystrom", "thinplate"])
+def test_fit_matches_extended_precision_oracle(lift):
+    # well-conditioned: 60 pairs, four well-separated landmarks (input and
+    # output sets differ, so the transport is a true cross-Gram) or centers,
+    # and lam != gamma, so a swapped regularizer shows
+    import mpmath
+
+    ds = _oracle_dataset()
+    gamma, lam = 1e-3, 3e-2
+    if lift == "nystrom":
+        lm_in = np.array([[-0.6, -0.6], [-0.6, 0.6], [0.6, -0.6], [0.6, 0.6]])
+        lm_out = np.array([[0.0, -0.7], [0.0, 0.7], [-0.7, 0.0], [0.7, 0.0]])
+        model = fit(ds, NystromLift(M52, LandmarkSet(lm_in, lm_out, seed=0)), gamma=gamma, lam=lam)
+
+        def features():
+            w, V = mpmath.eigsy(_mp_matern52(lm_out, lm_out))
+            W = V * mpmath.diag([1 / mpmath.sqrt(x) for x in w]) * V.T
+            K_in = _mp_matern52(lm_in, lm_in)
+            return _mp_matern52(ds.X, lm_in), W * _mp_matern52(lm_out, ds.Y), K_in, _mp_matern52(lm_in, lm_out) * W
+
+    else:
+        centers = np.array([[-0.5, -0.5], [-0.5, 0.5], [0.5, -0.5], [0.5, 0.5], [0.0, 0.0]])
+        model = fit(ds, ThinPlateLift(centers), gamma=gamma, lam=lam)
+
+        def features():
+            eye = mpmath.eye(len(centers))
+            return _mp_thin_plate(ds.X, centers), _mp_thin_plate(ds.Y, centers).T, eye, eye
+
+    A, B, C = _mp_oracle_fit(ds, features, gamma, lam)
+    _assert_close(model.A_m, A)
+    _assert_close(model.B_m, B)
+    _assert_close(model.C, C)
+
+
 def test_thinplate_fit_and_forecast():
     ds = scalar_dataset(lambda x, u: 0.5 * x + 0.25 * u, n=100, seed=15)
     centers = np.linspace(-1.2, 1.2, 15)[:, None]

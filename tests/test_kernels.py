@@ -11,7 +11,6 @@ from kooplift.kernels import (
     gram,
     gram_column,
     kernel_eval,
-    thin_plate_features,
     thin_plate_matrix,
     thin_plate_row,
 )
@@ -111,31 +110,22 @@ def test_bounded_positive_property(x, y, fam):
 
 
 def test_thin_plate_at_center_is_zero():
-    assert thin_plate_features([1.0, 2.0], [[1.0, 2.0], [0.0, 0.0]])[0] == 0.0
+    assert thin_plate_matrix([[1.0, 2.0]], [[1.0, 2.0], [0.0, 0.0]])[0, 0] == 0.0
 
 
 def test_thin_plate_unit_distance_is_zero():
-    assert thin_plate_features([1.0, 0.0], [[0.0, 0.0]])[0] == pytest.approx(0.0, abs=1e-15)
+    assert thin_plate_matrix([[1.0, 0.0]], [[0.0, 0.0]])[0, 0] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_thin_plate_at_distance_e():
-    val = thin_plate_features([math.e], [[0.0]])[0]
+    val = thin_plate_matrix([[math.e]], [[0.0]])[0, 0]
     assert val == pytest.approx(math.e**2, abs=1e-12)
 
 
 def test_thin_plate_continuity_at_origin():
     # r^2 log r -> 0; at r = 1e-8 the value is already ~ -1.8e-15
-    v = thin_plate_features([1e-8], [[0.0]])[0]
+    v = thin_plate_matrix([[1e-8]], [[0.0]])[0, 0]
     assert abs(v) < 1e-13
-
-
-def test_thin_plate_matrix_matches_vector():
-    rng = np.random.default_rng(3)
-    X = rng.normal(size=(4, 2))
-    C = rng.normal(size=(6, 2))
-    M = thin_plate_matrix(X, C)
-    for i in range(4):
-        np.testing.assert_allclose(M[i], thin_plate_features(X[i], C), atol=1e-15)
 
 
 def whole_array_distances(X, Y):
