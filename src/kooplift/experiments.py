@@ -16,7 +16,6 @@ from .data import Dataset, LandmarkSet, LandmarkStrategy, build_pairs, derived_r
 from .identify import ForecastDivergence, KoopmanModel, NystromLift, ThinPlateLift, fit, forecast
 from .kernels import KernelFamily, KernelSpec
 from .lqr import LqrWeights, solve_model_dare
-from .numerics import RankTolerance
 from .simulate import (
     CollectionProtocol,
     SquareWave,
@@ -101,22 +100,15 @@ def duffing_training_data(seed: int = 0) -> tuple[SystemSpec, Dataset]:
     return sys, build_pairs(trajs)
 
 
-def fit_nystrom(
-    ds: Dataset,
-    m: int,
-    seed: int,
-    gamma: float = 1e-6,
-    kernel: KernelSpec = MATERN_UNIT,
-    strategy: LandmarkStrategy = LandmarkStrategy.SharedUniform,
-) -> KoopmanModel:
-    landmarks = sample_landmarks(ds, m, strategy, seed=seed)
-    return fit(ds, NystromLift(kernel, landmarks), gamma=gamma, lam=gamma)
+def fit_nystrom(ds: Dataset, m: int, seed: int, gamma: float = 1e-6) -> KoopmanModel:
+    landmarks = sample_landmarks(ds, m, LandmarkStrategy.SharedUniform, seed=seed)
+    return fit(ds, NystromLift(MATERN_UNIT, landmarks), gamma=gamma, lam=gamma)
 
 
-def fit_exact(ds: Dataset, gamma: float = 1e-6, kernel: KernelSpec = MATERN_UNIT) -> KoopmanModel:
+def fit_exact(ds: Dataset, gamma: float = 1e-6) -> KoopmanModel:
     """Landmarks = the full paired training set: the uncompressed special case."""
     landmarks = LandmarkSet(ds.X.copy(), ds.Y.copy(), seed=-1)
-    return fit(ds, NystromLift(kernel, landmarks), gamma=gamma, lam=gamma)
+    return fit(ds, NystromLift(MATERN_UNIT, landmarks), gamma=gamma, lam=gamma)
 
 
 def _cubic_cost(sys, model, sol, x0=0.9, max_steps=10_000) -> tuple[float, bool]:
@@ -339,33 +331,31 @@ def fixture_dataset(n: int = 500, seed: int = 7) -> tuple[SystemSpec, Dataset]:
     return sys, ds
 
 
-def _gap_study(ds: Dataset, gamma: float, delta: float, kernel: KernelSpec, tol: RankTolerance):
-    """The exact operator G, its norm, and the per-seed gap row of both sweeps.
+def _gap_study(ds: Dataset, G: theory.RkhsOperator, norm_G: float, gamma: float, delta: float):
+    """The per-seed gap row of both sweeps against the exact operator G.
 
     ``row(m, seed)`` draws the landmarks, measures the operator gap and the two
     projection errors, and returns the row with the landmarks it used.
     """
-    G = theory.build_exact_operator(ds, kernel, gamma)
-    norm_G = theory.operator_norm(G, tol)
 
     def row(m: int, seed: int) -> tuple[theory.BoundReport, LandmarkSet]:
         lm = sample_landmarks(ds, m, LandmarkStrategy.IndependentUniform, seed=seed)
-        G_ny = theory.build_nystrom_operator(ds, kernel, gamma, lm, tol)
+        G_ny = theory.build_nystrom_operator(ds, MATERN_UNIT, gamma, lm)
         report = theory.BoundReport(
             m=m,
             seed=seed,
             gamma=gamma,
             delta=delta,
-            kappa=kernel.kappa,
-            empirical_gap=theory.operator_gap_norm(G, G_ny, tol),
-            gap_bound=theory.nystrom_gap_bound(kernel.kappa, gamma, m, delta),
-            proj_in=theory.projection_error(ds, "input", kernel, lm, tol),
-            proj_out=theory.projection_error(ds, "output", kernel, lm, tol),
+            kappa=MATERN_UNIT.kappa,
+            empirical_gap=theory.operator_gap_norm(G, G_ny),
+            gap_bound=theory.nystrom_gap_bound(MATERN_UNIT.kappa, gamma, m, delta),
+            proj_in=theory.projection_error(ds, "input", MATERN_UNIT, lm),
+            proj_out=theory.projection_error(ds, "output", MATERN_UNIT, lm),
             norm_G=norm_G,
         )
         return report, lm
 
-    return G, norm_G, row
+    return row
 
 
 def gap_sweep(
@@ -374,8 +364,6 @@ def gap_sweep(
     n_seeds: int = 50,
     gamma: float = 1e-6,
     delta: float = 0.05,
-    kernel: KernelSpec = MATERN_UNIT,
-    tol: RankTolerance = RankTolerance(),
     workers: int = 1,
 ) -> tuple[list[theory.BoundReport], float]:
     """Measured operator gaps across landmark draws, next to the m-rate bound.
@@ -383,7 +371,9 @@ def gap_sweep(
     Returns the sweep rows and the norm of the uncompressed operator (the
     yardstick for deciding whether the bound is informative).
     """
-    _, norm_G, row = _gap_study(ds, gamma, delta, kernel, tol)
+    G = theory.build_exact_operator(ds, MATERN_UNIT, gamma)
+    norm_G = theory.operator_norm(G)
+    row = _gap_study(ds, G, norm_G, gamma, delta)
     rows = []
     for m in m_list:
         rows.extend(seed_map(lambda seed: row(m, seed)[0], range(n_seeds), workers))
@@ -397,52 +387,46 @@ def riccati_objective_sweep(
     gamma: float = 1e-6,
     delta: float = 0.05,
     x0: float = 0.9,
-    kernel: KernelSpec = MATERN_UNIT,
-    tol: RankTolerance = RankTolerance(),
     workers: int = 1,
 ) -> list[theory.BoundReport]:
-    """Riccati-solution and certainty-equivalence objective gaps across seeds.
+    """Riccati-solution and certainty-equivalence objective gaps across seeds,
+    next to the Riccati and objective bounds evaluated at the measured
+    operator gap.
 
     The compressed model's regulator is synthesized against the exact
     surrogate's state weight transported into its coordinates, so both Riccati
     equations weigh the same operator on the lifted space.
     """
     R = np.eye(1)
-    G, _, row = _gap_study(ds, gamma, delta, kernel, tol)
-    exact_model = fit_exact(ds, gamma, kernel)
+    eig_R = np.linalg.eigvalsh(R)
+    sigma_min_R, sigma_max_R = float(np.min(eig_R)), float(np.max(eig_R))
+    norm_R_inv = 1.0 / sigma_min_R
+    G = theory.build_exact_operator(ds, MATERN_UNIT, gamma)
+    exact_model = fit_exact(ds, gamma)
     Q_exact = exact_model.C.T @ exact_model.C
     exact_sol = solve_model_dare(exact_model, np.eye(ds.d), R, rho_cap=0.9995)
-    norms = theory.exact_model_norms(G, exact_model, exact_sol, tol)
+    norms = theory.exact_model_norms(G, exact_model, exact_sol)
+    row = _gap_study(ds, G, norms.G, gamma, delta)
     rows = []
     for m in m_list:
         def one(seed: int) -> theory.BoundReport:
             gap_row, lm = row(m, seed)
             eps = gap_row.empirical_gap
-            ny_model = fit(ds, NystromLift(kernel, lm), gamma=gamma, lam=gamma)
+            ny_model = fit(ds, NystromLift(MATERN_UNIT, lm), gamma=gamma, lam=gamma)
             Q_ny = theory.transport_weights(exact_model, Q_exact, ny_model)
             ny_sol = solve_model_dare(ny_model, weights=LqrWeights(Q_ny, R), rho_cap=0.9995)
-            ric = theory.riccati_gap(exact_model, exact_sol, ny_model, ny_sol, norms, R, eps, tol)
-            obj = theory.objective_gap(
-                exact_model,
-                exact_sol,
-                ny_model,
-                ny_sol,
-                norms,
-                Q_exact,
-                R,
-                np.array([x0]),
-                g_eps=ric.bound,
-                riccati_precondition_ok=ric.precondition_ok,
-            )
+            obj = theory.objective_gap(exact_model, exact_sol, ny_model, ny_sol, Q_exact, R, np.array([x0]))
+            g_eps = theory.riccati_gap_bound(eps, norms, norm_R_inv)
+            riccati_ok = theory.riccati_gap_precondition(eps, norms, norm_R_inv)
             return replace(
                 gap_row,
-                riccati_gap=ric.gap,
-                riccati_bound=ric.bound,
-                riccati_precondition=ric.precondition_ok,
+                riccati_gap=theory.riccati_gap(exact_model, exact_sol, ny_model, ny_sol),
+                riccati_bound=g_eps,
+                riccati_precondition=riccati_ok,
                 objective_gap=obj.gap,
-                objective_bound=obj.bound,
-                objective_precondition=obj.precondition_ok,
-                Gamma=obj.Gamma,
+                objective_bound=theory.objective_gap_bound(g_eps, norms, sigma_max_R, MATERN_UNIT.variance),
+                objective_precondition=riccati_ok and theory.objective_gap_precondition(g_eps, norms, sigma_min_R),
+                Gamma=norms.Gamma,
                 tau=norms.tau,
                 zeta=norms.zeta,
                 sigma_min_P=norms.sigma_min_P,

@@ -22,20 +22,34 @@ differences of nearly equal operators keep full relative precision instead of
 being squared away.  The Riccati solutions and the closed loop are operators
 of the same form.
 
-The closed-form rate bounds evaluated here:
+``exact_model_norms`` whitens each anchor set of the exact surrogate once:
+the norms of G, of its state block A and control block B, and of the Riccati
+operator P all read one factor of G's output anchors Y and one of its input
+anchors X.  Only the closed loop A + BK whitens its own stacked anchors.
+
+Measurement and bound evaluation are kept apart.  ``operator_gap_norm``,
+``projection_error``, ``riccati_gap`` and ``objective_gap`` measure gaps;
+the functions below evaluate the closed-form rate bounds from the measured
+operator gap eps and the exact surrogate's ``ExactModelNorms``:
 
 * gap bound:        (kappa/gamma + gamma^(-1/2)) * 4 kappa sqrt(3/m log(8m/5delta))
                     + 48 kappa^3 gamma^(-3/2) / m * log(8m/5delta)
 * projection bound: 4 kappa sqrt(3/m log(8m/5delta))
 * riccati bound:    6 eps tau^2/(1-zeta^2) (|A|+1)^2 (|P|+1)^2 (|B|+1) (|R^-1|+1)
+  applies when eps < min(|B|, (1-zeta^2)^2 / (12 ((|L|+1)^2 + |P|+1) tau^4
+  (|A|+1)^2 (|P|+1)^2 (|B|+1)^3 (|R^-1|+1)^2)) and sigma_min(P) >= 1
 * objective bound:  36 sigma_max(R) Gamma^9 g(eps)^2 kappa^2 tau^2/(1-zeta^2)
+  applies when the riccati bound does, g(eps) <= (1-zeta) / (6 |B| tau Gamma^2)
+  and sigma_min(R) >= 1
 
 with Gamma = 1 + max(|A|, |B|, |P|, |K|), all norms operator norms on the
-lifted space, and g(eps) the riccati bound regarded as a function of eps.
+lifted space, kappa^2 = k(x, x) the kernel variance, and g(eps) the riccati
+bound regarded as a function of eps.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -63,9 +77,12 @@ __all__ = [
     "ExactModelNorms",
     "exact_model_norms",
     "riccati_gap",
-    "RiccatiGapReport",
+    "riccati_gap_bound",
+    "riccati_gap_precondition",
     "objective_gap",
     "ObjectiveGapReport",
+    "objective_gap_bound",
+    "objective_gap_precondition",
     "BoundReport",
     "write_bound_reports",
     "BOUND_REPORT_FIELDS",
@@ -118,18 +135,6 @@ class RkhsOperator:
             n_u=0,
         )
 
-    def control_part(self) -> "RkhsOperator":
-        """The operator restricted to the control input."""
-        return RkhsOperator(
-            kernel=self.kernel,
-            out_anchors=self.out_anchors,
-            core=self.core[:, self.p :],
-            in_anchors=None,
-            out_weight=self.out_weight,
-            in_weight=None,
-            n_u=self.n_u,
-        )
-
 
 def _check_compatible(A: RkhsOperator, B: RkhsOperator) -> None:
     if A.kernel != B.kernel:
@@ -138,20 +143,15 @@ def _check_compatible(A: RkhsOperator, B: RkhsOperator) -> None:
         raise ValueError("operators have different control dimensions")
 
 
-def _whitened_factor(ops: list[tuple[RkhsOperator, float]], tol: RankTolerance) -> FloatArray:
+def _whitened_factor(ops: list[tuple[RkhsOperator, float]], R_out: FloatArray, R_in: FloatArray) -> FloatArray:
     """The factor C with ||D||_op = sigma_max(C).
 
-    ``ops`` is a list of (operator, sign); D is the signed sum.  Output and
-    input anchor sets are stacked; each operator's weights act on its own
-    columns of the thin factors, and the shared control block is summed.
+    ``ops`` is a list of (operator, sign); D is the signed sum.  ``R_out`` and
+    ``R_in`` are thin square-root factors of the Grams of the stacked output
+    and input anchors; each operator's weights act on its own columns of
+    them, and the shared control block is summed.
     """
-    kernel, n_u = ops[0][0].kernel, ops[0][0].n_u
-    R_out = psd_sqrt(gram(kernel, np.vstack([op.out_anchors for op, _ in ops])), tol)
-    if all(op.in_anchors is op.out_anchors for op, _ in ops):
-        R_in = R_out  # the same stack, so the same Gram
-    else:
-        in_blocks = [op.in_anchors for op, _ in ops if op.p]
-        R_in = psd_sqrt(gram(kernel, np.vstack(in_blocks)), tol) if in_blocks else np.zeros((0, 0))
+    n_u = ops[0][0].n_u
     r_in = len(R_in)
     C = np.zeros((len(R_out), r_in + n_u))
     q0 = p0 = 0
@@ -170,10 +170,20 @@ def _whitened_factor(ops: list[tuple[RkhsOperator, float]], tol: RankTolerance) 
     return C
 
 
-def _sum_norm(ops: list[tuple[RkhsOperator, float]], tol: RankTolerance) -> float:
-    """Operator norm of the signed sum of ``ops``."""
-    C = _whitened_factor(ops, tol)
+def _factor_norm(C: FloatArray) -> float:
     return float(np.linalg.norm(C, 2)) if C.size else 0.0
+
+
+def _sum_norm(ops: list[tuple[RkhsOperator, float]], tol: RankTolerance) -> float:
+    """Operator norm of the signed sum of ``ops``, whitening its anchor stacks."""
+    kernel = ops[0][0].kernel
+    R_out = psd_sqrt(gram(kernel, np.vstack([op.out_anchors for op, _ in ops])), tol)
+    if all(op.in_anchors is op.out_anchors for op, _ in ops):
+        R_in = R_out  # the same stack, so the same Gram
+    else:
+        in_blocks = [op.in_anchors for op, _ in ops if op.p]
+        R_in = psd_sqrt(gram(kernel, np.vstack(in_blocks)), tol) if in_blocks else np.zeros((0, 0))
+    return _factor_norm(_whitened_factor(ops, R_out, R_in))
 
 
 def operator_gap_norm(A: RkhsOperator, B: RkhsOperator, tol: RankTolerance = RankTolerance()) -> float:
@@ -345,6 +355,7 @@ def transport_weights(exact_model: KoopmanModel, Q_exact: FloatArray, ny_model: 
 class ExactModelNorms:
     """Operator norms of the exact surrogate's pieces on the lifted space."""
 
+    G: float
     A: float
     B: float
     P: float
@@ -367,25 +378,34 @@ def exact_model_norms(
     exact_sol: RiccatiSolution,
     tol: RankTolerance = RankTolerance(),
 ) -> ExactModelNorms:
-    """Bundle the norms entering the rate formulas, computed once per fixture."""
-    A = G_exact.state_part()
-    norm_A = operator_norm(A, tol)
-    norm_B = operator_norm(G_exact.control_part(), tol)
-    norm_P = operator_norm(_riccati_operator(exact_model, exact_sol.P_m), tol)
+    """Bundle the norms entering the rate formulas, computed once per fixture.
+
+    The exact model's output landmarks must be G's output anchors, as they are
+    for a model fitted on the full paired training set (``ValueError``
+    otherwise): G, its blocks A and B, and P then share one whitening of the
+    output anchors, and G and A one of the input anchors.
+    """
     out = exact_model.lifting.landmarks.outputs
-    G_out = gram(G_exact.kernel, out)
+    if not np.array_equal(out, G_exact.out_anchors):
+        raise ValueError("the exact model's output landmarks must be the exact operator's output anchors")
+    kernel = G_exact.kernel
+    G_out = gram(kernel, out)
+    R_y = psd_sqrt(G_out, tol)
+    R_x = psd_sqrt(gram(kernel, G_exact.in_anchors), tol)
+    C = _whitened_factor([(G_exact, 1.0)], R_y, R_x)
+    norm_P = _factor_norm(_whitened_factor([(_riccati_operator(exact_model, exact_sol.P_m), 1.0)], R_y, R_y))
     KW = exact_sol.K_m @ exact_model.gram_out_pinv_sqrt
     norm_K = math.sqrt(max(float(np.max(np.linalg.eigvalsh(KW @ G_out @ KW.T))), 0.0))
     # closed loop A + B K: the gain reads the state at the model's output
     # landmarks and feeds G's control block
     gain = RkhsOperator(
-        kernel=G_exact.kernel,
+        kernel=kernel,
         out_anchors=G_exact.out_anchors,
         core=G_exact.core[:, G_exact.p :] @ KW,
         in_anchors=out,
         out_weight=G_exact.out_weight,
     )
-    norm_L = _sum_norm([(A, 1.0), (gain, 1.0)], tol)
+    norm_L = _sum_norm([(G_exact.state_part(), 1.0), (gain, 1.0)], tol)
     # transient growth and sigma_min are taken on the synthesized subsystem:
     # the basis spans an A-invariant subspace, so this block is exactly the
     # closed loop the gain was designed for
@@ -397,8 +417,9 @@ def exact_model_norms(
     zeta = 0.5 * (rho + 1.0)
     t = tau(L_red, zeta)
     return ExactModelNorms(
-        A=norm_A,
-        B=norm_B,
+        G=_factor_norm(C),
+        A=_factor_norm(C[:, : len(R_x)]),
+        B=_factor_norm(C[:, len(R_x) :]),
         P=norm_P,
         K=norm_K,
         L=norm_L,
@@ -440,15 +461,24 @@ def riccati_gap_precondition(epsilon: float, norms: ExactModelNorms, norm_R_inv:
     return epsilon < cap and norms.sigma_min_P >= 1.0
 
 
-@dataclass(frozen=True)
-class RiccatiGapReport:
-    gap: float
-    bound: float
-    epsilon: float
-    zeta: float
-    tau: float
-    sigma_min_P: float
-    precondition_ok: bool
+def objective_gap_bound(g_eps: float, norms: ExactModelNorms, sigma_max_R: float, variance: float) -> float:
+    """Bound on the objective gap for a Riccati-solution gap of at most g_eps."""
+    return (
+        36.0
+        * sigma_max_R
+        * norms.Gamma**9
+        * g_eps**2
+        * variance
+        * norms.tau**2
+        / (1.0 - norms.zeta**2)
+    )
+
+
+def objective_gap_precondition(g_eps: float, norms: ExactModelNorms, sigma_min_R: float) -> bool:
+    """Smallness condition of the objective bound, on top of the Riccati
+    precondition under which g_eps bounds the Riccati-solution gap."""
+    threshold = (1.0 - norms.zeta) / (6.0 * norms.B * norms.tau * norms.Gamma**2)
+    return g_eps <= threshold and sigma_min_R >= 1.0
 
 
 def riccati_gap(
@@ -456,29 +486,14 @@ def riccati_gap(
     exact_sol: RiccatiSolution,
     ny_model: KoopmanModel,
     ny_sol: RiccatiSolution,
-    norms: ExactModelNorms,
-    R,
-    epsilon: float,
     tol: RankTolerance = RankTolerance(),
-) -> RiccatiGapReport:
-    """Operator-norm gap between the two Riccati solutions on the lifted space,
-    with the matching perturbation bound evaluated at the measured operator gap.
+) -> float:
+    """Operator-norm gap between the two Riccati solutions on the lifted space.
 
     Both models must lift with the same kernel (``ValueError`` otherwise).
     """
-    gap = operator_gap_norm(
+    return operator_gap_norm(
         _riccati_operator(exact_model, exact_sol.P_m), _riccati_operator(ny_model, ny_sol.P_m), tol
-    )
-    R = np.atleast_2d(np.asarray(R, dtype=float))
-    norm_R_inv = 1.0 / float(np.min(np.linalg.eigvalsh(R)))
-    return RiccatiGapReport(
-        gap=gap,
-        bound=riccati_gap_bound(epsilon, norms, norm_R_inv),
-        epsilon=epsilon,
-        zeta=norms.zeta,
-        tau=norms.tau,
-        sigma_min_P=norms.sigma_min_P,
-        precondition_ok=riccati_gap_precondition(epsilon, norms, norm_R_inv),
     )
 
 
@@ -487,10 +502,6 @@ class ObjectiveGapReport:
     J: float
     J_hat: float
     gap: float
-    bound: float
-    g_eps: float
-    Gamma: float
-    precondition_ok: bool
     stabilizes: bool
 
 
@@ -499,12 +510,9 @@ def objective_gap(
     exact_sol: RiccatiSolution,
     ny_model: KoopmanModel,
     ny_sol: RiccatiSolution,
-    norms: ExactModelNorms,
     Q_exact: FloatArray,
     R,
     x0,
-    g_eps: float,
-    riccati_precondition_ok: bool = True,
 ) -> ObjectiveGapReport:
     """Certainty-equivalence cost of the compressed gain on the exact surrogate.
 
@@ -532,78 +540,19 @@ def objective_gap(
     K_hat = (ny_sol.K_m @ T) @ V  # (n_u, r)
     L_opt = A_r + B_r @ K_r
     L_hat = A_r + B_r @ K_hat
-    rho_hat = spectral_radius(L_hat)
-    sigma_max_R = float(np.max(np.linalg.eigvalsh(R)))
-    Gamma = norms.Gamma
-    bound = (
-        36.0
-        * sigma_max_R
-        * Gamma**9
-        * g_eps**2
-        * kernel.variance
-        * norms.tau**2
-        / (1.0 - norms.zeta**2)
-    )
-    threshold = (1.0 - norms.zeta) / (6.0 * norms.B * norms.tau * Gamma**2)
-    sigma_min_R = float(np.min(np.linalg.eigvalsh(R)))
-    precondition_ok = bool(
-        riccati_precondition_ok and g_eps <= threshold and sigma_min_R >= 1.0
-    )
-    if not rho_hat < 1.0:
-        return ObjectiveGapReport(
-            J=math.nan,
-            J_hat=math.inf,
-            gap=math.inf,
-            bound=bound,
-            g_eps=g_eps,
-            Gamma=Gamma,
-            precondition_ok=precondition_ok,
-            stabilizes=False,
-        )
+    if not spectral_radius(L_hat) < 1.0:
+        return ObjectiveGapReport(J=math.nan, J_hat=math.inf, gap=math.inf, stabilizes=False)
     no_input = np.zeros_like(B_r)
     X = solve_dare(L_opt, no_input, LqrWeights(Q_r + K_r.T @ R @ K_r, R), max_iter=2_000_000).P_m
     X_hat = solve_dare(L_hat, no_input, LqrWeights(Q_r + K_hat.T @ R @ K_hat, R), max_iter=2_000_000).P_m
     J = float(z0 @ X @ z0)
     J_hat = float(z0 @ X_hat @ z0)
-    return ObjectiveGapReport(
-        J=J,
-        J_hat=J_hat,
-        gap=J_hat - J,
-        bound=bound,
-        g_eps=g_eps,
-        Gamma=Gamma,
-        precondition_ok=precondition_ok,
-        stabilizes=True,
-    )
+    return ObjectiveGapReport(J=J, J_hat=J_hat, gap=J_hat - J, stabilizes=True)
 
 
 # ---------------------------------------------------------------------------
 # Study reports
 # ---------------------------------------------------------------------------
-
-BOUND_REPORT_FIELDS = [
-    "m",
-    "seed",
-    "gamma",
-    "delta",
-    "kappa",
-    "empirical_gap",
-    "gap_bound",
-    "proj_in",
-    "proj_out",
-    "riccati_gap",
-    "riccati_bound",
-    "riccati_precondition",
-    "objective_gap",
-    "objective_bound",
-    "objective_precondition",
-    "Gamma",
-    "tau",
-    "zeta",
-    "sigma_min_P",
-    "norm_G",
-]
-
 
 @dataclass
 class BoundReport:
@@ -637,7 +586,12 @@ class BoundReport:
                 raise ValueError(f"{name} must be finite and >= 0, got {v}")
 
 
+BOUND_REPORT_FIELDS = [f.name for f in dataclasses.fields(BoundReport)]
+
+
 def write_bound_reports(path, rows: list[BoundReport]) -> None:
+    """One CSV row per report: floats with 17 significant digits, ints and
+    booleans as Python prints them."""
     import csv
     from pathlib import Path
 
@@ -647,15 +601,5 @@ def write_bound_reports(path, rows: list[BoundReport]) -> None:
         writer = csv.writer(fh)
         writer.writerow(BOUND_REPORT_FIELDS)
         for row in rows:
-            writer.writerow(
-                [
-                    row.m,
-                    row.seed,
-                    *(
-                        format(getattr(row, f), ".17g")
-                        if isinstance(getattr(row, f), float)
-                        else getattr(row, f)
-                        for f in BOUND_REPORT_FIELDS[2:]
-                    ),
-                ]
-            )
+            values = (getattr(row, f) for f in BOUND_REPORT_FIELDS)
+            writer.writerow([format(v, ".17g") if isinstance(v, float) else v for v in values])

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -86,11 +87,18 @@ def test_far_landmark_gives_vanishing_operator():
     assert theory.operator_norm(G_ny) <= 1e-6
 
 
+def control_part(op):
+    """The operator restricted to its control input."""
+    return theory.RkhsOperator(
+        kernel=op.kernel, out_anchors=op.out_anchors, core=op.core[:, op.p :], out_weight=op.out_weight, n_u=op.n_u
+    )
+
+
 def test_nystrom_control_block_zero_without_controls():
     ds = toy_dataset(n=20, seed=4, control=False)
     lm = sample_landmarks(ds, 5, seed=0)
     G_ny = theory.build_nystrom_operator(ds, M52, 1e-3, lm)
-    assert theory.operator_norm(G_ny.control_part()) <= 1e-14
+    assert theory.operator_norm(control_part(G_ny)) <= 1e-14
 
 
 def test_gap_of_identical_operators_is_zero():
@@ -203,10 +211,6 @@ def test_operator_gap_matches_dense_oracle():
 
 ORACLE_SPEC = KernelSpec(KernelFamily.Matern52, 0.3, 1.0)
 ORACLE_GAMMA = 1e-4
-# norms only enter the bound, which these oracle checks do not read
-UNIT_NORMS = theory.ExactModelNorms(
-    A=1.0, B=1.0, P=1.0, K=1.0, L=1.0, sigma_min_P=1.0, rho_L=0.5, zeta=0.75, tau=1.0, tau_truncated=False
-)
 
 
 def test_riccati_gap_matches_dense_oracle():
@@ -227,14 +231,14 @@ def test_riccati_gap_matches_dense_oracle():
         Phi = explicit_coordinates(ORACLE_SPEC, np.vstack([out_a, out_b]))
         Pa, Pb = Phi[:, : len(out_a)] @ a.gram_out_pinv_sqrt, Phi[:, len(out_a) :] @ b.gram_out_pinv_sqrt
         oracle = np.linalg.norm(Pa @ sol_a.P_m @ Pa.T - Pb @ sol_b.P_m @ Pb.T, 2)
-        rep = theory.riccati_gap(a, sol_a, b, sol_b, UNIT_NORMS, np.eye(1), 0.1, RankTolerance(1e-13))
-        assert rep.gap == pytest.approx(oracle, rel=1e-9)
+        gap = theory.riccati_gap(a, sol_a, b, sol_b, RankTolerance(1e-13))
+        assert gap == pytest.approx(oracle, rel=1e-9)
 
 
 @pytest.mark.parametrize("data_seed", [11, 0, 3])
 def test_exact_model_norms_match_dense_oracle(data_seed):
-    # A, B, P, K and L = A + B K as explicit matrices on the coordinates of
-    # span{psi(X), psi(Y)}; the exact model's landmarks are (X, Y)
+    # G, A, B, P, K and L = A + B K as explicit matrices on the coordinates
+    # of span{psi(X), psi(Y)}; the exact model's landmarks are (X, Y)
     ds = toy_dataset(n=60, seed=data_seed)
     n = ds.n
     G = theory.build_exact_operator(ds, ORACLE_SPEC, ORACLE_GAMMA)
@@ -252,6 +256,7 @@ def test_exact_model_norms_match_dense_oracle(data_seed):
     PW = PY @ model.gram_out_pinv_sqrt
     K = sol.K_m @ PW.T  # the gain reads the state through the output landmarks
     oracle = {
+        "G": np.linalg.norm(G_dense, 2),
         "A": np.linalg.norm(A, 2),
         "B": np.linalg.norm(B, 2),
         "P": np.linalg.norm(PW @ sol.P_m @ PW.T, 2),
@@ -263,12 +268,12 @@ def test_exact_model_norms_match_dense_oracle(data_seed):
 
 
 def test_riccati_gap_rejects_kernel_mismatch(small_control_fixture):
-    ds, gamma, exact_model, exact_sol, _, _, norms = small_control_fixture
+    ds, gamma, exact_model, exact_sol, _, _ = small_control_fixture
     lm = sample_landmarks(ds, 10, LandmarkStrategy.IndependentUniform, seed=0)
     rbf_model = fit(ds, NystromLift(RBF, lm), gamma=gamma)
     rbf_sol = solve_model_dare(rbf_model, np.eye(1), np.eye(1), rho_cap=0.9995)
     with pytest.raises(ValueError, match="different kernels"):
-        theory.riccati_gap(exact_model, exact_sol, rbf_model, rbf_sol, norms, np.eye(1), epsilon=0.1)
+        theory.riccati_gap(exact_model, exact_sol, rbf_model, rbf_sol)
 
 
 def test_operator_norm_of_empty_factor_is_zero(monkeypatch):
@@ -276,7 +281,7 @@ def test_operator_norm_of_empty_factor_is_zero(monkeypatch):
     # zero rows, both have an empty factor and norm 0
     ds = toy_dataset(n=10, seed=13)
     G = theory.build_exact_operator(Dataset(ds.X, np.zeros((ds.n, 0)), ds.Y), M52, 1e-2)
-    assert theory.operator_norm(G.control_part()) == 0.0
+    assert theory.operator_norm(control_part(G)) == 0.0
 
     def zero_gram(spec, A, B=None):
         return np.zeros((len(A), len(A if B is None else B)))
@@ -374,54 +379,98 @@ def small_control_fixture():
     exact_sol = solve_model_dare(exact_model, np.eye(1), np.eye(1), rho_cap=0.9995)
     G = theory.build_exact_operator(ds, M52, gamma)
     norms = theory.exact_model_norms(G, exact_model, exact_sol, RankTolerance())
-    return ds, gamma, exact_model, exact_sol, Q_exact, G, norms
+    return ds, gamma, exact_model, exact_sol, Q_exact, norms
 
 
 def test_exact_model_norms_sane(small_control_fixture):
-    _, _, _, exact_sol, _, _, norms = small_control_fixture
+    _, _, _, exact_sol, _, norms = small_control_fixture
     assert norms.A > 0 and norms.B > 0 and norms.P > 0 and norms.K > 0
     assert norms.Gamma >= 1.0
     assert norms.rho_L == exact_sol.rho_L < norms.zeta < 1.0
     assert norms.tau >= 1.0
 
 
+def test_exact_model_norms_reject_other_output_landmarks(small_control_fixture):
+    # the norms whiten G's output anchors once for P too, so the exact model
+    # must read its state at those anchors
+    ds, gamma, _, _, _, _ = small_control_fixture
+    lm = sample_landmarks(ds, 10, LandmarkStrategy.IndependentUniform, seed=0)
+    model = fit(ds, NystromLift(M52, lm), gamma=gamma)
+    sol = solve_model_dare(model, np.eye(1), np.eye(1), rho_cap=0.9995)
+    with pytest.raises(ValueError, match="output anchors"):
+        theory.exact_model_norms(theory.build_exact_operator(ds, M52, gamma), model, sol)
+
+
+# non-unit norms, so that every factor of the bound formulas shows
+EXAMPLE_NORMS = theory.ExactModelNorms(
+    G=3.0, A=2.0, B=0.5, P=4.0, K=1.5, L=2.5, sigma_min_P=1.25, rho_L=0.6, zeta=0.8, tau=3.0, tau_truncated=False
+)
+
+
+def test_riccati_bound_formulas_example():
+    norms, norm_R_inv, eps = EXAMPLE_NORMS, 2.0, 1e-3
+    # 6 eps tau^2/(1-zeta^2) (|A|+1)^2 (|P|+1)^2 (|B|+1) (|R^-1|+1)
+    want = 6.0 * eps * 3.0**2 / (1.0 - 0.8**2) * 3.0**2 * 5.0**2 * 1.5 * 3.0
+    assert theory.riccati_gap_bound(eps, norms, norm_R_inv) == pytest.approx(want, rel=1e-12)
+    assert theory.riccati_gap_bound(0.0, norms, norm_R_inv) == 0.0
+    # eps < min(|B|, (1-zeta^2)^2 / (12 ((|L|+1)^2 + |P|+1) tau^4 (|A|+1)^2
+    # (|P|+1)^2 (|B|+1)^3 (|R^-1|+1)^2)) and sigma_min(P) >= 1
+    cap = (1.0 - 0.8**2) ** 2 / (12.0 * (3.5**2 + 5.0) * 3.0**4 * 3.0**2 * 5.0**2 * 1.5**3 * 3.0**2)
+    assert cap == pytest.approx(1.1310e-9, rel=1e-4)
+    assert theory.riccati_gap_precondition(0.99 * cap, norms, norm_R_inv)
+    assert not theory.riccati_gap_precondition(1.01 * cap, norms, norm_R_inv)
+    assert not theory.riccati_gap_precondition(0.99 * cap, replace(norms, sigma_min_P=0.99), norm_R_inv)
+    assert theory.riccati_gap_precondition(0.99 * cap, replace(norms, sigma_min_P=1.0), norm_R_inv)
+    # the |B| arm of the minimum
+    small_B = replace(norms, B=1e-12)
+    assert theory.riccati_gap_precondition(0.99e-12, small_B, norm_R_inv)
+    assert not theory.riccati_gap_precondition(1.01e-12, small_B, norm_R_inv)
+
+
+def test_objective_bound_formulas_example():
+    norms, g_eps, variance = EXAMPLE_NORMS, 1e-3, 2.5
+    gamma_ = 1.0 + 4.0  # Gamma = 1 + max(|A|, |B|, |P|, |K|)
+    assert norms.Gamma == gamma_
+    # 36 sigma_max(R) Gamma^9 g(eps)^2 kappa^2 tau^2/(1-zeta^2), kappa^2 the kernel variance
+    want = 36.0 * 2.0 * gamma_**9 * g_eps**2 * variance * 3.0**2 / (1.0 - 0.8**2)
+    assert theory.objective_gap_bound(g_eps, norms, 2.0, variance) == pytest.approx(want, rel=1e-12)
+    # g(eps) <= (1-zeta) / (6 |B| tau Gamma^2) and sigma_min(R) >= 1
+    threshold = (1.0 - 0.8) / (6.0 * 0.5 * 3.0 * gamma_**2)
+    assert threshold == pytest.approx(8.889e-4, rel=1e-4)
+    assert theory.objective_gap_precondition(0.99 * threshold, norms, 1.0)
+    assert not theory.objective_gap_precondition(1.01 * threshold, norms, 1.0)
+    assert not theory.objective_gap_precondition(0.99 * threshold, norms, 0.99)
+
+
 def test_riccati_gap_identical_models_is_zero(small_control_fixture):
-    ds, gamma, exact_model, exact_sol, Q_exact, G, norms = small_control_fixture
-    rep = theory.riccati_gap(exact_model, exact_sol, exact_model, exact_sol, norms, np.eye(1), epsilon=0.0)
-    assert rep.gap <= 1e-9
-    assert rep.bound == 0.0
+    _, _, exact_model, exact_sol, _, _ = small_control_fixture
+    assert theory.riccati_gap(exact_model, exact_sol, exact_model, exact_sol) <= 1e-9
 
 
 def test_riccati_gap_zero_state_cost(small_control_fixture):
-    ds, gamma, exact_model, _, _, G, norms = small_control_fixture
+    ds, gamma, exact_model, _, _, _ = small_control_fixture
     lm = sample_landmarks(ds, 10, LandmarkStrategy.IndependentUniform, seed=3)
     ny_model = fit(ds, NystromLift(M52, lm), gamma=gamma)
     w0 = LqrWeights(np.zeros((exact_model.m, exact_model.m)), np.eye(1))
     sol0 = solve_model_dare(exact_model, weights=w0, rho_cap=0.9995)
     w0n = LqrWeights(np.zeros((ny_model.m, ny_model.m)), np.eye(1))
     sol0n = solve_model_dare(ny_model, weights=w0n, rho_cap=0.9995)
-    rep = theory.riccati_gap(exact_model, sol0, ny_model, sol0n, norms, np.eye(1), epsilon=0.1)
-    assert rep.gap <= 1e-10
+    assert theory.riccati_gap(exact_model, sol0, ny_model, sol0n) <= 1e-10
 
 
 def test_riccati_and_objective_gap_decrease_and_nonnegative(small_control_fixture):
-    ds, gamma, exact_model, exact_sol, Q_exact, G, norms = small_control_fixture
+    ds, gamma, exact_model, exact_sol, Q_exact, _ = small_control_fixture
     gaps = {}
     for m in (5, 20, 50):
         vals = []
         obj_vals = []
         for seed in range(6):
             lm = sample_landmarks(ds, m, LandmarkStrategy.IndependentUniform, seed=seed)
-            G_ny = theory.build_nystrom_operator(ds, M52, gamma, lm)
-            eps = theory.operator_gap_norm(G, G_ny)
             ny_model = fit(ds, NystromLift(M52, lm), gamma=gamma)
             Q_ny = theory.transport_weights(exact_model, Q_exact, ny_model)
             ny_sol = solve_model_dare(ny_model, weights=LqrWeights(Q_ny, np.eye(1)), rho_cap=0.9995)
-            rep = theory.riccati_gap(exact_model, exact_sol, ny_model, ny_sol, norms, np.eye(1), epsilon=eps)
-            obj = theory.objective_gap(
-                exact_model, exact_sol, ny_model, ny_sol, norms, Q_exact, np.eye(1), [0.9], g_eps=rep.bound
-            )
-            vals.append(rep.gap)
+            obj = theory.objective_gap(exact_model, exact_sol, ny_model, ny_sol, Q_exact, np.eye(1), [0.9])
+            vals.append(theory.riccati_gap(exact_model, exact_sol, ny_model, ny_sol))
             obj_vals.append(obj.gap)
             assert obj.gap >= -1e-9
             assert obj.J >= 0.0
@@ -431,10 +480,8 @@ def test_riccati_and_objective_gap_decrease_and_nonnegative(small_control_fixtur
 
 
 def test_objective_gap_equal_gains(small_control_fixture):
-    _, _, exact_model, exact_sol, Q_exact, _, norms = small_control_fixture
-    obj = theory.objective_gap(
-        exact_model, exact_sol, exact_model, exact_sol, norms, Q_exact, np.eye(1), [0.9], g_eps=0.0
-    )
+    _, _, exact_model, exact_sol, Q_exact, _ = small_control_fixture
+    obj = theory.objective_gap(exact_model, exact_sol, exact_model, exact_sol, Q_exact, np.eye(1), [0.9])
     assert obj.gap == pytest.approx(0.0, abs=1e-9)
     assert obj.stabilizes
 
@@ -464,7 +511,7 @@ def assert_objective_gap_matches_rollout(ds, gamma, exact_model, exact_sol, Q_ex
     ny_model = fit(ds, NystromLift(M52, lm), gamma=gamma)
     Q_ny = theory.transport_weights(exact_model, Q_exact, ny_model)
     ny_sol = solve_model_dare(ny_model, weights=LqrWeights(Q_ny, R), rho_cap=0.9995)
-    rep = theory.objective_gap(exact_model, exact_sol, ny_model, ny_sol, UNIT_NORMS, Q_exact, R, [0.9], g_eps=0.0)
+    rep = theory.objective_gap(exact_model, exact_sol, ny_model, ny_sol, Q_exact, R, [0.9])
 
     V = exact_sol.basis
     A_r, B_r = V.T @ exact_model.A_m @ V, V.T @ exact_model.B_m
@@ -486,7 +533,7 @@ def test_objective_gap_matches_longdouble_rollout(small_control_fixture):
     # this fixture's closed loops are slow (a stage stops moving the sum only
     # after about 9 000 steps), so the sums stop with a tail left: measured
     # 1.6e-10 relative on J and <= 6e-8 relative on the gap
-    ds, gamma, exact_model, exact_sol, Q_exact, _, _ = small_control_fixture
+    ds, gamma, exact_model, exact_sol, Q_exact, _ = small_control_fixture
     for m in (5, 20, 50):
         assert_objective_gap_matches_rollout(ds, gamma, exact_model, exact_sol, Q_exact, m, seed=0)
 
@@ -517,13 +564,22 @@ def test_operator_kernel_mismatch_rejected():
 
 def test_bound_report_validation_and_csv(tmp_path):
     row = theory.BoundReport(
-        m=10, seed=0, gamma=1e-6, delta=0.05, kappa=1.0,
-        empirical_gap=0.5, gap_bound=2.0, proj_in=0.1, proj_out=0.2,
+        m=20, seed=3, gamma=1e-6, delta=0.05, kappa=1.0,
+        empirical_gap=0.125, gap_bound=7.5, proj_in=0.1, proj_out=0.2,
+        riccati_gap=2.5, riccati_bound=1e3, riccati_precondition=False,
+        objective_gap=math.inf, objective_bound=3e12, objective_precondition=True,
+        Gamma=12.25, tau=1.5, zeta=0.999, sigma_min_P=-7.3e-16, norm_G=33.0,
     )
     theory.write_bound_reports(tmp_path / "b.csv", [row])
     text = (tmp_path / "b.csv").read_text().splitlines()
-    assert text[0].split(",")[:7] == ["m", "seed", "gamma", "delta", "kappa", "empirical_gap", "gap_bound"]
-    assert len(text) == 2
+    assert text == [
+        "m,seed,gamma,delta,kappa,empirical_gap,gap_bound,proj_in,proj_out,riccati_gap,riccati_bound,"
+        "riccati_precondition,objective_gap,objective_bound,objective_precondition,Gamma,tau,zeta,"
+        "sigma_min_P,norm_G",
+        "20,3,9.9999999999999995e-07,0.050000000000000003,1,0.125,7.5,0.10000000000000001,"
+        "0.20000000000000001,2.5,1000,False,inf,3000000000000,True,12.25,1.5,0.999,"
+        "-7.3000000000000003e-16,33",
+    ]
     with pytest.raises(ValueError):
         theory.BoundReport(
             m=10, seed=0, gamma=1e-6, delta=0.05, kappa=1.0,
