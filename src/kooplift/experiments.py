@@ -106,7 +106,13 @@ def fit_nystrom(ds: Dataset, m: int, seed: int, gamma: float = 1e-6) -> KoopmanM
 
 
 def fit_exact(ds: Dataset, gamma: float = 1e-6) -> KoopmanModel:
-    """Landmarks = the full paired training set: the uncompressed special case."""
+    """Landmarks = the full paired training set.
+
+    The input-landmark Gram K(X, X) is clipped at the default rank cutoff like
+    any other, so this is the uncompressed estimator restricted to the kept
+    eigenvectors of K(X, X), not the dual n x n solve of
+    ``theory.build_exact_operator``.
+    """
     landmarks = LandmarkSet(ds.X.copy(), ds.Y.copy(), seed=-1)
     return fit(ds, NystromLift(MATERN_UNIT, landmarks), gamma=gamma, lam=gamma)
 
@@ -334,26 +340,27 @@ def fixture_dataset(n: int = 500, seed: int = 7) -> tuple[SystemSpec, Dataset]:
 def _gap_study(ds: Dataset, G: theory.RkhsOperator, norm_G: float, gamma: float, delta: float):
     """The per-seed gap row of both sweeps against the exact operator G.
 
-    ``row(m, seed)`` draws the landmarks, measures the operator gap and the two
-    projection errors, and returns the row with the landmarks it used.
+    ``row(m, seed)`` draws the landmarks, fits the compressed model once,
+    measures the gap of its operator and the two projection errors, and returns
+    the row with the fitted model.
     """
 
-    def row(m: int, seed: int) -> tuple[theory.BoundReport, LandmarkSet]:
+    def row(m: int, seed: int) -> tuple[theory.BoundReport, KoopmanModel]:
         lm = sample_landmarks(ds, m, LandmarkStrategy.IndependentUniform, seed=seed)
-        G_ny = theory.build_nystrom_operator(ds, MATERN_UNIT, gamma, lm)
+        model = fit(ds, NystromLift(MATERN_UNIT, lm), gamma=gamma, lam=gamma)
         report = theory.BoundReport(
             m=m,
             seed=seed,
             gamma=gamma,
             delta=delta,
             kappa=MATERN_UNIT.kappa,
-            empirical_gap=theory.operator_gap_norm(G, G_ny),
+            empirical_gap=theory.operator_gap_norm(G, theory.build_nystrom_operator(model)),
             gap_bound=theory.nystrom_gap_bound(MATERN_UNIT.kappa, gamma, m, delta),
             proj_in=theory.projection_error(ds, "input", MATERN_UNIT, lm),
             proj_out=theory.projection_error(ds, "output", MATERN_UNIT, lm),
             norm_G=norm_G,
         )
-        return report, lm
+        return report, model
 
     return row
 
@@ -406,16 +413,16 @@ def riccati_objective_sweep(
     Q_exact = exact_model.C.T @ exact_model.C
     exact_sol = solve_model_dare(exact_model, np.eye(ds.d), R, rho_cap=0.9995)
     norms = theory.exact_model_norms(G, exact_model, exact_sol)
+    reference = theory.objective_reference(exact_model, exact_sol, Q_exact, R, np.array([x0]))
     row = _gap_study(ds, G, norms.G, gamma, delta)
     rows = []
     for m in m_list:
         def one(seed: int) -> theory.BoundReport:
-            gap_row, lm = row(m, seed)
+            gap_row, ny_model = row(m, seed)
             eps = gap_row.empirical_gap
-            ny_model = fit(ds, NystromLift(MATERN_UNIT, lm), gamma=gamma, lam=gamma)
-            Q_ny = theory.transport_weights(exact_model, Q_exact, ny_model)
+            Q_ny, T = theory.transport_weights(exact_model, Q_exact, ny_model)
             ny_sol = solve_model_dare(ny_model, weights=LqrWeights(Q_ny, R), rho_cap=0.9995)
-            obj = theory.objective_gap(exact_model, exact_sol, ny_model, ny_sol, Q_exact, R, np.array([x0]))
+            obj = theory.objective_gap(reference, ny_sol, T)
             g_eps = theory.riccati_gap_bound(eps, norms, norm_R_inv)
             riccati_ok = theory.riccati_gap_precondition(eps, norms, norm_R_inv)
             return replace(
@@ -428,6 +435,7 @@ def riccati_objective_sweep(
                 objective_precondition=riccati_ok and theory.objective_gap_precondition(g_eps, norms, sigma_min_R),
                 Gamma=norms.Gamma,
                 tau=norms.tau,
+                tau_truncated=norms.tau_truncated,
                 zeta=norms.zeta,
                 sigma_min_P=norms.sigma_min_P,
             )

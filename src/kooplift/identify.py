@@ -15,20 +15,29 @@ only the k x k matrix F'F + reg and forms F'T before the solve, so no n-sized
 system and no n x k product of the solution is ever built.  With feature block
 F = [Phi(X) | U] and lifted training outputs Z' (n x m_out),
 
-    S = _ridge(F, Z', gamma n diag(R_in, I)),   B_m = S_u',   C = _ridge(Z', Y, lam n I)'
+    S = _ridge(F, Z', gamma n I),   A_m = S_x' T,   B_m = S_u',   C = _ridge(Z', Y, lam n I)'
 
-and A_m = S_in' for thin-plate features.  The lifts differ in four things only:
+The lifts differ in three things only:
 
-    feature block Phi(X)    K(X, landmarks_in)       thin_plate(X, centers)
-    lifted outputs Z'       (W K(landmarks_out, Y))'  thin_plate(Y, centers)
-    input regularizer R_in  K_in                     I
-    transport               A_m = S_in' K_in_out W   none
+    feature block Phi(X)    K(X, landmarks_in) E_in      thin_plate(X, centers)
+    lifted outputs Z'       (W K(landmarks_out, Y))'      thin_plate(Y, centers)
+    transport T             E_in' K_in_out W              I
 
-where W = (K_out^+)^(1/2) and K_in_out is the cross-Gram of the input and
-output landmarks.  With landmarks equal to the full training set the Nystrom
-surrogate coincides with the uncompressed kernel estimator; that degeneracy is
-exercised by the test-suite through the operator representations in
-:mod:`kooplift.theory`.
+where W = (K_out^+)^(1/2), E_in = V_r Lambda_r^(-1/2) is the thin inverse
+square-root factor of the input-landmark Gram K_in (one column per eigenvalue
+above the rank cutoff), and K_in_out is the cross-Gram of the input and output
+landmarks.  Each row of F has norm at most sqrt(kappa^2 + |u|^2), since
+E_in' k_in(x) is the projection of the feature of x onto the landmark span, so
+F'F + gamma n I is conditioned by 1 + (kappa^2 + max |u|^2) / gamma at worst,
+and the regression is the compressed estimator
+Pi_out Z*S P (P C P + gamma)^(-1) of the rate theory (the parametrization of
+Rudi, Camoriano & Rosasco, "Less is more: Nystrom computational
+regularization", NeurIPS 2015).  The model keeps S and the input factor, from
+which :func:`kooplift.theory.build_nystrom_operator` reads the fitted operator.
+With landmarks equal to the full training set the Nystrom surrogate coincides
+with the uncompressed kernel estimator on the retained input range; that
+degeneracy is exercised by the test-suite through the operator representations
+in :mod:`kooplift.theory`.
 """
 
 from __future__ import annotations
@@ -44,7 +53,7 @@ from numpy.typing import NDArray
 
 from .data import Dataset, LandmarkSet
 from .kernels import KernelFamily, KernelSpec, gram, gram_column, thin_plate_matrix, thin_plate_row
-from .numerics import RankTolerance, psd_pinv_sqrt, solve_psd
+from .numerics import psd_pinv_sqrt, psd_pinv_sqrt_factor, solve_psd
 
 FloatArray = NDArray[np.float64]
 
@@ -104,6 +113,11 @@ class KoopmanModel:
     # orthonormal basis (m, r) of the lift's retained range, from the same
     # decision as the embedding weight (see ``_lift_range``); not serialized
     _range: FloatArray = field(repr=False, compare=False)
+    # the regression behind A_m and B_m, not serialized (loaded models carry
+    # None): the ridge solution S over the features [Phi(X) | U] and, for kernel
+    # lifts, the thin input factor E_in
+    _coef: FloatArray | None = field(default=None, repr=False, compare=False)
+    _in_factor: FloatArray | None = field(default=None, repr=False, compare=False)
     diagnostics: dict = field(default_factory=dict)
 
     @property
@@ -226,7 +240,7 @@ def fit(
     lam = gamma if lam is None else lam
     if not lam > 0:
         raise ValueError(f"lambda must be positive, got {lam}")
-    n, n_u = ds.n, ds.n_u
+    n = ds.n
     if isinstance(lifting, NystromLift):
         if lifting.landmarks.inputs.shape[1] != ds.d:
             raise ValueError("landmark dimension does not match dataset")
@@ -234,24 +248,19 @@ def fit(
         lm_in = _dedup_rows(lifting.landmarks.inputs)
         lm_out = _dedup_rows(lifting.landmarks.outputs)
         W, V, info = _lift_range(spec, lm_out)
-        F = np.hstack([gram(spec, ds.X, lm_in), ds.U])  # (n, m_in + n_u)
+        E_in, info_in = psd_pinv_sqrt_factor(gram(spec, lm_in))
+        Phi = gram(spec, ds.X, lm_in) @ E_in  # whitened landmark features, (n, r_in)
         Zt = (W @ gram(spec, lm_out, ds.Y)).T  # lifted training outputs, rows z_{i+1}
-        R_in = gram(spec, lm_in)
-        transport = gram(spec, lm_in, lm_out) @ W
-        if len(lm_in) <= 1200:
-            ew = np.linalg.eigvalsh(R_in)
-            cutoff = RankTolerance().rel_cutoff * max(ew[-1], 0.0)
-            kept = ew[ew > cutoff]
-            cond_in = float(ew[-1] / kept[0]) if len(kept) else np.inf
-        else:
-            cond_in = None
+        transport = (E_in.T @ gram(spec, lm_in, lm_out)) @ W
         diagnostics = {
             "m_in": len(lm_in),
             "m_out": len(lm_out),
             "rank_gram_out": info["rank"],
             "clipped_gram_out": info["clipped"],
             "cond_gram_out": info["cond"],
-            "cond_gram_in": cond_in,
+            "rank_gram_in": info_in["rank"],
+            "clipped_gram_in": info_in["clipped"],
+            "cond_gram_in": info_in["cond"],
         }
         lifting = NystromLift(spec, LandmarkSet(lm_in, lm_out, seed=lifting.landmarks.seed))
     elif isinstance(lifting, ThinPlateLift):
@@ -259,33 +268,33 @@ def fit(
             raise ValueError("center dimension does not match dataset")
         centers = _dedup_rows(lifting.centers)
         m = len(centers)
-        F = np.hstack([thin_plate_matrix(ds.X, centers), ds.U])
+        Phi = thin_plate_matrix(ds.X, centers)
         Zt = thin_plate_matrix(ds.Y, centers)
-        W = V = R_in = np.eye(m)
-        transport = None
+        W = V = np.eye(m)
+        E_in = transport = None
         diagnostics = {"m_in": m, "m_out": m}
         lifting = ThinPlateLift(centers)
     else:
         raise TypeError(f"unknown lifting {type(lifting).__name__}")
 
-    m_in, m_out = len(R_in), Zt.shape[1]
-    reg = np.eye(m_in + n_u)  # gamma n diag(R_in, I)
-    reg[:m_in, :m_in] = R_in
-    reg *= gamma * n
-    sol, jitter = _ridge(F, Zt, reg)
-    A_m = sol[:m_in].T if transport is None else sol[:m_in].T @ transport
+    r_in, m_out = Phi.shape[1], Zt.shape[1]
+    F = np.hstack([Phi, ds.U])  # (n, r_in + n_u)
+    sol, jitter = _ridge(F, Zt, gamma * n * np.eye(F.shape[1]))
+    A_m = sol[:r_in].T if transport is None else sol[:r_in].T @ transport
     Ct, c_jitter = _ridge(Zt, ds.Y, lam * n * np.eye(m_out))
     diagnostics["jitter_applied"] = bool(jitter or c_jitter)
     return KoopmanModel(
         lifting=lifting,
         A_m=A_m,
-        B_m=sol[m_in:].T,
+        B_m=sol[r_in:].T,
         C=Ct.T,
         gamma=gamma,
         lam=lam,
         gram_out_pinv_sqrt=W,
         _range=V,
         diagnostics=diagnostics,
+        _coef=sol,
+        _in_factor=E_in,
     )
 
 

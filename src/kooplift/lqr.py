@@ -24,7 +24,8 @@ B = 0 the iteration is P_{k+1} = A' P_k A + Q, whose iterates are the Lyapunov
 sums sum_{t<=k} A^t' Q A^t, and doubling them is Smith's method.  Given the
 closed loop A + B K in place of A and the stage weight Q + K' R K in place of
 Q, the limit P gives the infinite-horizon cost z0' P z0 of the fixed gain K
-from z0 (used by ``theory.objective_gap``).
+from z0; ``theory.objective_reference`` and ``theory.objective_gap`` run the
+same sums in their dual form, along (A + B K)' with the weight z0 z0'.
 """
 
 from __future__ import annotations
@@ -215,6 +216,17 @@ def solve_dare(
     return sol
 
 
+def _dare_defect(P, A, B, weights: LqrWeights) -> FloatArray:
+    """F(P, A, B) = P - A'[P - PB(R+B'PB)^(-1)B'P]A - Q, the DARE residual matrix.
+
+    Its negative, D = Q + A'PA - A'PB (R+B'PB)^(-1) B'PA - P, is the weight of
+    the cost-difference identity in ``theory.objective_reference``.
+    """
+    BtP = B.T @ P
+    inner_part, _ = solve_psd(weights.R + BtP @ B, BtP)
+    return P - A.T @ (P - BtP.T @ inner_part) @ A - weights.Q_m
+
+
 def dare_residual(P, A, B, weights: LqrWeights) -> float:
     """||F(P, A, B)||_2 with F(P,A,B) = P - A'[P - PB(R+B'PB)^(-1)B'P]A - Q."""
     P = np.atleast_2d(np.asarray(P, dtype=float))
@@ -222,10 +234,7 @@ def dare_residual(P, A, B, weights: LqrWeights) -> float:
     B = np.asarray(B, dtype=float)
     if B.ndim == 1:
         B = B[:, None]
-    BtP = B.T @ P
-    inner_part, _ = solve_psd(weights.R + BtP @ B, BtP)
-    F = P - A.T @ (P - BtP.T @ inner_part) @ A - weights.Q_m
-    return float(np.linalg.norm(F, 2))
+    return float(np.linalg.norm(_dare_defect(P, A, B, weights), 2))
 
 
 def _deflate_marginal_modes(A: FloatArray, rho_cap: float):

@@ -21,6 +21,7 @@ FloatArray = NDArray[np.float64]
 __all__ = [
     "RankTolerance",
     "psd_pinv_sqrt",
+    "psd_pinv_sqrt_factor",
     "psd_sqrt",
     "spectral_radius",
     "tau",
@@ -75,6 +76,17 @@ def _clipped_eigh(M: FloatArray, tol: RankTolerance):
     return w, V, w > cutoff
 
 
+def _rank_info(w: FloatArray, V: FloatArray, kept) -> dict:
+    """The rank decision of a clipped eigendecomposition, as the fits report it."""
+    nkept = int(np.count_nonzero(kept))
+    return {
+        "basis": V[:, kept],
+        "rank": nkept,
+        "clipped": int(w.size - nkept),
+        "cond": float(w[-1] / w[kept][0]) if nkept else math.inf,
+    }
+
+
 def psd_pinv_sqrt(M, tol: RankTolerance = RankTolerance(), return_info: bool = False):
     """Pseudo-inverse square root of a symmetric PSD matrix.
 
@@ -94,15 +106,20 @@ def psd_pinv_sqrt(M, tol: RankTolerance = RankTolerance(), return_info: bool = F
     R = 0.5 * (R + R.T)
     if not return_info:
         return R
-    nkept = int(np.count_nonzero(kept))
-    cond = float(w[-1] / w[kept][0]) if nkept else math.inf
-    info = {
-        "basis": V[:, kept],
-        "rank": nkept,
-        "clipped": int(w.size - nkept),
-        "cond": cond,
-    }
-    return R, info
+    return R, _rank_info(w, V, kept)
+
+
+def psd_pinv_sqrt_factor(M):
+    """Thin inverse square-root factor E = V_r Lambda_r^(-1/2) of a symmetric PSD matrix.
+
+    One column per eigenvalue above the default relative cutoff, so E has shape
+    (N, r), E' M E = I_r and E V_r' is the pseudo-inverse square root.  Returns
+    (E, info) with ``info`` as ``psd_pinv_sqrt`` reports it; the N x N square
+    root itself is never formed.
+    """
+    M = _check_finite_square(M, "M")
+    w, V, kept = _clipped_eigh(M, RankTolerance())
+    return V[:, kept] / np.sqrt(w[kept]), _rank_info(w, V, kept)
 
 
 def psd_sqrt(M, tol: RankTolerance = RankTolerance()) -> FloatArray:

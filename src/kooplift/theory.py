@@ -22,13 +22,22 @@ differences of nearly equal operators keep full relative precision instead of
 being squared away.  The Riccati solutions and the closed loop are operators
 of the same form.
 
+The uncompressed operator G is built by its own dual n x n solve
+(``build_exact_operator``): it is the estimator the bounds are stated for and
+the independent side of every gap.  The compressed operator is not built
+again: ``build_nystrom_operator`` reads it from the regression
+``identify.fit`` solved, so each rate-sweep row fits once and its operator
+gap, Riccati gap and objective gap all belong to that one fitted model.
+
 ``exact_model_norms`` whitens each anchor set of the exact surrogate once:
 the norms of G, of its state block A and control block B, and of the Riccati
 operator P all read one factor of G's output anchors Y and one of its input
 anchors X.  Only the closed loop A + BK whitens its own stacked anchors.
 
 Measurement and bound evaluation are kept apart.  ``operator_gap_norm``,
-``projection_error``, ``riccati_gap`` and ``objective_gap`` measure gaps;
+``projection_error``, ``riccati_gap`` and ``objective_gap`` measure gaps (the
+objective gap through the cost-difference identity, against the exact side
+that ``objective_reference`` takes once per sweep);
 the functions below evaluate the closed-form rate bounds from the measured
 operator gap eps and the exact surrogate's ``ExactModelNorms``:
 
@@ -57,9 +66,9 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .data import Dataset, LandmarkSet
-from .identify import KoopmanModel, NystromLift, _ridge
+from .identify import KoopmanModel, NystromLift
 from .kernels import KernelSpec, gram
-from .lqr import LqrWeights, RiccatiSolution, solve_dare
+from .lqr import LqrWeights, RiccatiSolution, _dare_defect, solve_dare
 from .numerics import RankTolerance, psd_pinv_sqrt, psd_sqrt, solve_psd, spectral_radius, tau
 
 FloatArray = NDArray[np.float64]
@@ -81,6 +90,8 @@ __all__ = [
     "riccati_gap_precondition",
     "objective_gap",
     "ObjectiveGapReport",
+    "objective_reference",
+    "ObjectiveReference",
     "objective_gap_bound",
     "objective_gap_precondition",
     "BoundReport",
@@ -238,40 +249,35 @@ def build_exact_operator(ds: Dataset, kernel: KernelSpec, gamma: float) -> RkhsO
     )
 
 
-def build_nystrom_operator(
-    ds: Dataset,
-    kernel: KernelSpec,
-    gamma: float,
-    landmarks: LandmarkSet,
-    tol: RankTolerance = RankTolerance(),
-) -> RkhsOperator:
-    """Landmark-compressed regression operator, anchored on the landmarks.
+def build_nystrom_operator(model: KoopmanModel) -> RkhsOperator:
+    """The landmark-compressed regression operator of a fitted kernel-lift model.
 
-    Stored in weighted form with out_weight = (K_out^+)^(1/2) and in_weight =
-    (K_in^+)^(1/2), which keeps every stored factor bounded.  With features
-    F = [K_n_in W_in | U] (n x (m_in + n_u)) and lifted outputs Z = W_out K_out_n,
-    the core is Z (F F'/n + gamma I)^(-1) F / n.  By the push-through identity
-    (F F' + gamma n I)^(-1) F = F (F'F + gamma n I)^(-1), that is the ridge
-    solution (F'F + gamma n I)^(-1) F'Z', transposed: only an (m_in + n_u)-sized
-    system is factorized, never an n x n one.
+    A view of the regression ``identify.fit`` solved, anchored on the model's
+    landmarks: with its ridge solution S = [S_x; S_u] over the features
+    [K(X, lm_in) E_in | U] and E_in = V_in Lambda^(-1/2) the thin factor of the
+    input-landmark Gram, the core is [S_x' V_in' | S_u'], in_weight is the
+    clipped (K_in^+)^(1/2) = E_in V_in' and out_weight is the embedding weight
+    W, so the state block reads W S_x' E_in' at the input landmarks.  V_in is
+    E_in with its columns scaled to unit norm.  Every stored factor stays
+    bounded, and nothing is solved here.  Raises TypeError
+    for a thin-plate model and ValueError for a model loaded from JSON, which
+    carries no regression coefficients.
     """
-    if not gamma > 0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
-    n = ds.n
-    lm_in, lm_out = landmarks.inputs, landmarks.outputs
-    W_in = psd_pinv_sqrt(gram(kernel, lm_in), tol)
-    W_out = psd_pinv_sqrt(gram(kernel, lm_out), tol)
-    F = np.hstack([gram(kernel, ds.X, lm_in) @ W_in, ds.U])  # columns of norm <= kappa sqrt(n)
-    Zt = (W_out @ gram(kernel, lm_out, ds.Y)).T
-    sol, _ = _ridge(F, Zt, gamma * n * np.eye(F.shape[1]))
+    if not isinstance(model.lifting, NystromLift):
+        raise TypeError("the compressed operator needs a kernel-lift model")
+    if model._coef is None:
+        raise ValueError("model carries no regression coefficients (models loaded from JSON do not)")
+    S, E_in = model._coef, model._in_factor
+    V_in = E_in / np.linalg.norm(E_in, axis=0)
+    r_in = E_in.shape[1]
     return RkhsOperator(
-        kernel=kernel,
-        out_anchors=lm_out.copy(),
-        core=sol.T,
-        in_anchors=lm_in.copy(),
-        out_weight=W_out,
-        in_weight=W_in,
-        n_u=ds.n_u,
+        kernel=model.lifting.kernel,
+        out_anchors=model.lifting.landmarks.outputs,
+        core=np.hstack([S[:r_in].T @ V_in.T, S[r_in:].T]),
+        in_anchors=model.lifting.landmarks.inputs,
+        out_weight=model.gram_out_pinv_sqrt,
+        in_weight=E_in @ V_in.T,
+        n_u=model.n_u,
     )
 
 
@@ -336,11 +342,13 @@ def projection_error(
 # ---------------------------------------------------------------------------
 
 
-def transport_weights(exact_model: KoopmanModel, Q_exact: FloatArray, ny_model: KoopmanModel) -> FloatArray:
+def transport_weights(exact_model: KoopmanModel, Q_exact: FloatArray, ny_model: KoopmanModel):
     """Express the exact surrogate's state weight in the compressed coordinates.
 
-    Both quadratic forms then realize the same weighting operator on the lifted
-    space: Q_ny = T' Q_exact T with T = W_exact K(out_exact, out_ny) W_ny.
+    Returns (Q_ny, T) with T = W_exact K(out_exact, out_ny) W_ny the map from
+    compressed to exact lifted coordinates, so both quadratic forms realize the
+    same weighting operator on the lifted space: Q_ny = T' Q_exact T.  The
+    compressed gain reads the exact coordinates through T' (``objective_gap``).
     """
     if not isinstance(exact_model.lifting, NystromLift) or not isinstance(ny_model.lifting, NystromLift):
         raise TypeError("weight transport requires kernel lifts on both sides")
@@ -348,7 +356,7 @@ def transport_weights(exact_model: KoopmanModel, Q_exact: FloatArray, ny_model: 
     cross = gram(kernel, exact_model.lifting.landmarks.outputs, ny_model.lifting.landmarks.outputs)
     T = exact_model.gram_out_pinv_sqrt @ cross @ ny_model.gram_out_pinv_sqrt
     Q = T.T @ Q_exact @ T
-    return 0.5 * (Q + Q.T)
+    return 0.5 * (Q + Q.T), T
 
 
 @dataclass(frozen=True)
@@ -499,55 +507,108 @@ def riccati_gap(
 
 @dataclass(frozen=True)
 class ObjectiveGapReport:
+    """The exact regulator's cost J, the mapped gain's cost J_hat and their gap.
+
+    J belongs to the exact side alone, so it is reported whether or not the
+    mapped gain stabilizes; a gain that does not has J_hat = gap = inf.
+    """
+
     J: float
     J_hat: float
     gap: float
     stabilizes: bool
 
 
-def objective_gap(
-    exact_model: KoopmanModel,
-    exact_sol: RiccatiSolution,
-    ny_model: KoopmanModel,
-    ny_sol: RiccatiSolution,
-    Q_exact: FloatArray,
-    R,
-    x0,
-) -> ObjectiveGapReport:
+@dataclass(frozen=True)
+class ObjectiveReference:
+    """The exact surrogate's side of every objective gap, taken once per sweep.
+
+    On the synthesized subspace with orthonormal basis V: the reduced system
+    (A, B), the greedy gain K = -M^(-1) B'PA of the exact regulator's Riccati
+    iterate P with M = R + B'PB, the weight D = Q + A'PA - A'PB M^(-1) B'PA - P
+    (the DARE residual with its sign flipped), the start z0, and along the loop
+    A + BK the cost J = z0' X(Q + K'RK) z0 and cost_D = z0' X(D) z0.
+    """
+
+    basis: FloatArray
+    A: FloatArray
+    B: FloatArray
+    K: FloatArray
+    M: FloatArray
+    D: FloatArray
+    z0: FloatArray
+    J: float
+    cost_D: float
+
+
+def _trajectory_gramian(L: FloatArray, z0: FloatArray) -> FloatArray:
+    """Y = sum_t L^t z0 z0' L^t', so that z0' X(W) z0 = <W, Y> for every weight W.
+
+    X(W) = sum_t L^t' W L^t is the Lyapunov sum of a stage weight; Y is the same
+    sum in its dual form, from the Riccati core with a zero input matrix on the
+    unit weight z0 z0' / |z0|^2.  Its stopping rule is then relative to the
+    trajectory itself, whatever the size or sign of the weights read from it.
+    Raises RuntimeError if the sum does not settle.
+    """
+    s = float(z0 @ z0)
+    weights = LqrWeights(np.outer(z0, z0) / s, np.eye(1))
+    return s * solve_dare(L.T, np.zeros((len(L), 1)), weights, max_iter=2_000_000).P_m
+
+
+def objective_reference(
+    exact_model: KoopmanModel, exact_sol: RiccatiSolution, Q_exact: FloatArray, R, x0
+) -> ObjectiveReference:
+    """The exact surrogate's regulator and its cost from the embedding of ``x0``.
+
+    Costs are taken on the synthesized (invariant) subspace of the exact
+    surrogate, the system both gains are designed against.
+    """
+    R = np.atleast_2d(np.asarray(R, dtype=float))
+    V = exact_sol.basis if exact_sol.basis is not None else exact_model.range_basis()
+    A = V.T @ exact_model.A_m @ V
+    B = V.T @ exact_model.B_m
+    Q = V.T @ Q_exact @ V
+    P = V.T @ exact_sol.P_m @ V
+    P = 0.5 * (P + P.T)
+    BtP = B.T @ P
+    M = R + BtP @ B
+    K = -solve_psd(M, BtP @ A)[0]
+    D = -_dare_defect(P, A, B, LqrWeights(Q, R))
+    z0 = V.T @ exact_model.embed_states(np.atleast_2d(np.asarray(x0, dtype=float)))[:, 0]
+    Y = _trajectory_gramian(A + B @ K, z0)
+    return ObjectiveReference(
+        basis=V, A=A, B=B, K=K, M=M, D=D, z0=z0,
+        J=float(np.sum((Q + K.T @ R @ K) * Y)),
+        cost_D=float(np.sum(D * Y)),
+    )
+
+
+def objective_gap(ref: ObjectiveReference, ny_sol: RiccatiSolution, T: FloatArray) -> ObjectiveGapReport:
     """Certainty-equivalence cost of the compressed gain on the exact surrogate.
 
-    Both costs are infinite-horizon costs of the exact surrogate from the
-    embedding z0 of ``x0``: once under its own optimal gain and once under the
-    compressed model's gain mapped into the exact coordinates.  Each is
-    z0' X z0, with X the closed loop's Lyapunov sum sum_t L^t' (Q + K' R K) L^t
-    from the Riccati core (``solve_dare`` with a zero input matrix), which
-    raises RuntimeError if the sum does not converge.  A non-contractive mapped
-    gain is reported with an infinite gap rather than an exception.
+    The compressed gain reads the exact coordinates through the transport T of
+    ``transport_weights``: K_hat = K_ny T' V.  Its excess cost over the exact
+    regulator's from z0 is the cost-difference identity (Fazel, Ge, Kakade &
+    Mesbahi, ICML 2018)
+
+        J_hat - J = z0' [X_hat(D + dK' M dK) - X(D)] z0,   dK = K_hat - K,
+
+    with X_hat the Lyapunov sums along A + B K_hat; it holds for any symmetric
+    P, converged or not.  Its terms are of the size of the gap, so the gap is
+    resolved to the precision of its own sums rather than as the difference of
+    two costs of about J.  Each sum is read from the trajectory Gramian of its
+    loop.  A non-contractive mapped gain is reported with an infinite gap
+    rather than an exception, next to the reference's J.
     """
-    kernel = exact_model.lifting.kernel
-    R = np.atleast_2d(np.asarray(R, dtype=float))
-    # costs on the synthesized (invariant) subspace of the exact surrogate, the
-    # system both gains were designed against
-    V = exact_sol.basis if exact_sol.basis is not None else exact_model.range_basis()
-    A_r = V.T @ exact_model.A_m @ V
-    B_r = V.T @ exact_model.B_m
-    Q_r = V.T @ Q_exact @ V
-    z0 = V.T @ exact_model.embed_states(np.atleast_2d(np.asarray(x0, dtype=float)))[:, 0]
-    K_r = exact_sol.K_m @ V
-    # compressed gain read through the exact coordinates
-    cross = gram(kernel, ny_model.lifting.landmarks.outputs, exact_model.lifting.landmarks.outputs)
-    T = ny_model.gram_out_pinv_sqrt @ cross @ exact_model.gram_out_pinv_sqrt  # (m_ny, n)
-    K_hat = (ny_sol.K_m @ T) @ V  # (n_u, r)
-    L_opt = A_r + B_r @ K_r
-    L_hat = A_r + B_r @ K_hat
+    K_hat = (ny_sol.K_m @ T.T) @ ref.basis
+    L_hat = ref.A + ref.B @ K_hat
     if not spectral_radius(L_hat) < 1.0:
-        return ObjectiveGapReport(J=math.nan, J_hat=math.inf, gap=math.inf, stabilizes=False)
-    no_input = np.zeros_like(B_r)
-    X = solve_dare(L_opt, no_input, LqrWeights(Q_r + K_r.T @ R @ K_r, R), max_iter=2_000_000).P_m
-    X_hat = solve_dare(L_hat, no_input, LqrWeights(Q_r + K_hat.T @ R @ K_hat, R), max_iter=2_000_000).P_m
-    J = float(z0 @ X @ z0)
-    J_hat = float(z0 @ X_hat @ z0)
-    return ObjectiveGapReport(J=J, J_hat=J_hat, gap=J_hat - J, stabilizes=True)
+        return ObjectiveGapReport(J=ref.J, J_hat=math.inf, gap=math.inf, stabilizes=False)
+    Y_hat = _trajectory_gramian(L_hat, ref.z0)
+    dK = K_hat - ref.K
+    excess = float(np.sum(ref.M * (dK @ Y_hat @ dK.T)))
+    gap = float(np.sum(ref.D * Y_hat)) - ref.cost_D + excess
+    return ObjectiveGapReport(J=ref.J, J_hat=ref.J + gap, gap=gap, stabilizes=True)
 
 
 # ---------------------------------------------------------------------------
@@ -575,6 +636,7 @@ class BoundReport:
     objective_precondition: bool = False
     Gamma: float = math.nan
     tau: float = math.nan
+    tau_truncated: bool = False
     zeta: float = math.nan
     sigma_min_P: float = math.nan
     norm_G: float = math.nan

@@ -260,7 +260,7 @@ def test_criterion_8_degeneracy_and_invariants():
     U = rng.uniform(-1, 1, size=(40, 1))
     ds = Dataset(X, U, 0.6 * X + 0.25 * U)
     G = theory.build_exact_operator(ds, M52, 1e-3)
-    G_ny = theory.build_nystrom_operator(ds, M52, 1e-3, LandmarkSet(X.copy(), ds.Y.copy(), seed=-1))
+    G_ny = theory.build_nystrom_operator(fit(ds, NystromLift(M52, LandmarkSet(X.copy(), ds.Y.copy(), seed=-1)), gamma=1e-3))
     gap = theory.operator_gap_norm(G, G_ny)
     checks["exact-kernel gap <= 1e-8"] = gap <= 1e-8
 

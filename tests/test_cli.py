@@ -212,7 +212,9 @@ def test_fit_expands_glob_across_collect_runs(collected, tmp_path):
     assert json.loads((out / "fit_report.json").read_text())["n_pairs"] == 120
 
 
-def test_control_reports_horizon_cap_for_readme_example(tmp_path):
+@pytest.fixture()
+def readme_cubic_fit(tmp_path):
+    """The README's cubic example: collect, then fit 100 landmarks at gamma = 1e-6."""
     cfg = write_config(
         tmp_path / "cubic.json",
         {
@@ -224,10 +226,26 @@ def test_control_reports_horizon_cap_for_readme_example(tmp_path):
             "seed": 0,
         },
     )
-    data, fit_out, run = tmp_path / "data", tmp_path / "fit", tmp_path / "run"
+    data, fit_out = tmp_path / "data", tmp_path / "fit"
     assert main(["collect", "--config", cfg, "--out", str(data)]) == 0
     overrides = ["--override", f"data.path={data}", "--override", "fit.m=100", "--override", "fit.gamma=1e-6"]
     assert main(["fit", "--config", cfg, "--out", str(fit_out), *overrides]) == 0
+    return cfg, fit_out
+
+
+def test_fit_reports_both_rank_decisions_for_readme_example(readme_cubic_fit):
+    _, fit_out = readme_cubic_fit
+    diagnostics = json.loads((fit_out / "fit_report.json").read_text())["diagnostics"]
+    for side in ("in", "out"):
+        assert diagnostics[f"rank_gram_{side}"] + diagnostics[f"clipped_gram_{side}"] == diagnostics[f"m_{side}"]
+        assert diagnostics[f"cond_gram_{side}"] >= 1.0
+    # the whitened regression's normal equations factorize without jitter
+    assert diagnostics["jitter_applied"] is False
+
+
+def test_control_reports_horizon_cap_for_readme_example(readme_cubic_fit, tmp_path):
+    cfg, fit_out = readme_cubic_fit
+    run = tmp_path / "run"
     overrides = ["--override", f"model.path={fit_out / 'model.json'}", "--override", "control.x0=[0.9]"]
     assert main(["control", "--config", cfg, "--out", str(run), *overrides]) == 0
     metrics = json.loads((run / "metrics.json").read_text())

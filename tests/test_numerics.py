@@ -5,6 +5,7 @@ from kooplift.numerics import (
     RankTolerance,
     psd_pinv,
     psd_pinv_sqrt,
+    psd_pinv_sqrt_factor,
     psd_sqrt,
     solve_psd,
     spectral_radius,
@@ -54,6 +55,18 @@ def test_pinv_sqrt_squared_equals_clipped_pinv():
     M = A @ A.T
     R = psd_pinv_sqrt(M)
     np.testing.assert_allclose(R @ R, psd_pinv(M), atol=1e-10)
+
+
+def test_pinv_sqrt_factor_whitens_the_kept_range():
+    # the synthetic PSD matrix of the projector test: rank 4 of 6
+    rng = np.random.default_rng(0)
+    Q, _ = np.linalg.qr(rng.normal(size=(6, 6)))
+    M = (Q * np.array([3.0, 1.5, 0.9, 0.2, 0.0, 0.0])) @ Q.T
+    E, info = psd_pinv_sqrt_factor(M)
+    assert E.shape == (6, 4) and info["rank"] == 4 and info["clipped"] == 2
+    np.testing.assert_allclose(E.T @ M @ E, np.eye(4), atol=1e-12)
+    np.testing.assert_allclose(E @ info["basis"].T, psd_pinv_sqrt(M), atol=1e-12)
+    assert info["cond"] == psd_pinv_sqrt(M, return_info=True)[1]["cond"] == pytest.approx(15.0)
 
 
 def test_pinv_sqrt_info():

@@ -76,14 +76,14 @@ def test_full_landmarks_degenerate_to_exact():
     gamma = 1e-3
     G = theory.build_exact_operator(ds, M52, gamma)
     lm = LandmarkSet(ds.X.copy(), ds.Y.copy(), seed=-1)
-    G_ny = theory.build_nystrom_operator(ds, M52, gamma, lm)
+    G_ny = theory.build_nystrom_operator(fit(ds, NystromLift(M52, lm), gamma=gamma))
     assert theory.operator_gap_norm(G, G_ny) <= 1e-8
 
 
 def test_far_landmark_gives_vanishing_operator():
     ds = toy_dataset(n=20, seed=2)
     lm = LandmarkSet([[60.0]], [[60.0]], seed=0)
-    G_ny = theory.build_nystrom_operator(ds, RBF, 1e-3, lm)
+    G_ny = theory.build_nystrom_operator(fit(ds, NystromLift(RBF, lm), gamma=1e-3))
     assert theory.operator_norm(G_ny) <= 1e-6
 
 
@@ -97,7 +97,7 @@ def control_part(op):
 def test_nystrom_control_block_zero_without_controls():
     ds = toy_dataset(n=20, seed=4, control=False)
     lm = sample_landmarks(ds, 5, seed=0)
-    G_ny = theory.build_nystrom_operator(ds, M52, 1e-3, lm)
+    G_ny = theory.build_nystrom_operator(fit(ds, NystromLift(M52, lm), gamma=1e-3))
     assert theory.operator_norm(control_part(G_ny)) <= 1e-14
 
 
@@ -133,7 +133,7 @@ def test_operator_norm_monte_carlo_bracket():
     ds = Dataset(X, U, 0.6 * X + 0.25 * U)
     lm = sample_landmarks(ds, 3, seed=1)
     G = theory.build_exact_operator(ds, M52, 1e-2)
-    G_ny = theory.build_nystrom_operator(ds, M52, 1e-2, lm)
+    G_ny = theory.build_nystrom_operator(fit(ds, NystromLift(M52, lm), gamma=1e-2))
     norm = theory.operator_gap_norm(G, G_ny)
 
     anchors = np.vstack([ds.X, lm.inputs])
@@ -204,7 +204,7 @@ def test_operator_gap_matches_dense_oracle():
             for pts in (lm.inputs, lm.outputs):
                 w = np.linalg.eigvalsh(gram(spec, pts))
                 assert w[0] > RankTolerance().rel_cutoff * w[-1]
-            G_ny = theory.build_nystrom_operator(ds, spec, gamma, lm)
+            G_ny = theory.build_nystrom_operator(fit(ds, NystromLift(spec, lm), gamma=gamma))
             val = theory.operator_gap_norm(G, G_ny, RankTolerance(1e-13))
             assert val == pytest.approx(dense_operator_gap(ds, spec, gamma, lm), rel=1e-7)
 
@@ -460,6 +460,7 @@ def test_riccati_gap_zero_state_cost(small_control_fixture):
 
 def test_riccati_and_objective_gap_decrease_and_nonnegative(small_control_fixture):
     ds, gamma, exact_model, exact_sol, Q_exact, _ = small_control_fixture
+    ref = theory.objective_reference(exact_model, exact_sol, Q_exact, np.eye(1), [0.9])
     gaps = {}
     for m in (5, 20, 50):
         vals = []
@@ -467,9 +468,9 @@ def test_riccati_and_objective_gap_decrease_and_nonnegative(small_control_fixtur
         for seed in range(6):
             lm = sample_landmarks(ds, m, LandmarkStrategy.IndependentUniform, seed=seed)
             ny_model = fit(ds, NystromLift(M52, lm), gamma=gamma)
-            Q_ny = theory.transport_weights(exact_model, Q_exact, ny_model)
+            Q_ny, T = theory.transport_weights(exact_model, Q_exact, ny_model)
             ny_sol = solve_model_dare(ny_model, weights=LqrWeights(Q_ny, np.eye(1)), rho_cap=0.9995)
-            obj = theory.objective_gap(exact_model, exact_sol, ny_model, ny_sol, Q_exact, np.eye(1), [0.9])
+            obj = theory.objective_gap(ref, ny_sol, T)
             vals.append(theory.riccati_gap(exact_model, exact_sol, ny_model, ny_sol))
             obj_vals.append(obj.gap)
             assert obj.gap >= -1e-9
@@ -481,9 +482,21 @@ def test_riccati_and_objective_gap_decrease_and_nonnegative(small_control_fixtur
 
 def test_objective_gap_equal_gains(small_control_fixture):
     _, _, exact_model, exact_sol, Q_exact, _ = small_control_fixture
-    obj = theory.objective_gap(exact_model, exact_sol, exact_model, exact_sol, Q_exact, np.eye(1), [0.9])
+    ref = theory.objective_reference(exact_model, exact_sol, Q_exact, np.eye(1), [0.9])
+    _, T = theory.transport_weights(exact_model, Q_exact, exact_model)
+    obj = theory.objective_gap(ref, exact_sol, T)
     assert obj.gap == pytest.approx(0.0, abs=1e-9)
     assert obj.stabilizes
+
+
+def test_objective_gap_non_stabilizing_gain_keeps_reference_cost(small_control_fixture):
+    _, _, exact_model, exact_sol, Q_exact, _ = small_control_fixture
+    ref = theory.objective_reference(exact_model, exact_sol, Q_exact, np.eye(1), [0.9])
+    _, T = theory.transport_weights(exact_model, Q_exact, exact_model)
+    flipped = replace(exact_sol, K_m=-1e3 * exact_sol.K_m)
+    obj = theory.objective_gap(ref, flipped, T)
+    assert not obj.stabilizes
+    assert obj.J == ref.J and math.isinf(obj.J_hat) and math.isinf(obj.gap)
 
 
 def longdouble_cost(L, Qbar, z0):
@@ -500,49 +513,88 @@ def longdouble_cost(L, Qbar, z0):
     raise AssertionError("rollout did not settle in 100 000 steps")
 
 
+def longdouble_objective_gap(A, B, P, Q, R, K_hat, z0):
+    """J(K_hat) - J(K) from the cost-difference identity, every step in
+    extended precision: K = -M^-1 B'PA is the greedy gain of P, M = R + B'PB,
+    D = Q + A'PA - A'PB M^-1 B'PA - P, and the gap is the stage sum of
+    D + dK' M dK along A + B K_hat minus the stage sum of D along A + B K."""
+    A, B, P, Q, R, K_hat = (np.asarray(a, dtype=np.longdouble) for a in (A, B, P, Q, R, K_hat))
+    P = (P + P.T) / 2
+    M = R + B.T @ P @ B
+    assert M.shape == (1, 1)  # one input, so M^-1 is a division
+    K = -(B.T @ P @ A) / M[0, 0]
+    D = Q + A.T @ P @ A + (A.T @ P @ B) @ K - P
+    dK = K_hat - K
+    return longdouble_cost(A + B @ K_hat, D + dK.T @ M @ dK, z0) - longdouble_cost(A + B @ K, D, z0)
+
+
 def assert_objective_gap_matches_rollout(ds, gamma, exact_model, exact_sol, Q_exact, m, seed):
     """Both costs of ``objective_gap`` against longdouble rollouts of the same
-    reduced closed loops, stage weights Q + K'RK and start z0.
+    reduced closed loops, stage weights Q + K'RK and start z0, and the gap
+    against the longdouble stage sums of the cost-difference identity.
 
-    Asserted: each cost within 1e-9 relative, the gap within 1e-3 relative.
+    Asserted: each cost within 1e-9 relative, the gap within 1e-7 relative
+    (measured: at most 3.4e-9, from the float64 gain and D of the exact side).
+    Returns the report and the two longdouble costs.
     """
     R = np.eye(1)
     lm = sample_landmarks(ds, m, LandmarkStrategy.IndependentUniform, seed=seed)
     ny_model = fit(ds, NystromLift(M52, lm), gamma=gamma)
-    Q_ny = theory.transport_weights(exact_model, Q_exact, ny_model)
+    Q_ny, T = theory.transport_weights(exact_model, Q_exact, ny_model)
     ny_sol = solve_model_dare(ny_model, weights=LqrWeights(Q_ny, R), rho_cap=0.9995)
-    rep = theory.objective_gap(exact_model, exact_sol, ny_model, ny_sol, Q_exact, R, [0.9])
+    ref = theory.objective_reference(exact_model, exact_sol, Q_exact, R, [0.9])
+    rep = theory.objective_gap(ref, ny_sol, T)
 
     V = exact_sol.basis
     A_r, B_r = V.T @ exact_model.A_m @ V, V.T @ exact_model.B_m
     Q_r = V.T @ Q_exact @ V
     z0 = V.T @ exact_model.embed_states(np.array([[0.9]]))[:, 0]
     cross = gram(M52, ny_model.lifting.landmarks.outputs, exact_model.lifting.landmarks.outputs)
-    T = ny_model.gram_out_pinv_sqrt @ cross @ exact_model.gram_out_pinv_sqrt
+    T_ny = ny_model.gram_out_pinv_sqrt @ cross @ exact_model.gram_out_pinv_sqrt
     J, J_hat = (
-        longdouble_cost(A_r + B_r @ K, Q_r + K.T @ R @ K, z0) for K in (exact_sol.K_m @ V, (ny_sol.K_m @ T) @ V)
+        longdouble_cost(A_r + B_r @ K, Q_r + K.T @ R @ K, z0) for K in (exact_sol.K_m @ V, (ny_sol.K_m @ T_ny) @ V)
     )
+    # the gap is a second-order difference: reassociating the product that
+    # forms K_hat moves K_hat by up to 4e-9 relative here and the gap by up to
+    # 3.2e-6, so the gap-level oracle takes K_hat as objective_gap forms it
+    gap = longdouble_objective_gap(A_r, B_r, V.T @ exact_sol.P_m @ V, Q_r, R, (ny_sol.K_m @ T.T) @ V, z0)
     assert rep.stabilizes
     assert rep.J == pytest.approx(float(J), rel=1e-9)
     assert rep.J_hat == pytest.approx(float(J_hat), rel=1e-9)
     assert J_hat > J
-    assert rep.gap == pytest.approx(float(J_hat - J), rel=1e-3, abs=0.0)
+    assert rep.gap == pytest.approx(float(gap), rel=1e-7, abs=0.0)
+    return rep, J, J_hat
 
 
 def test_objective_gap_matches_longdouble_rollout(small_control_fixture):
     # this fixture's closed loops are slow (a stage stops moving the sum only
-    # after about 9 000 steps), so the sums stop with a tail left: measured
-    # 1.6e-10 relative on J and <= 6e-8 relative on the gap
+    # after about 9 000 steps); measured: J within 6.2e-16 relative, J_hat
+    # within 6.3e-12 and the gap within 6e-14 of the identity's longdouble
+    # sums.  The cost difference J_hat - J of the rollouts (within 2.3e-8 of
+    # the gap) checks the identity's algebra independently
     ds, gamma, exact_model, exact_sol, Q_exact, _ = small_control_fixture
     for m in (5, 20, 50):
-        assert_objective_gap_matches_rollout(ds, gamma, exact_model, exact_sol, Q_exact, m, seed=0)
+        rep, J, J_hat = assert_objective_gap_matches_rollout(ds, gamma, exact_model, exact_sol, Q_exact, m, seed=0)
+        assert rep.gap == pytest.approx(float(J_hat - J), rel=1e-3, abs=0.0)
+
+
+def test_objective_gap_identity_holds_at_a_truncated_riccati_iterate(small_control_fixture):
+    # the identity needs no converged P: at the 3-stage value iterate D has
+    # norm 2.2e-2, and leaving X_hat(D) - X(D) out would move the gap by 30%.
+    # Measured: 5.4e-13 from the gap-level oracle and 3.4e-9 from the
+    # rollouts' J_hat - J, whose K_hat is formed in another product order
+    ds, gamma, exact_model, _, Q_exact, _ = small_control_fixture
+    sol = solve_model_dare(exact_model, np.eye(1), np.eye(1), rho_cap=0.9995, horizon=3)
+    rep, J, J_hat = assert_objective_gap_matches_rollout(ds, gamma, exact_model, sol, Q_exact, 20, seed=0)
+    assert rep.gap == pytest.approx(float(J_hat - J), rel=1e-6, abs=0.0)
 
 
 def test_objective_gap_matches_longdouble_rollout_on_rate_study():
-    # the rate-study fixture at m = 160, where the gaps (1.3e-8 to 2.0e-7) are
-    # differences of two costs of about 35.4; measured: J within 1.2e-14
-    # relative and the gaps within 5.4e-5 relative (<= 7.3e-13 absolute) with
-    # two OpenBLAS threads, 1.2e-15 and 1.6e-6 with one
+    # the rate-study fixture at m = 160, where the gaps (2.4e-11 to 1.9e-9)
+    # are below what the difference of two costs of about 35.6 resolves: the
+    # rollouts' J_hat - J is up to 9.8e-3 relative off the gap, so the gap is
+    # checked against the identity's longdouble stage sums instead, measured
+    # within 3.4e-9 relative with one and with two OpenBLAS threads
     from kooplift.experiments import fit_exact, fixture_dataset
 
     _, ds = fixture_dataset(n=500, seed=7)
@@ -568,16 +620,16 @@ def test_bound_report_validation_and_csv(tmp_path):
         empirical_gap=0.125, gap_bound=7.5, proj_in=0.1, proj_out=0.2,
         riccati_gap=2.5, riccati_bound=1e3, riccati_precondition=False,
         objective_gap=math.inf, objective_bound=3e12, objective_precondition=True,
-        Gamma=12.25, tau=1.5, zeta=0.999, sigma_min_P=-7.3e-16, norm_G=33.0,
+        Gamma=12.25, tau=1.5, tau_truncated=True, zeta=0.999, sigma_min_P=-7.3e-16, norm_G=33.0,
     )
     theory.write_bound_reports(tmp_path / "b.csv", [row])
     text = (tmp_path / "b.csv").read_text().splitlines()
     assert text == [
         "m,seed,gamma,delta,kappa,empirical_gap,gap_bound,proj_in,proj_out,riccati_gap,riccati_bound,"
-        "riccati_precondition,objective_gap,objective_bound,objective_precondition,Gamma,tau,zeta,"
-        "sigma_min_P,norm_G",
+        "riccati_precondition,objective_gap,objective_bound,objective_precondition,Gamma,tau,tau_truncated,"
+        "zeta,sigma_min_P,norm_G",
         "20,3,9.9999999999999995e-07,0.050000000000000003,1,0.125,7.5,0.10000000000000001,"
-        "0.20000000000000001,2.5,1000,False,inf,3000000000000,True,12.25,1.5,0.999,"
+        "0.20000000000000001,2.5,1000,False,inf,3000000000000,True,12.25,1.5,True,0.999,"
         "-7.3000000000000003e-16,33",
     ]
     with pytest.raises(ValueError):
