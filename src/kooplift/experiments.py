@@ -16,6 +16,7 @@ from .data import Dataset, LandmarkSet, LandmarkStrategy, build_pairs, derived_r
 from .identify import ForecastDivergence, KoopmanModel, NystromLift, ThinPlateLift, fit, forecast
 from .kernels import KernelFamily, KernelSpec
 from .lqr import LqrWeights, solve_model_dare
+from .numerics import RankTolerance
 from .simulate import (
     CollectionProtocol,
     SquareWave,
@@ -37,6 +38,9 @@ from .simulate import (
 from . import theory
 
 MATERN_UNIT = KernelSpec(KernelFamily.Matern52, lengthscale=1.0, variance=1.0)
+# cutoff of the rate sweeps' anchor basis: the default 1e-10 drops data
+# directions that the gaps between nearly equal operators resolve
+SWEEP_BASIS_TOL = RankTolerance(1e-13)
 
 __all__ = [
     "MATERN_UNIT",
@@ -337,12 +341,21 @@ def fixture_dataset(n: int = 500, seed: int = 7) -> tuple[SystemSpec, Dataset]:
     return sys, ds
 
 
-def _gap_study(ds: Dataset, G: theory.RkhsOperator, norm_G: float, gamma: float, delta: float):
+def _sweep_basis(ds: Dataset) -> theory.AnchorBasis:
+    """The one whitened basis a rate sweep reads every norm from: every anchor
+    of the sweep (G's, the exact model's and each landmark set) is a row of X
+    or Y."""
+    return theory.AnchorBasis(MATERN_UNIT, np.vstack([ds.X, ds.Y]), SWEEP_BASIS_TOL)
+
+
+def _gap_study(
+    ds: Dataset, G: theory.RkhsOperator, norm_G: float, basis: theory.AnchorBasis, gamma: float, delta: float
+):
     """The per-seed gap row of both sweeps against the exact operator G.
 
     ``row(m, seed)`` draws the landmarks, fits the compressed model once,
-    measures the gap of its operator and the two projection errors, and returns
-    the row with the fitted model.
+    measures the gap of its operator and the two projection errors on
+    ``basis``, and returns the row with the fitted model.
     """
 
     def row(m: int, seed: int) -> tuple[theory.BoundReport, KoopmanModel]:
@@ -354,11 +367,12 @@ def _gap_study(ds: Dataset, G: theory.RkhsOperator, norm_G: float, gamma: float,
             gamma=gamma,
             delta=delta,
             kappa=MATERN_UNIT.kappa,
-            empirical_gap=theory.operator_gap_norm(G, theory.build_nystrom_operator(model)),
+            empirical_gap=theory.operator_gap_norm(G, theory.build_nystrom_operator(model), basis),
             gap_bound=theory.nystrom_gap_bound(MATERN_UNIT.kappa, gamma, m, delta),
-            proj_in=theory.projection_error(ds, "input", MATERN_UNIT, lm),
-            proj_out=theory.projection_error(ds, "output", MATERN_UNIT, lm),
+            proj_in=theory.projection_error(ds, "input", MATERN_UNIT, lm, basis),
+            proj_out=theory.projection_error(ds, "output", MATERN_UNIT, lm, basis),
             norm_G=norm_G,
+            basis_rank=basis.rank,
         )
         return report, model
 
@@ -379,8 +393,9 @@ def gap_sweep(
     yardstick for deciding whether the bound is informative).
     """
     G = theory.build_exact_operator(ds, MATERN_UNIT, gamma)
-    norm_G = theory.operator_norm(G)
-    row = _gap_study(ds, G, norm_G, gamma, delta)
+    basis = _sweep_basis(ds)
+    norm_G = theory.operator_norm(G, basis)
+    row = _gap_study(ds, G, norm_G, basis, gamma, delta)
     rows = []
     for m in m_list:
         rows.extend(seed_map(lambda seed: row(m, seed)[0], range(n_seeds), workers))
@@ -412,9 +427,10 @@ def riccati_objective_sweep(
     exact_model = fit_exact(ds, gamma)
     Q_exact = exact_model.C.T @ exact_model.C
     exact_sol = solve_model_dare(exact_model, np.eye(ds.d), R, rho_cap=0.9995)
-    norms = theory.exact_model_norms(G, exact_model, exact_sol)
+    basis = _sweep_basis(ds)
+    norms = theory.exact_model_norms(G, exact_model, exact_sol, basis)
     reference = theory.objective_reference(exact_model, exact_sol, Q_exact, R, np.array([x0]))
-    row = _gap_study(ds, G, norms.G, gamma, delta)
+    row = _gap_study(ds, G, norms.G, basis, gamma, delta)
     rows = []
     for m in m_list:
         def one(seed: int) -> theory.BoundReport:
@@ -427,7 +443,7 @@ def riccati_objective_sweep(
             riccati_ok = theory.riccati_gap_precondition(eps, norms, norm_R_inv)
             return replace(
                 gap_row,
-                riccati_gap=theory.riccati_gap(exact_model, exact_sol, ny_model, ny_sol),
+                riccati_gap=theory.riccati_gap(exact_model, exact_sol, ny_model, ny_sol, basis),
                 riccati_bound=g_eps,
                 riccati_precondition=riccati_ok,
                 objective_gap=obj.gap,

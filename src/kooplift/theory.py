@@ -12,15 +12,24 @@ norms then reduce to the largest singular value of the whitened factor
 
     C = [ (R_out @ out_weight) @ core_x @ (in_weight @ R_in') | (R_out @ out_weight) @ core_u ]
 
-where R_out (r_out, q) and R_in (r_in, p) are thin square-root factors of the
-anchor Grams (R'R = Gram on the kept range), so C is only r_out x (r_in + n_u).
-A signed sum of operators stacks the anchors and adds each term on its own
-columns of R_out and R_in; when every term reads its input at its own output
-anchors, the two stacks are one and are whitened once.  Each weight multiplies
-whitened columns first: the R @ weight factors are contractions, so
-differences of nearly equal operators keep full relative precision instead of
-being squared away.  The Riccati solutions and the closed loop are operators
-of the same form.
+where R_out (r, q) and R_in (r, p) are columns of a thin square-root factor
+of the anchors' Gram (R'R = Gram on the kept range), so C is only
+r x (r + n_u).  A signed sum of operators adds each term on its own columns of
+R_out and R_in.  Each weight multiplies whitened columns first: the
+R @ weight factors are contractions, so differences of nearly equal operators
+keep full relative precision instead of being squared away.  The Riccati
+solutions and the closed loop are operators of the same form.
+
+Every factor is read from an ``AnchorBasis``: one ``psd_sqrt`` of the Gram of
+a point set's distinct rows, from which any anchor set among those rows takes
+its columns.  Each norm's ``tol`` slot takes a basis or a ``RankTolerance``;
+given a tolerance, the norm builds a basis over its own anchors (for a signed
+sum, one over its output anchors and one over its input anchors).  Every anchor
+of a rate sweep (G's X and Y, the exact surrogate's landmarks, each drawn
+landmark set) is a row of X or Y, so a sweep builds one basis over [X; Y] and
+every operator gap, Riccati gap, projection error and exact-model norm of the
+sweep, the closed loop A + BK included, reads its columns.  Projection errors
+are then sigma_max((I - Pi_m) R_pts) / sqrt(n), an r x n product.
 
 The uncompressed operator G is built by its own dual n x n solve
 (``build_exact_operator``): it is the estimator the bounds are stated for and
@@ -28,11 +37,6 @@ the independent side of every gap.  The compressed operator is not built
 again: ``build_nystrom_operator`` reads it from the regression
 ``identify.fit`` solved, so each rate-sweep row fits once and its operator
 gap, Riccati gap and objective gap all belong to that one fitted model.
-
-``exact_model_norms`` whitens each anchor set of the exact surrogate once:
-the norms of G, of its state block A and control block B, and of the Riccati
-operator P all read one factor of G's output anchors Y and one of its input
-anchors X.  Only the closed loop A + BK whitens its own stacked anchors.
 
 Measurement and bound evaluation are kept apart.  ``operator_gap_norm``,
 ``projection_error``, ``riccati_gap`` and ``objective_gap`` measure gaps (the
@@ -69,11 +73,12 @@ from .data import Dataset, LandmarkSet
 from .identify import KoopmanModel, NystromLift
 from .kernels import KernelSpec, gram
 from .lqr import LqrWeights, RiccatiSolution, _dare_defect, solve_dare
-from .numerics import RankTolerance, psd_pinv_sqrt, psd_sqrt, solve_psd, spectral_radius, tau
+from .numerics import RankTolerance, psd_pinv_sqrt_factor, psd_sqrt, solve_psd, spectral_radius, tau
 
 FloatArray = NDArray[np.float64]
 
 __all__ = [
+    "AnchorBasis",
     "RkhsOperator",
     "build_exact_operator",
     "build_nystrom_operator",
@@ -185,25 +190,86 @@ def _factor_norm(C: FloatArray) -> float:
     return float(np.linalg.norm(C, 2)) if C.size else 0.0
 
 
-def _sum_norm(ops: list[tuple[RkhsOperator, float]], tol: RankTolerance) -> float:
-    """Operator norm of the signed sum of ``ops``, whitening its anchor stacks."""
+class AnchorBasis:
+    """One thin square-root factor of the Gram of a point set's distinct rows.
+
+    ``R`` (r, N) satisfies R'R = K(rows, rows) on the kept range, so the column
+    of a row is the coordinate vector of its feature in one orthonormal basis
+    of their span.  Every anchor set drawn from the points reads its factor as
+    columns of ``R`` (``columns``) instead of whitening a Gram of its own.
+    Rows are matched by their exact bytes; the basis is read-only once built.
+    """
+
+    def __init__(self, kernel: KernelSpec, points, tol: RankTolerance) -> None:
+        pts = np.ascontiguousarray(np.atleast_2d(np.asarray(points, dtype=float)))
+        index: dict[bytes, int] = {}
+        first = []
+        for i, row in enumerate(pts):
+            key = row.tobytes()
+            if key not in index:
+                index[key] = len(first)
+                first.append(i)
+        self.kernel = kernel
+        self._index = index
+        self.R = psd_sqrt(gram(kernel, pts[first]), tol)
+
+    @property
+    def rank(self) -> int:
+        return len(self.R)
+
+    def columns(self, points) -> FloatArray:
+        """The factor's columns at ``points``, each of which must be a row of the basis.
+
+        Raises ValueError naming the first point that is not.
+        """
+        pts = np.ascontiguousarray(np.atleast_2d(np.asarray(points, dtype=float)))
+        idx = []
+        for row in pts:
+            i = self._index.get(row.tobytes())
+            if i is None:
+                raise ValueError(f"point {row.tolist()} is not a row of the anchor basis")
+            idx.append(i)
+        return self.R[:, idx]
+
+
+def _anchor_basis(tol: AnchorBasis | RankTolerance, kernel: KernelSpec, blocks) -> AnchorBasis:
+    """``tol`` itself if it is a basis (built with ``kernel``), else a basis
+    over the stacked ``blocks`` at that cutoff."""
+    if isinstance(tol, AnchorBasis):
+        if tol.kernel != kernel:
+            raise ValueError("the anchor basis was built with a different kernel")
+        return tol
+    return AnchorBasis(kernel, np.vstack(blocks), tol)
+
+
+def _sum_norm(ops: list[tuple[RkhsOperator, float]], tol: AnchorBasis | RankTolerance) -> float:
+    """Operator norm of the signed sum of ``ops``, its anchors read as basis columns.
+
+    Given a tolerance, the output anchors and the input anchors are each
+    whitened on their own, once if every term reads its input at its own
+    output anchors.
+    """
     kernel = ops[0][0].kernel
-    R_out = psd_sqrt(gram(kernel, np.vstack([op.out_anchors for op, _ in ops])), tol)
+    in_blocks = [op.in_anchors for op, _ in ops if op.p]
+    out_basis = _anchor_basis(tol, kernel, [op.out_anchors for op, _ in ops])
     if all(op.in_anchors is op.out_anchors for op, _ in ops):
-        R_in = R_out  # the same stack, so the same Gram
+        in_basis = out_basis
     else:
-        in_blocks = [op.in_anchors for op, _ in ops if op.p]
-        R_in = psd_sqrt(gram(kernel, np.vstack(in_blocks)), tol) if in_blocks else np.zeros((0, 0))
+        in_basis = _anchor_basis(tol, kernel, in_blocks) if in_blocks else None
+    R_out = np.hstack([out_basis.columns(op.out_anchors) for op, _ in ops])
+    R_in = np.hstack([in_basis.columns(a) for a in in_blocks]) if in_blocks else np.zeros((0, 0))
     return _factor_norm(_whitened_factor(ops, R_out, R_in))
 
 
-def operator_gap_norm(A: RkhsOperator, B: RkhsOperator, tol: RankTolerance = RankTolerance()) -> float:
+def operator_gap_norm(
+    A: RkhsOperator, B: RkhsOperator, tol: AnchorBasis | RankTolerance = RankTolerance()
+) -> float:
     """Operator norm of A - B over the lifted input space."""
     _check_compatible(A, B)
     return _sum_norm([(A, 1.0), (B, -1.0)], tol)
 
 
-def operator_norm(A: RkhsOperator, tol: RankTolerance = RankTolerance()) -> float:
+def operator_norm(A: RkhsOperator, tol: AnchorBasis | RankTolerance = RankTolerance()) -> float:
     return _sum_norm([(A, 1.0)], tol)
 
 
@@ -315,12 +381,15 @@ def projection_error(
     side: str,
     kernel: KernelSpec,
     landmarks: LandmarkSet,
-    tol: RankTolerance = RankTolerance(),
+    tol: AnchorBasis | RankTolerance = RankTolerance(),
 ) -> float:
     """||(I - Pi_m) S*|| for the chosen side: the largest residual feature
     component after projecting onto the landmark span.
 
-    Equals sqrt(lambda_max((K_nn - K_nm K_m^+ K_mn) / n)).
+    Equals sigma_max((I - Pi_m) R_pts) / sqrt(n) with R_pts the basis columns
+    of the side's points and Pi_m the projector onto the range of the
+    landmark columns R_m.  That range is cut by the default rank policy on
+    K_m = R_m'R_m: its whitened columns R_m E, E'K_m E = I, are orthonormal.
     """
     if side == "input":
         pts, lm = ds.X, landmarks.inputs
@@ -328,13 +397,10 @@ def projection_error(
         pts, lm = ds.Y, landmarks.outputs
     else:
         raise ValueError(f"side must be 'input' or 'output', got {side!r}")
-    n = len(pts)
-    W = psd_pinv_sqrt(gram(kernel, lm), tol)
-    K_nm = gram(kernel, pts, lm)
-    T = K_nm @ W
-    S = gram(kernel, pts) - T @ T.T
-    w = np.linalg.eigvalsh(0.5 * (S + S.T))
-    return math.sqrt(max(float(w[-1]), 0.0) / n)
+    basis = _anchor_basis(tol, kernel, [pts, lm])
+    R_pts, R_m = basis.columns(pts), basis.columns(lm)
+    Q = R_m @ psd_pinv_sqrt_factor(R_m.T @ R_m)[0]
+    return _factor_norm(R_pts - Q @ (Q.T @ R_pts)) / math.sqrt(len(pts))
 
 
 # ---------------------------------------------------------------------------
@@ -384,26 +450,24 @@ def exact_model_norms(
     G_exact: RkhsOperator,
     exact_model: KoopmanModel,
     exact_sol: RiccatiSolution,
-    tol: RankTolerance = RankTolerance(),
+    tol: AnchorBasis | RankTolerance = RankTolerance(),
 ) -> ExactModelNorms:
     """Bundle the norms entering the rate formulas, computed once per fixture.
 
     The exact model's output landmarks must be G's output anchors, as they are
     for a model fitted on the full paired training set (``ValueError``
-    otherwise): G, its blocks A and B, and P then share one whitening of the
-    output anchors, and G and A one of the input anchors.
+    otherwise): G, its blocks A and B, P, K and the closed loop then all read
+    the basis columns of G's output anchors Y and input anchors X.
     """
     out = exact_model.lifting.landmarks.outputs
     if not np.array_equal(out, G_exact.out_anchors):
         raise ValueError("the exact model's output landmarks must be the exact operator's output anchors")
     kernel = G_exact.kernel
-    G_out = gram(kernel, out)
-    R_y = psd_sqrt(G_out, tol)
-    R_x = psd_sqrt(gram(kernel, G_exact.in_anchors), tol)
+    basis = _anchor_basis(tol, kernel, [out, G_exact.in_anchors])
+    R_y, R_x = basis.columns(out), basis.columns(G_exact.in_anchors)
     C = _whitened_factor([(G_exact, 1.0)], R_y, R_x)
     norm_P = _factor_norm(_whitened_factor([(_riccati_operator(exact_model, exact_sol.P_m), 1.0)], R_y, R_y))
     KW = exact_sol.K_m @ exact_model.gram_out_pinv_sqrt
-    norm_K = math.sqrt(max(float(np.max(np.linalg.eigvalsh(KW @ G_out @ KW.T))), 0.0))
     # closed loop A + B K: the gain reads the state at the model's output
     # landmarks and feeds G's control block
     gain = RkhsOperator(
@@ -413,7 +477,7 @@ def exact_model_norms(
         in_anchors=out,
         out_weight=G_exact.out_weight,
     )
-    norm_L = _sum_norm([(G_exact.state_part(), 1.0), (gain, 1.0)], tol)
+    norm_L = _sum_norm([(G_exact.state_part(), 1.0), (gain, 1.0)], basis)
     # transient growth and sigma_min are taken on the synthesized subsystem:
     # the basis spans an A-invariant subspace, so this block is exactly the
     # closed loop the gain was designed for
@@ -429,7 +493,7 @@ def exact_model_norms(
         A=_factor_norm(C[:, : len(R_x)]),
         B=_factor_norm(C[:, len(R_x) :]),
         P=norm_P,
-        K=norm_K,
+        K=_factor_norm(KW @ R_y.T),
         L=norm_L,
         sigma_min_P=sigma_min_P,
         rho_L=rho,
@@ -494,7 +558,7 @@ def riccati_gap(
     exact_sol: RiccatiSolution,
     ny_model: KoopmanModel,
     ny_sol: RiccatiSolution,
-    tol: RankTolerance = RankTolerance(),
+    tol: AnchorBasis | RankTolerance = RankTolerance(),
 ) -> float:
     """Operator-norm gap between the two Riccati solutions on the lifted space.
 
@@ -640,6 +704,7 @@ class BoundReport:
     zeta: float = math.nan
     sigma_min_P: float = math.nan
     norm_G: float = math.nan
+    basis_rank: int = 0  # rank of the sweep's anchor basis
 
     def __post_init__(self) -> None:
         for name in ("empirical_gap", "gap_bound", "proj_in", "proj_out"):

@@ -149,6 +149,10 @@ def test_study_bounds_rows_ordered(tmp_path):
     ms = [int(line.split(",")[0]) for line in lines[1:]]
     assert ms == sorted(ms)
     assert len(lines) == 1 + 2 * 2
+    # every row records the rank of the sweep's one anchor basis (200 rows of
+    # X and Y, at most 200 distinct)
+    ranks = {int(line.split(",")[header.index("basis_rank")]) for line in lines[1:]}
+    assert len(ranks) == 1 and 0 < ranks.pop() <= 200
 
 
 def test_bench_smoke(tmp_path):

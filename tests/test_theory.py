@@ -9,7 +9,7 @@ from kooplift.data import Dataset, LandmarkSet, LandmarkStrategy, sample_landmar
 from kooplift.identify import NystromLift, fit
 from kooplift.kernels import KernelFamily, KernelSpec, gram
 from kooplift.lqr import LqrWeights, solve_model_dare
-from kooplift.numerics import RankTolerance
+from kooplift.numerics import RankTolerance, psd_sqrt
 
 M52 = KernelSpec(KernelFamily.Matern52, 1.0, 1.0)
 RBF = KernelSpec(KernelFamily.RBF, 1.0, 1.0)
@@ -620,20 +620,125 @@ def test_bound_report_validation_and_csv(tmp_path):
         empirical_gap=0.125, gap_bound=7.5, proj_in=0.1, proj_out=0.2,
         riccati_gap=2.5, riccati_bound=1e3, riccati_precondition=False,
         objective_gap=math.inf, objective_bound=3e12, objective_precondition=True,
-        Gamma=12.25, tau=1.5, tau_truncated=True, zeta=0.999, sigma_min_P=-7.3e-16, norm_G=33.0,
+        Gamma=12.25, tau=1.5, tau_truncated=True, zeta=0.999, sigma_min_P=-7.3e-16, norm_G=33.0, basis_rank=90,
     )
     theory.write_bound_reports(tmp_path / "b.csv", [row])
     text = (tmp_path / "b.csv").read_text().splitlines()
     assert text == [
         "m,seed,gamma,delta,kappa,empirical_gap,gap_bound,proj_in,proj_out,riccati_gap,riccati_bound,"
         "riccati_precondition,objective_gap,objective_bound,objective_precondition,Gamma,tau,tau_truncated,"
-        "zeta,sigma_min_P,norm_G",
+        "zeta,sigma_min_P,norm_G,basis_rank",
         "20,3,9.9999999999999995e-07,0.050000000000000003,1,0.125,7.5,0.10000000000000001,"
         "0.20000000000000001,2.5,1000,False,inf,3000000000000,True,12.25,1.5,True,0.999,"
-        "-7.3000000000000003e-16,33",
+        "-7.3000000000000003e-16,33,90",
     ]
     with pytest.raises(ValueError):
         theory.BoundReport(
             m=10, seed=0, gamma=1e-6, delta=0.05, kappa=1.0,
             empirical_gap=-1.0, gap_bound=2.0, proj_in=0.1, proj_out=0.2,
         )
+
+
+def test_anchor_basis_columns_factor_the_gram_of_its_rows():
+    ds = toy_dataset(n=20, seed=14)
+    pts = np.vstack([ds.X, ds.Y, ds.X[:5]])  # repeated rows share one column
+    basis = theory.AnchorBasis(M52, pts, RankTolerance(1e-13))
+    R = basis.columns(pts)
+    assert basis.rank == len(R) <= 40
+    assert np.allclose(R.T @ R, gram(M52, pts), atol=1e-12)
+    assert np.array_equal(basis.columns(ds.X[:5]), R[:, 40:])
+
+
+def test_anchor_basis_rejects_points_outside_it():
+    # a basis never whitens again: a point that is not one of its rows is an error
+    ds = toy_dataset(n=20, seed=14)
+    basis = theory.AnchorBasis(M52, ds.X, RankTolerance())
+    with pytest.raises(ValueError, match=r"point \[5\.0\] is not a row"):
+        basis.columns(np.vstack([ds.X[:3], [[5.0]], [[6.0]]]))
+    G = theory.build_exact_operator(ds, M52, 1e-2)  # its output anchors are Y
+    with pytest.raises(ValueError, match="is not a row"):
+        theory.operator_norm(G, basis)
+    with pytest.raises(ValueError, match="different kernel"):
+        theory.operator_norm(G, theory.AnchorBasis(RBF, np.vstack([ds.X, ds.Y]), RankTolerance()))
+
+
+def stacked_anchor_norm(ops, tol):
+    """The operator norm of a signed sum with each anchor stack whitened from
+    its own Gram: R_out from the stacked output anchors, R_in from the stacked
+    input anchors (the same factor when every term reads its input at its own
+    output anchors)."""
+    kernel = ops[0][0].kernel
+    R_out = psd_sqrt(gram(kernel, np.vstack([op.out_anchors for op, _ in ops])), tol)
+    if all(op.in_anchors is op.out_anchors for op, _ in ops):
+        R_in = R_out
+    else:
+        R_in = psd_sqrt(gram(kernel, np.vstack([op.in_anchors for op, _ in ops if op.p])), tol)
+    return float(np.linalg.norm(theory._whitened_factor(ops, R_out, R_in), 2))
+
+
+@pytest.fixture(scope="module")
+def rate_sweep_rows():
+    """riccati_objective_sweep on the rate fixture at m = 20 and 160, seeds 0-2."""
+    from kooplift.experiments import fixture_dataset, riccati_objective_sweep
+
+    _, ds = fixture_dataset(n=500, seed=7)
+    return ds, riccati_objective_sweep(ds, m_list=(20, 160), n_seeds=3)
+
+
+def test_sweep_basis_gaps_match_stacked_anchor_whitening(rate_sweep_rows):
+    # every norm of the sweep reads one basis over the fixture's distinct rows
+    # (rank 90 of 510 at the 1e-13 cutoff); the reference whitens each row's
+    # stacked anchors from their own Gram at the same cutoff.  Measured: within
+    # 1.9e-5 (operator gap) and 6.6e-5 (Riccati gap) relative
+    from kooplift.experiments import MATERN_UNIT, fit_exact
+
+    ds, rows = rate_sweep_rows
+    tol = RankTolerance(1e-13)
+    gamma = rows[0].gamma
+    G = theory.build_exact_operator(ds, MATERN_UNIT, gamma)
+    exact_model = fit_exact(ds, gamma)
+    Q_exact = exact_model.C.T @ exact_model.C
+    exact_sol = solve_model_dare(exact_model, np.eye(1), np.eye(1), rho_cap=0.9995)
+    P_exact = theory._riccati_operator(exact_model, exact_sol.P_m)
+    for row in rows:
+        lm = sample_landmarks(ds, row.m, LandmarkStrategy.IndependentUniform, seed=row.seed)
+        ny_model = fit(ds, NystromLift(MATERN_UNIT, lm), gamma=gamma, lam=gamma)
+        G_ny = theory.build_nystrom_operator(ny_model)
+        Q_ny, _ = theory.transport_weights(exact_model, Q_exact, ny_model)
+        ny_sol = solve_model_dare(ny_model, weights=LqrWeights(Q_ny, np.eye(1)), rho_cap=0.9995)
+        P_ny = theory._riccati_operator(ny_model, ny_sol.P_m)
+        assert row.basis_rank == 90
+        assert row.empirical_gap == pytest.approx(stacked_anchor_norm([(G, 1.0), (G_ny, -1.0)], tol), rel=1e-4)
+        assert row.riccati_gap == pytest.approx(stacked_anchor_norm([(P_exact, 1.0), (P_ny, -1.0)], tol), rel=1e-4)
+
+
+def test_sweep_projection_errors_match_explicit_coordinates(rate_sweep_rows):
+    # oracle: explicit coordinates of the side's points and landmarks from
+    # one unclipped Gram eigendecomposition, projected onto the landmark
+    # coordinates' left singular vectors with sigma^2 above 1e-10 of the top
+    # (the default rank rule on K_m).  Measured: within 4.4e-5 relative here;
+    # at m = 80 the 1e-13 basis cutoff leaves up to 1.6e-4
+    ds, rows = rate_sweep_rows
+    for row in rows:
+        lm = sample_landmarks(ds, row.m, LandmarkStrategy.IndependentUniform, seed=row.seed)
+        for val, pts, L in ((row.proj_in, ds.X, lm.inputs), (row.proj_out, ds.Y, lm.outputs)):
+            Phi = explicit_coordinates(M52, np.vstack([pts, L]))
+            PX, PL = Phi[:, : len(pts)], Phi[:, len(pts) :]
+            U, sv, _ = np.linalg.svd(PL, full_matrices=False)
+            Q = U[:, sv**2 > RankTolerance().rel_cutoff * sv[0] ** 2]
+            oracle = float(np.linalg.norm(PX - Q @ (Q.T @ PX), 2)) / math.sqrt(len(pts))
+            assert val == pytest.approx(oracle, rel=1e-4)
+
+
+def test_sweeps_bit_identical_across_worker_counts():
+    # the sweep's one basis is shared read-only by seed_map's threads
+    from kooplift.experiments import fixture_dataset, gap_sweep, riccati_objective_sweep
+
+    _, ds = fixture_dataset(n=100, seed=7)
+    for sweep in (gap_sweep, riccati_objective_sweep):
+        serial, threaded = (sweep(ds, m_list=(5, 10), n_seeds=3, gamma=1e-4, workers=w) for w in (1, 2))
+        if sweep is gap_sweep:
+            (serial, norm_1), (threaded, norm_2) = serial, threaded
+            assert repr(norm_1) == repr(norm_2)
+        assert len(serial) == 6
+        assert [repr(r) for r in serial] == [repr(r) for r in threaded]
