@@ -46,6 +46,7 @@ from .simulate import (
     metric_rmse_u_pct,
     rk4_step,
     rollout_closed_loop,
+    rollout_closed_loops,
     true_optimal_control_cubic,
 )
 

@@ -270,6 +270,7 @@ def cmd_control(cfg: dict, out: Path) -> int:
         "dare_iterations": sol.iterations,
         "converged": sol.converged,
         "deflated": sol.deflated,
+        "jitter_applied": sol.jitter_applied,
         "rho_L_full": sol.rho_L_full,
         "final_state": list(res.states[-1]),
         "avg_running_cost": metric_avg_running_cost(
@@ -387,7 +388,12 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
     parser.add_argument("--out", default="out", help="output directory")
     parser.add_argument("--override", action="append", metavar="KEY=VALUE", help="override a config key")
-    parser.add_argument("--workers", type=int, default=1, help="bounded worker pool for seed sweeps")
+    parser.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        help="bounded thread pool for the per-seed work of seed sweeps (closed loops run as one stack)",
+    )
     args = parser.parse_args(argv)
     try:
         cfg = _load_config(args)

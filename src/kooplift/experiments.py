@@ -30,7 +30,8 @@ from .simulate import (
     collect_training_data,
     metric_rmse_pct,
     metric_rmse_u_pct,
-    rollout_closed_loop,
+    RolloutResult,
+    rollout_closed_loops,
     rollout_open_loop,
     rollout_policy,
     true_optimal_control_cubic,
@@ -121,18 +122,28 @@ def fit_exact(ds: Dataset, gamma: float = 1e-6) -> KoopmanModel:
     return fit(ds, NystromLift(MATERN_UNIT, landmarks), gamma=gamma, lam=gamma)
 
 
-def _cubic_cost(sys, model, sol, x0=0.9, max_steps=10_000) -> tuple[float, bool]:
-    res = rollout_closed_loop(
+def _synthesized(ds: Dataset, m: int, gamma: float, Qprime, n_seeds: int, workers: int):
+    """The compressed models of seeds 0 .. n_seeds - 1 and their regulators, as two lists."""
+
+    def one(seed: int):
+        model = fit_nystrom(ds, m, seed, gamma)
+        return model, solve_model_dare(model, Qprime, np.eye(1))
+
+    fitted = seed_map(one, range(n_seeds), workers)
+    return [model for model, _ in fitted], [sol for _, sol in fitted]
+
+
+def _cubic_costs(sys, models, sols, x0=0.9, max_steps=10_000) -> list[RolloutResult]:
+    return rollout_closed_loops(
         sys,
-        model,
-        sol,
+        models,
+        sols,
         np.array([x0]),
         T_steps=max_steps,
         Qprime=np.eye(1),
         R=np.eye(1),
         stop_norm=1e-6,
     )
-    return res.total_cost, res.diverged
 
 
 @dataclass
@@ -163,19 +174,13 @@ def cubic_cost_experiment(
     uncompressed model, and the known optimal feedback.
     """
     sys, ds = cubic_training_data(seed=data_seed)
-
-    def one(seed: int):
-        model = fit_nystrom(ds, m, seed, gamma)
-        sol = solve_model_dare(model, np.eye(1), np.eye(1))
-        return _cubic_cost(sys, model, sol, x0)
-
-    outcomes = seed_map(one, range(n_seeds), workers)
-    costs = [c for c, _ in outcomes]
-    diverged = sum(int(bad) for _, bad in outcomes)
+    runs = _cubic_costs(sys, *_synthesized(ds, m, gamma, np.eye(1), n_seeds, workers), x0)
+    costs = [res.total_cost for res in runs]
+    diverged = sum(int(res.diverged) for res in runs)
     if exact:
         model_ex = fit_exact(ds, gamma)
         sol_ex = solve_model_dare(model_ex, np.eye(1), np.eye(1))
-        exact_cost, _ = _cubic_cost(sys, model_ex, sol_ex, x0)
+        exact_cost = _cubic_costs(sys, [model_ex], [sol_ex], x0)[0].total_cost
     else:
         exact_cost = math.nan
     opt = rollout_policy(
@@ -211,15 +216,8 @@ def cubic_rmse_experiment(
         np.array([x0]),
         T_steps=T,
     )
-    u_opt = opt.controls
-
-    def one(seed: int) -> float:
-        model = fit_nystrom(ds, m, seed, gamma)
-        sol = solve_model_dare(model, np.eye(1), np.eye(1))
-        res = rollout_closed_loop(sys, model, sol, np.array([x0]), T_steps=T)
-        return metric_rmse_u_pct(res.controls, u_opt)
-
-    return seed_map(one, range(n_seeds), workers)
+    runs = rollout_closed_loops(sys, *_synthesized(ds, m, gamma, np.eye(1), n_seeds, workers), np.array([x0]), T)
+    return [metric_rmse_u_pct(res.controls, opt.controls) for res in runs]
 
 
 @dataclass
@@ -246,18 +244,10 @@ def duffing_stabilization_experiment(
     """Regulate the oscillator to the origin with a small compressed model."""
     sys, ds = duffing_training_data(seed=data_seed)
     T = int(round(horizon_s / sys.dt))
-
-    def one(seed: int):
-        model = fit_nystrom(ds, m, seed, gamma)
-        sol = solve_model_dare(model, np.eye(2), np.eye(1))
-        res = rollout_closed_loop(sys, model, sol, np.array(x0), T_steps=T)
-        norms = np.linalg.norm(res.states, axis=1)
-        return float(np.min(norms)), res.diverged
-
-    outcomes = seed_map(one, range(n_seeds), workers)
-    min_norms = [mn for mn, _ in outcomes]
+    runs = rollout_closed_loops(sys, *_synthesized(ds, m, gamma, np.eye(2), n_seeds, workers), np.array(x0), T)
+    min_norms = [float(np.min(np.linalg.norm(res.states, axis=1))) for res in runs]
     reached = [mn < target_norm for mn in min_norms]
-    diverged = sum(int(bad) for _, bad in outcomes)
+    diverged = sum(int(res.diverged) for res in runs)
     return StabilizationResult(reached, diverged, min_norms)
 
 

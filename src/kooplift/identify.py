@@ -52,7 +52,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .data import Dataset, LandmarkSet
-from .kernels import KernelFamily, KernelSpec, gram, gram_column, thin_plate_matrix, thin_plate_row
+from .kernels import FeatureStack, KernelFamily, KernelSpec, gram, gram_stack, thin_plate_matrix, thin_plate_stack
 from .numerics import psd_pinv_sqrt, psd_pinv_sqrt_factor, solve_psd
 
 FloatArray = NDArray[np.float64]
@@ -62,6 +62,9 @@ __all__ = [
     "ThinPlateLift",
     "LiftingSpec",
     "KoopmanModel",
+    "ReadoutStack",
+    "readout_stack",
+    "lift_shape",
     "ForecastDivergence",
     "fit",
     "embed_state",
@@ -140,29 +143,51 @@ class KoopmanModel:
             return self.gram_out_pinv_sqrt @ k_out
         return thin_plate_matrix(X, self.lifting.centers).T
 
-    def linear_readout(self, M):
-        """x -> M z(x) with the (M @ embedding-weight) product taken once.
-
-        Keeps per-step feedback evaluation linear in m instead of quadratic,
-        which matters when the landmark set is the whole training set.  The
-        landmarks (or centers) are validated once, here, so each step
-        validates only x.
-        """
-        M = np.atleast_2d(np.asarray(M, dtype=float))
-        if isinstance(self.lifting, NystromLift):
-            M = M @ self.gram_out_pinv_sqrt
-            features = gram_column(self.lifting.kernel, self.lifting.landmarks.outputs)
-        else:
-            features = thin_plate_row(self.lifting.centers)
-
-        def readout(x):
-            return M @ features(x)
-
-        return readout
-
     def range_basis(self) -> FloatArray:
         """Orthonormal basis (m, r) of the numerically retained lift range."""
         return self._range
+
+
+@dataclass(frozen=True)
+class ReadoutStack:
+    """x_s -> M_s z_s(x_s) for S models of one lift shape, stepped together.
+
+    ``M`` is the (S, n_u, m) stack of the readouts times each model's embedding
+    weight, taken once, so evaluating the stack on X (S, d) is one batched
+    feature pass and one batched product, linear in m per row.  Row s is bit for
+    bit M_s W_s k_s(x_s), the product and feature column of a single model.
+    """
+
+    features: FeatureStack
+    M: FloatArray
+
+    def __call__(self, X) -> FloatArray:
+        return np.matmul(self.M, self.features(X)[:, :, None])[:, :, 0]
+
+    def take(self, rows) -> ReadoutStack:
+        """The stack of the models ``rows`` (an index array or slice)."""
+        return ReadoutStack(self.features.take(rows), self.M[rows])
+
+
+def lift_shape(model: KoopmanModel) -> tuple:
+    """What models must share to form one ``ReadoutStack``: lift kind, kernel,
+    feature count and state dimension."""
+    return type(model.lifting), getattr(model.lifting, "kernel", None), model.m, model.d
+
+
+def readout_stack(models, Ms) -> ReadoutStack:
+    """The readouts x -> M_s z_s(x) of models of one ``lift_shape``, as one stack."""
+    if not models or len(Ms) != len(models):
+        raise ValueError(f"need one readout per model, got {len(Ms)} for {len(models)} models")
+    if len({lift_shape(model) for model in models}) != 1:
+        raise ValueError("models of one readout stack must share one lift_shape")
+    Ms = [np.atleast_2d(np.asarray(M, dtype=float)) for M in Ms]
+    if isinstance(models[0].lifting, NystromLift):
+        features = gram_stack(models[0].lifting.kernel, [model.lifting.landmarks.outputs for model in models])
+        Ms = [M @ model.gram_out_pinv_sqrt for M, model in zip(Ms, models)]
+    else:
+        features = thin_plate_stack([model.lifting.centers for model in models])
+    return ReadoutStack(features, np.stack(Ms))
 
 
 def embed_state(model: KoopmanModel, x) -> FloatArray:
@@ -303,6 +328,10 @@ def fit(
 # ---------------------------------------------------------------------------
 
 
+# version of the model JSON layout written by ``model_to_dict``
+MODEL_SCHEMA_VERSION = 1
+
+
 def _arr(a: FloatArray) -> list:
     return np.asarray(a, dtype=float).tolist()
 
@@ -323,6 +352,7 @@ def model_to_dict(model: KoopmanModel) -> dict:
     else:
         lift = {"variant": "thinplate", "centers": _arr(model.lifting.centers)}
     return {
+        "schema_version": MODEL_SCHEMA_VERSION,
         "lifting": lift,
         "A_m": _arr(model.A_m),
         "B_m": _arr(model.B_m),
@@ -352,7 +382,11 @@ def model_from_dict(doc: dict) -> KoopmanModel:
 
     The range basis is rebuilt from the landmarks through the same rank decision
     as the fit, so a loaded model synthesizes the same gain as the fitted one.
+    A document without ``schema_version`` or with another version is refused.
     """
+    version = doc.get("schema_version")
+    if version != MODEL_SCHEMA_VERSION:
+        raise ValueError(f"model schema_version is {version!r}, expected {MODEL_SCHEMA_VERSION}")
     m = len(doc["A_m"])
     A_m = _json_array(doc, "A_m", (m, m))
     B_m = _json_array(doc, "B_m", (m, None))

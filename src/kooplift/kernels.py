@@ -26,13 +26,16 @@ bit for bit that of the whole-array formula.  The product itself is not split:
 OpenBLAS picks its kernels (and, for X Y^T with Y = X, a symmetric rank-k
 update) from the whole shape, and a product taken block by block differed in
 its last bits, even for blocks aligned to 64 rows.
+
+A ``FeatureStack`` runs the same steps for S points at once, each against its
+own point set: the per-step feature map of S feedback laws stepped together.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.typing import NDArray
@@ -44,9 +47,10 @@ __all__ = [
     "KernelSpec",
     "kernel_eval",
     "gram",
-    "gram_column",
     "thin_plate_matrix",
-    "thin_plate_row",
+    "FeatureStack",
+    "gram_stack",
+    "thin_plate_stack",
 ]
 
 
@@ -144,15 +148,19 @@ def _pairwise(X: FloatArray, xx: FloatArray, Y: FloatArray, yy: FloatArray, prof
     out = X @ Y.T
     rows = max(1, _BLOCK_ENTRIES // len(Y))
     for i in range(0, len(X), rows):
-        O = out[i : i + rows]
-        O *= 2.0
-        R = xx[i : i + rows, None] + yy[None, :]
-        T = np.empty_like(R)
-        R -= O
-        np.maximum(R, 0.0, out=R)
-        np.sqrt(R, out=R)
-        profile(R, T, O)
+        _profile_block(out[i : i + rows], xx[i : i + rows, None] + yy[None, :], profile)
     return out
+
+
+def _profile_block(O: FloatArray, R: FloatArray, profile) -> None:
+    """O <- profile(sqrt(max(R - 2 O, 0))) in place, with O a block of inner
+    products <x, y> and R the sums ||x||^2 + ||y||^2 of the same pairs."""
+    O *= 2.0
+    T = np.empty_like(R)
+    R -= O
+    np.maximum(R, 0.0, out=R)
+    np.sqrt(R, out=R)
+    profile(R, T, O)
 
 
 def _as_points(X, name: str) -> FloatArray:
@@ -198,29 +206,6 @@ def gram(spec: KernelSpec, X, Y=None) -> FloatArray:
     return K
 
 
-def _single_point(x, d: int) -> FloatArray:
-    x = _as_points(x, "x")
-    if x.shape != (1, d):
-        raise ValueError(f"expected one point of dimension {d}, got shape {x.shape}")
-    return x
-
-
-def gram_column(spec: KernelSpec, X):
-    """y -> gram(spec, X, y)[:, 0] for one point y, bit for bit.
-
-    X is validated and its squared norms taken once, here; each call then
-    validates only y.  This is the per-step feature map of a feedback law.
-    """
-    X = _as_points(X, "X")
-    xx, profile = _sq_norms(X), _kernel_profile(spec)
-
-    def column(y) -> FloatArray:
-        y = _single_point(y, X.shape[1])
-        return _pairwise(X, xx, y, _sq_norms(y), profile)[:, 0]
-
-    return column
-
-
 def thin_plate_matrix(X, centers) -> FloatArray:
     """Stacked thin-plate features for many points, shape (len(X), len(centers))."""
     X = _as_points(X, "X")
@@ -230,16 +215,56 @@ def thin_plate_matrix(X, centers) -> FloatArray:
     return _pairwise(X, _sq_norms(X), C, _sq_norms(C), _thin_plate_profile)
 
 
-def thin_plate_row(centers):
-    """x -> thin_plate_matrix(x, centers)[0] for one point x, bit for bit.
+@dataclass(frozen=True)
+class FeatureStack:
+    """Features of S points, point s against its own set of m points.
 
-    The centers are validated and their squared norms taken once, here.
+    ``points`` is the (S, m, d) stack of point sets and ``sq_norms`` (S, m)
+    their squared norms, both taken once; ``profile`` is a kernel's or the
+    thin-plate profile.  Calling the stack on X (S, d) returns the (S, m)
+    features, row s bit for bit ``gram(spec, points[s], X[s:s + 1])[:, 0]``
+    (from ``gram_stack``) or ``thin_plate_matrix(X[s:s + 1], points[s])[0]``
+    (from ``thin_plate_stack``): one batched product gives every <p, x>, whose
+    per-row BLAS call is the one those matrices make, and the distance and
+    profile steps then run in place on the whole (S, m) block.
     """
-    C = _as_points(centers, "centers")
-    cc = _sq_norms(C)
 
-    def row(x) -> FloatArray:
-        x = _single_point(x, C.shape[1])
-        return _pairwise(x, _sq_norms(x), C, cc, _thin_plate_profile)[0]
+    points: FloatArray
+    sq_norms: FloatArray
+    profile: object = field(repr=False)
 
-    return row
+    def __call__(self, X) -> FloatArray:
+        X = np.asarray(X, dtype=float)
+        S, _, d = self.points.shape
+        if X.shape != (S, d):
+            raise ValueError(f"expected {S} points of dimension {d}, got shape {X.shape}")
+        if not np.isfinite(X).all():
+            raise ValueError("x contains non-finite entries")
+        O = np.matmul(self.points, X[:, :, None])[:, :, 0]
+        _profile_block(O, self.sq_norms + _sq_norms(X)[:, None], self.profile)
+        return O
+
+    def take(self, rows) -> FeatureStack:
+        """The stack of the point sets ``rows`` (an index array or slice)."""
+        return FeatureStack(self.points[rows], self.sq_norms[rows], self.profile)
+
+
+def _point_stack(P) -> FloatArray:
+    P = np.asarray(P, dtype=float)
+    if P.ndim != 3 or 0 in P.shape:
+        raise ValueError(f"a point stack must be a nonempty (S, m, d) array, got shape {P.shape}")
+    if not np.isfinite(P).all():
+        raise ValueError("point stack contains non-finite entries")
+    return P
+
+
+def gram_stack(spec: KernelSpec, landmarks) -> FeatureStack:
+    """Kernel features of S points against S landmark sets (S, m, d), validated here."""
+    L = _point_stack(landmarks)
+    return FeatureStack(L, (L * L).sum(axis=2), _kernel_profile(spec))
+
+
+def thin_plate_stack(centers) -> FeatureStack:
+    """Thin-plate features of S points against S center sets (S, m, d), validated here."""
+    C = _point_stack(centers)
+    return FeatureStack(C, (C * C).sum(axis=2), _thin_plate_profile)

@@ -86,6 +86,8 @@ class RiccatiSolution:
     ``deflated`` counts lifted modes excluded from synthesis because they sit
     numerically on the unit circle with negligible control authority; the gain
     leaves them untouched and ``rho_L`` refers to the synthesized subsystem.
+    ``jitter_applied`` records whether any PSD solve of the synthesis (the
+    input weight, each checked residual, the gain) fell back to jitter.
     """
 
     P_m: FloatArray
@@ -98,6 +100,7 @@ class RiccatiSolution:
     deflated: int = 0
     rho_L_full: float | None = None
     converged: bool = True
+    jitter_applied: bool = False
     # orthonormal columns spanning the synthesized subspace, when synthesis ran
     # on a restriction of the lifted coordinates
     basis: FloatArray | None = field(default=None, repr=False)
@@ -138,13 +141,17 @@ def _riccati_core(A, B, weights: LqrWeights, tol: float, horizon: int) -> Riccat
     RuntimeError on the first segment that is not finite.
     """
     Q, R = weights.Q_m, weights.R
-    G = B @ solve_psd(R, B.T)[0]
+    R_inv_Bt, jitter = solve_psd(R, B.T)
+    G = B @ R_inv_Bt
     seg = (A, 0.5 * (G + G.T), Q)
     powers = []  # powers[j] spans 2^j stages
     deltas: list[float] = []
+    jitters = [jitter]
 
     def meets_rule(P) -> bool:
-        deltas.append(dare_residual(P, A, B, weights))
+        defect, jitter = _dare_defect(P, A, B, weights)
+        deltas.append(float(np.linalg.norm(defect, 2)))
+        jitters.append(jitter)
         return deltas[-1] <= tol * (1.0 + float(np.linalg.norm(P, 2)))
 
     def extend(early, late, reached: int):
@@ -173,7 +180,8 @@ def _riccati_core(A, B, weights: LqrWeights, tol: float, horizon: int) -> Riccat
         converged = meets_rule(seg[2])
     P = seg[2]
     BtP = B.T @ P
-    gain_part, _ = solve_psd(R + BtP @ B, BtP @ A)
+    gain_part, jitter = solve_psd(R + BtP @ B, BtP @ A)
+    jitters.append(jitter)
     K = -gain_part
     L = A + B @ K
     return RiccatiSolution(
@@ -185,6 +193,7 @@ def _riccati_core(A, B, weights: LqrWeights, tol: float, horizon: int) -> Riccat
         iterations=stages - 1,
         delta_history=tuple(deltas),
         converged=converged,
+        jitter_applied=any(jitters),
     )
 
 
@@ -216,15 +225,16 @@ def solve_dare(
     return sol
 
 
-def _dare_defect(P, A, B, weights: LqrWeights) -> FloatArray:
-    """F(P, A, B) = P - A'[P - PB(R+B'PB)^(-1)B'P]A - Q, the DARE residual matrix.
+def _dare_defect(P, A, B, weights: LqrWeights) -> tuple[FloatArray, bool]:
+    """F(P, A, B) = P - A'[P - PB(R+B'PB)^(-1)B'P]A - Q, the DARE residual
+    matrix, with the jitter flag of its solve.
 
     Its negative, D = Q + A'PA - A'PB (R+B'PB)^(-1) B'PA - P, is the weight of
     the cost-difference identity in ``theory.objective_reference``.
     """
     BtP = B.T @ P
-    inner_part, _ = solve_psd(weights.R + BtP @ B, BtP)
-    return P - A.T @ (P - BtP.T @ inner_part) @ A - weights.Q_m
+    inner_part, jitter = solve_psd(weights.R + BtP @ B, BtP)
+    return P - A.T @ (P - BtP.T @ inner_part) @ A - weights.Q_m, jitter
 
 
 def dare_residual(P, A, B, weights: LqrWeights) -> float:
@@ -234,7 +244,7 @@ def dare_residual(P, A, B, weights: LqrWeights) -> float:
     B = np.asarray(B, dtype=float)
     if B.ndim == 1:
         B = B[:, None]
-    return float(np.linalg.norm(_dare_defect(P, A, B, weights), 2))
+    return float(np.linalg.norm(_dare_defect(P, A, B, weights)[0], 2))
 
 
 def _deflate_marginal_modes(A: FloatArray, rho_cap: float):
@@ -323,5 +333,6 @@ def solve_model_dare(
         deflated=deflated,
         rho_L_full=rho_full,
         converged=red.converged,
+        jitter_applied=red.jitter_applied,
         basis=basis,
     )

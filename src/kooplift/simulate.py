@@ -12,8 +12,10 @@ Continuous dynamics are discretized with classical RK4 under a zero-order hold
 on the control.  States and controls travel in stacks: a system's ``rhs`` and
 ``rk4_step`` take S states as an (S, d) array and their controls as an (S, n_u)
 array, and ``_integrate`` is the one RK4 loop, stepping a whole stack at once.
-Collection steps every trajectory of a protocol together; each rollout is a
-stack of one.  Rollouts never raise on divergence; they truncate and flag.
+Collection steps every trajectory of a protocol together, and the closed loops
+of many models (one per landmark seed, say) run as one stack per lift shape;
+a policy or open-loop rollout is a stack of one.  Rollouts never raise on
+divergence; they truncate and flag.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .data import Trajectory, derived_rng
-from .identify import KoopmanModel
+from .identify import KoopmanModel, ReadoutStack, lift_shape, readout_stack
 from .lqr import RiccatiSolution
 
 FloatArray = NDArray[np.float64]
@@ -49,6 +51,7 @@ __all__ = [
     "rk4_step",
     "collect_training_data",
     "rollout_closed_loop",
+    "rollout_closed_loops",
     "rollout_policy",
     "rollout_open_loop",
     "metric_rmse_pct",
@@ -153,7 +156,7 @@ def _integrate(sys: SystemSpec, X0, T_steps: int, control, stop=None) -> _Run:
 
     ``control(t, x, rows)`` gives the (S', n_u) controls of the S' rows still
     running, whose states are x and whose indices into the stack are ``rows``
-    (a slice while every row runs).  A row ends on its own: a step whose state
+    (a slice while every row runs; the same object until a row ends).  A row ends on its own: a step whose state
     is non-finite or has norm above DIVERGENCE_NORM is kept, with non-finite
     entries set to inf, and flagged; with ``stop = (r, stop_norm)`` a row also
     ends once ||x - r|| falls below stop_norm.
@@ -367,24 +370,28 @@ class RolloutResult:
         return float(np.sum(self.stage_costs))
 
 
-def _run_single(sys: SystemSpec, x0, T_steps: int, control, weights=None, stop_norm=None) -> RolloutResult:
-    """One trajectory, a stack of one on ``_integrate``: u_t = control(t, x_t).
+def _rollouts(sys: SystemSpec, X0, T_steps: int, control, weights=None, stop_norm=None) -> list[RolloutResult]:
+    """The rows of X0 stepped as one stack on ``_integrate``, one rollout per row.
 
-    With ``weights = (r, Q', R)`` each step records the stage cost
-    (x - r)' Q' (x - r) + u' R u of the state it starts from, and ``stop_norm``
-    ends the run once ||x - r|| falls below it; without, stage costs are zero.
+    ``control`` is ``_integrate``'s.  With ``weights = (r, Q', R)`` each step
+    records the stage cost (x - r)' Q' (x - r) + u' R u of the state it starts
+    from, one array expression per row, and ``stop_norm`` ends a row once
+    ||x - r|| falls below it; without, stage costs are zero.
     """
     stop = None if stop_norm is None else (weights[0], stop_norm)
-    run = _integrate(sys, x0[None, :], T_steps, lambda t, x, rows: control(t, x[0])[None, :], stop)
-    n = int(run.steps[0])
-    states, controls = run.states[: n + 1, 0], run.controls[:n, 0]
-    if weights is None:
-        costs = np.zeros(n)
-    else:
-        r, Qprime, R = weights
-        costs = np.array([float(e @ Qprime @ e + u @ R @ u) for e, u in zip(states[:n] - r, controls)])
-    diverged = bool(run.diverged[0])
-    return RolloutResult(states, controls, costs, diverged, n if diverged else None)
+    run = _integrate(sys, X0, T_steps, control, stop)
+    results = []
+    for s, n in enumerate(run.steps.tolist()):
+        states, controls = run.states[: n + 1, s].copy(), run.controls[:n, s].copy()
+        if weights is None:
+            costs = np.zeros(n)
+        else:
+            r, Qprime, R = weights
+            E = states[:n] - r
+            costs = ((E @ Qprime) * E).sum(1) + ((controls @ R) * controls).sum(1)
+        diverged = bool(run.diverged[s])
+        results.append(RolloutResult(states, controls, costs, diverged, n if diverged else None))
+    return results
 
 
 def _stage_weights(sys: SystemSpec, reference, Qprime, R):
@@ -393,6 +400,69 @@ def _stage_weights(sys: SystemSpec, reference, Qprime, R):
     Qprime = np.eye(sys.d) if Qprime is None else np.atleast_2d(np.asarray(Qprime, dtype=float))
     R = np.eye(sys.n_u) if R is None else np.atleast_2d(np.asarray(R, dtype=float))
     return r, Qprime, R
+
+
+def _feedback(readout: ReadoutStack, r: FloatArray):
+    """``_integrate``'s control for u_s = K_s (z_s(x) - z_s(r)), row s of the readout stack.
+
+    The stack of the rows still running is taken once each time that set changes.
+    """
+    shift = readout(np.tile(r, (len(readout.M), 1)))
+    taken_rows, taken, taken_shift = None, readout, shift
+
+    def control(t, x, rows):
+        nonlocal taken_rows, taken, taken_shift
+        if rows is not taken_rows:
+            taken_rows, taken, taken_shift = rows, readout.take(rows), shift[rows]
+        return taken(x) - taken_shift
+
+    return control
+
+
+def rollout_closed_loops(
+    sys: SystemSpec,
+    models,
+    sols,
+    x0,
+    T_steps: int,
+    reference=None,
+    Qprime=None,
+    R=None,
+    stop_norm: float | None = None,
+) -> list[RolloutResult]:
+    """Run the true system from x0 under each model's lifted state-feedback law.
+
+    The input of model s is u = K_s (z_s(x) - z_s(r)), with K_s the gain of
+    ``sols[s]``: the gain acts on the embedding relative to the embedded
+    reference (the origin by default), so the policy vanishes exactly at the
+    reference and the closed loop can settle there.  The raw law u = K z(x)
+    carries a small constant bias K z(r) that would otherwise park the loop at
+    a cost-accumulating offset.  Stage costs use (x - r)' Q' (x - r) + u' R u.
+    ``stop_norm`` ends a rollout early once ||x - r|| falls below it
+    (cost-truncation rule for effectively converged loops); divergence
+    truncates and flags.  Regulation to a nonzero reference is experimental
+    (no feedforward term is added).
+
+    Models of one ``lift_shape`` step together as one stack, each step one
+    batched feature pass and one batched readout; every row ends by itself and
+    is bit for bit the stack of one of its model.
+    """
+    x = np.asarray(x0, dtype=float).ravel()
+    if len(sols) != len(models):
+        raise ValueError(f"need one Riccati solution per model, got {len(sols)} for {len(models)} models")
+    if x.shape[0] != sys.d or any(model.d != sys.d for model in models):
+        raise ValueError("state dimension mismatch between system, model and x0")
+    weights = _stage_weights(sys, reference, Qprime, R)
+    stacks: dict = {}
+    for i, model in enumerate(models):
+        stacks.setdefault(lift_shape(model), []).append(i)
+    results: list = [None] * len(models)
+    for idx in stacks.values():
+        readout = readout_stack([models[i] for i in idx], [sols[i].K_m for i in idx])
+        X0 = np.tile(x, (len(idx), 1))
+        for i, res in zip(idx, _rollouts(sys, X0, T_steps, _feedback(readout, weights[0]), weights, stop_norm)):
+            results[i] = res
+    return results
 
 
 def rollout_closed_loop(
@@ -406,25 +476,8 @@ def rollout_closed_loop(
     R=None,
     stop_norm: float | None = None,
 ) -> RolloutResult:
-    """Run the true system under the lifted state-feedback law.
-
-    The input is u = K (z(x) - z(r)): the gain acts on the embedding relative
-    to the embedded reference (the origin by default), so the policy vanishes
-    exactly at the reference and the closed loop can settle there.  The raw
-    law u = K z(x) carries a small constant bias K z(r) that would otherwise
-    park the loop at a cost-accumulating offset.  Stage costs use
-    (x - r)' Q' (x - r) + u' R u.  ``stop_norm`` ends the rollout early once
-    ||x - r|| falls below it (cost-truncation rule for effectively converged
-    loops); divergence truncates and flags.  Regulation to a nonzero reference
-    is experimental (no feedforward term is added).
-    """
-    x = np.asarray(x0, dtype=float).ravel()
-    if x.shape[0] != sys.d or model.d != sys.d:
-        raise ValueError("state dimension mismatch between system, model and x0")
-    r, Qprime, R = _stage_weights(sys, reference, Qprime, R)
-    policy = model.linear_readout(sol.K_m)
-    shift = policy(r)
-    return _run_single(sys, x, T_steps, lambda t, x: policy(x) - shift, (r, Qprime, R), stop_norm)
+    """One model's closed loop: ``rollout_closed_loops``' stack of one."""
+    return rollout_closed_loops(sys, [model], [sol], x0, T_steps, reference, Qprime, R, stop_norm)[0]
 
 
 def rollout_policy(
@@ -440,7 +493,11 @@ def rollout_policy(
     """Rollout under an arbitrary state-feedback policy (baselines, oracles)."""
     x = np.asarray(x0, dtype=float).ravel()
     weights = _stage_weights(sys, reference, Qprime, R)
-    return _run_single(sys, x, T_steps, lambda t, x: np.asarray(policy(x), dtype=float).ravel(), weights, stop_norm)
+
+    def control(t, x, rows):
+        return np.asarray(policy(x[0]), dtype=float).ravel()[None, :]
+
+    return _rollouts(sys, x[None, :], T_steps, control, weights, stop_norm)[0]
 
 
 def rollout_open_loop(sys: SystemSpec, x0, controls) -> RolloutResult:
@@ -449,7 +506,7 @@ def rollout_open_loop(sys: SystemSpec, x0, controls) -> RolloutResult:
     if controls.ndim == 1:
         controls = controls[:, None]
     x = np.asarray(x0, dtype=float).ravel()
-    return _run_single(sys, x, len(controls), lambda t, x: controls[t])
+    return _rollouts(sys, x[None, :], len(controls), lambda t, x, rows: controls[t][None, :])[0]
 
 
 # ---------------------------------------------------------------------------

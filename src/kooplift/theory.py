@@ -637,7 +637,7 @@ def objective_reference(
     BtP = B.T @ P
     M = R + BtP @ B
     K = -solve_psd(M, BtP @ A)[0]
-    D = -_dare_defect(P, A, B, LqrWeights(Q, R))
+    D = -_dare_defect(P, A, B, LqrWeights(Q, R))[0]
     z0 = V.T @ exact_model.embed_states(np.atleast_2d(np.asarray(x0, dtype=float)))[:, 0]
     Y = _trajectory_gramian(A + B @ K, z0)
     return ObjectiveReference(

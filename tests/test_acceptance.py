@@ -22,6 +22,7 @@ from kooplift.simulate import (
     metric_rmse_pct,
     metric_rmse_u_pct,
     rollout_closed_loop,
+    rollout_closed_loops,
     rollout_policy,
     rk4_step,
     true_optimal_control_cubic,
@@ -57,12 +58,10 @@ def rate_fixture():
 def test_criterion_1_cubic_cost_table(cubic_bundle):
     t0 = time.time()
     sys, ds, models = cubic_bundle
-    costs = []
-    for model, sol in models:
-        res = rollout_closed_loop(
-            sys, model, sol, np.array([0.9]), 10_000, Qprime=np.eye(1), R=np.eye(1), stop_norm=1e-6
-        )
-        costs.append(res.total_cost)
+    runs = rollout_closed_loops(
+        sys, *zip(*models), np.array([0.9]), 10_000, Qprime=np.eye(1), R=np.eye(1), stop_norm=1e-6
+    )
+    costs = [res.total_cost for res in runs]
     model_ex = experiments.fit_exact(ds, 1e-6)
     sol_ex = solve_model_dare(model_ex, np.eye(1), np.eye(1))
     res_ex = rollout_closed_loop(
@@ -99,10 +98,8 @@ def test_criterion_2_control_rmse(cubic_bundle):
     opt = rollout_policy(
         sys, lambda x: np.array([true_optimal_control_cubic(x)]), np.array([0.9]), 200
     )
-    vals = []
-    for model, sol in models:
-        res = rollout_closed_loop(sys, model, sol, np.array([0.9]), 200)
-        vals.append(metric_rmse_u_pct(res.controls, opt.controls))
+    runs = rollout_closed_loops(sys, *zip(*models), np.array([0.9]), 200)
+    vals = [metric_rmse_u_pct(res.controls, opt.controls) for res in runs]
     med = float(np.median(vals))
     ok = 8.0 <= med <= 18.0
     line = report(

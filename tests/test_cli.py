@@ -257,3 +257,4 @@ def test_control_reports_horizon_cap_for_readme_example(readme_cubic_fit, tmp_pa
     assert metrics["converged"] is False
     assert metrics["deflated"] == 0
     assert metrics["rho_L_full"] == metrics["rho_closed_loop"]
+    assert metrics["jitter_applied"] is False

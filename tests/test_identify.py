@@ -12,6 +12,7 @@ from kooplift.identify import (
     load_model,
     model_from_dict,
     model_to_dict,
+    readout_stack,
     save_model,
 )
 from kooplift.kernels import KernelFamily, KernelSpec, gram, thin_plate_matrix
@@ -333,8 +334,9 @@ def test_serialization_round_trip_lossless(tmp_path, linear_model):
     assert back.gamma == model.gamma and back.lam == model.lam
     x = np.array([0.37])
     np.testing.assert_array_equal(embed_state(back, x), embed_state(model, x))
-    # dict round trip is stable
+    # dict round trip is stable, and the document carries its layout version
     assert model_to_dict(model_from_dict(model_to_dict(model))) == model_to_dict(model)
+    assert model_to_dict(model)["schema_version"] == 1
 
 
 def _edit(path, change):
@@ -378,6 +380,8 @@ def _edit(path, change):
             "does not match",
             id="W-disagrees-with-landmarks",
         ),
+        pytest.param(_edit(["schema_version"], lambda v: 2), "schema_version is 2", id="schema-version-2"),
+        pytest.param(lambda doc: doc.pop("schema_version"), "schema_version is None", id="schema-version-missing"),
     ],
 )
 def test_model_from_dict_rejects(linear_model, corrupt, match):
@@ -413,25 +417,37 @@ def test_fit_rejects_bad_regularization(linear_model):
         fit(ds, model.lifting, gamma=1e-6, lam=-1.0)
 
 
-def test_linear_readout_matches_gram_bit_for_bit(linear_model):
+def test_readout_stack_matches_gram_bit_for_bit(linear_model):
     ds, model = linear_model
-    M = np.random.default_rng(17).normal(size=(2, model.m))
-    readout = model.linear_readout(M)
-    lm = model.lifting.landmarks.outputs
-    for x in ([0.3], [-0.85], lm[4]):
-        k = gram(model.lifting.kernel, lm, np.atleast_2d(x))[:, 0]
-        np.testing.assert_array_equal(readout(x), M @ model.gram_out_pinv_sqrt @ k)
+    models = [model] + [
+        fit(ds, NystromLift(M52, sample_landmarks(ds, 40, LandmarkStrategy.SharedUniform, seed=s)), gamma=1e-8)
+        for s in (1, 2)
+    ]
+    Ms = np.random.default_rng(17).normal(size=(3, 2, model.m))
+    readout = readout_stack(models, Ms)
+    X = np.array([[0.3], [-0.85], models[2].lifting.landmarks.outputs[4]])
+    U = readout(X)
+    for s, mod in enumerate(models):
+        lm = mod.lifting.landmarks.outputs
+        k = gram(mod.lifting.kernel, lm, X[s : s + 1])[:, 0]
+        np.testing.assert_array_equal(U[s], Ms[s] @ mod.gram_out_pinv_sqrt @ k)
+    np.testing.assert_array_equal(readout.take(np.array([2]))(X[2:]), U[2:])
     with pytest.raises(ValueError):
-        readout([np.nan])
+        readout(np.array([[0.3], [np.nan], [0.0]]))
+    thin = fit(ds, ThinPlateLift(np.linspace(-1.0, 1.0, 40)[:, None]), gamma=1e-8)
+    with pytest.raises(ValueError, match="share"):
+        readout_stack([model, thin], Ms[:2])
 
 
-def test_thinplate_linear_readout_matches_features_bit_for_bit():
+def test_thinplate_readout_stack_matches_features_bit_for_bit():
     ds = scalar_dataset(lambda x, u: 0.5 * x + 0.25 * u, n=100, seed=15)
-    centers = np.linspace(-1.2, 1.2, 15)[:, None]
-    model = fit(ds, ThinPlateLift(centers), gamma=1e-8)
-    M = np.random.default_rng(18).normal(size=(1, 15))
-    readout = model.linear_readout(M)
-    for x in ([0.3], [-0.85], centers[2]):
-        np.testing.assert_array_equal(readout(x), M @ thin_plate_matrix(np.atleast_2d(x), centers)[0])
+    center_sets = [np.linspace(-1.2, 1.2, 15)[:, None], np.linspace(-1.0, 1.4, 15)[:, None]]
+    models = [fit(ds, ThinPlateLift(centers), gamma=1e-8) for centers in center_sets]
+    Ms = np.random.default_rng(18).normal(size=(2, 1, 15))
+    readout = readout_stack(models, Ms)
+    for X in ([[0.3], [-0.85]], [center_sets[0][2], center_sets[1][7]]):
+        U = readout(X)
+        for s, centers in enumerate(center_sets):
+            np.testing.assert_array_equal(U[s], Ms[s] @ thin_plate_matrix(np.atleast_2d(X[s]), centers)[0])
     with pytest.raises(ValueError):
-        readout([np.inf])
+        readout([[np.inf], [0.0]])

@@ -9,10 +9,10 @@ from kooplift.kernels import (
     KernelFamily,
     KernelSpec,
     gram,
-    gram_column,
+    gram_stack,
     kernel_eval,
     thin_plate_matrix,
-    thin_plate_row,
+    thin_plate_stack,
 )
 
 M52 = KernelSpec(KernelFamily.Matern52, 1.0, 1.0)
@@ -189,18 +189,30 @@ def test_blocked_symmetric_gram_matches_whole_array_bit_for_bit():
         np.testing.assert_array_equal(gram(spec, X), whole_array_gram(spec, X))
 
 
-def test_single_point_readouts_match_matrices_bit_for_bit():
+def test_feature_stacks_match_matrices_bit_for_bit():
+    # each row against its own 100 points, in 1-D and 2-D; one point sits on a landmark
     rng = np.random.default_rng(5)
-    L = rng.normal(size=(100, 2))
-    column = gram_column(M52, L)
-    row = thin_plate_row(L)
-    for x in (rng.normal(size=2), L[3]):
-        np.testing.assert_array_equal(column(x), gram(M52, L, x[None, :])[:, 0])
-        np.testing.assert_array_equal(row(x), thin_plate_matrix(x[None, :], L)[0])
-    for bad in ([np.nan, 0.0], [0.0], np.zeros((2, 2))):
+    for d in (1, 2):
+        L = rng.normal(size=(4, 100, d))
+        X = rng.normal(size=(4, d))
+        X[1] = L[1, 3]
+        for spec in (M52, KernelSpec(KernelFamily.RBF, 0.3, 2.0), KernelSpec(KernelFamily.Matern32, 0.7, 1.0)):
+            F = gram_stack(spec, L)(X)
+            for s in range(4):
+                np.testing.assert_array_equal(F[s], gram(spec, L[s], X[s : s + 1])[:, 0])
+        T = thin_plate_stack(L)(X)
+        for s in range(4):
+            np.testing.assert_array_equal(T[s], thin_plate_matrix(X[s : s + 1], L[s])[0])
+        rows = np.array([3, 1])
+        np.testing.assert_array_equal(thin_plate_stack(L).take(rows)(X[rows]), T[rows])
+    stack = gram_stack(M52, L)
+    for bad in ([[np.nan, 0.0]] * 4, np.zeros((4, 1)), np.zeros((3, 2)), np.zeros(2)):
         with pytest.raises(ValueError):
-            column(bad)
+            stack(bad)
         with pytest.raises(ValueError):
-            row(bad)
-    with pytest.raises(ValueError):
-        gram_column(M52, [[0.0, np.inf]])
+            thin_plate_stack(L)(bad)
+    for bad in ([[[0.0, np.inf]]], np.zeros((2, 2)), np.zeros((0, 3, 2))):
+        with pytest.raises(ValueError):
+            gram_stack(M52, bad)
+        with pytest.raises(ValueError):
+            thin_plate_stack(bad)

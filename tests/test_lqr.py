@@ -140,6 +140,34 @@ def test_dare_residual_cases():
     assert dare_residual(np.array([[golden]]), A, B, w) <= 1e-12
 
 
+def test_riccati_solution_records_any_jitter(monkeypatch, marginal_cubic_model):
+    # the input-weight solve, each checked residual and the gain: a jitter in any one shows
+    import kooplift.lqr as lqr
+    from kooplift.numerics import solve_psd
+
+    A, B, w = np.array([[1.0]]), np.array([[1.0]]), LqrWeights(np.eye(1), np.eye(1))
+    sol = solve_dare(A, B, w)
+    assert sol.jitter_applied is False
+    n_solves = 2 + len(sol.delta_history)
+    for flagged in range(n_solves):
+        calls = []
+
+        def solve(M, rhs):
+            calls.append(None)
+            return solve_psd(M, rhs)[0], len(calls) == flagged + 1
+
+        monkeypatch.setattr(lqr, "solve_psd", solve)
+        again = solve_dare(A, B, w)
+        assert len(calls) == n_solves
+        np.testing.assert_array_equal(again.P_m, sol.P_m)
+        assert again.jitter_applied is True
+    # solve_model_dare passes its core's flag on
+    monkeypatch.setattr(lqr, "solve_psd", lambda M, rhs: (solve_psd(M, rhs)[0], M.shape == (1, 1)))
+    assert solve_model_dare(marginal_cubic_model, np.eye(1), np.eye(1), horizon=300).jitter_applied is True
+    monkeypatch.setattr(lqr, "solve_psd", solve_psd)
+    assert solve_model_dare(marginal_cubic_model, np.eye(1), np.eye(1), horizon=300).jitter_applied is False
+
+
 def test_nonconvergence_raises():
     # marginally unstable and uncontrollable mode: value iteration cannot settle
     A = np.diag([1.0, 0.5])

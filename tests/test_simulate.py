@@ -4,8 +4,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from kooplift import experiments
 from kooplift.data import build_pairs, derived_rng
 from kooplift.identify import ThinPlateLift, fit
+from kooplift.lqr import solve_model_dare
 from kooplift.simulate import (
     DIVERGENCE_NORM,
     CollectionProtocol,
@@ -24,6 +26,7 @@ from kooplift.simulate import (
     metric_rmse_u_pct,
     rk4_step,
     rollout_closed_loop,
+    rollout_closed_loops,
     rollout_open_loop,
     rollout_policy,
     true_optimal_control_cubic,
@@ -219,6 +222,72 @@ def test_rollout_policy_divergence_flagged(rollout):
     assert len(res.controls) == len(res.stage_costs) == res.diverged_step
     assert not np.abs(res.states[-1, 0]) <= DIVERGENCE_NORM
     assert np.all(np.abs(res.states[:-1, 0]) <= DIVERGENCE_NORM)
+
+
+def assert_same_rollouts(stacked, singles):
+    assert len(stacked) == len(singles)
+    for a, b in zip(stacked, singles):
+        np.testing.assert_array_equal(a.states, b.states)
+        np.testing.assert_array_equal(a.controls, b.controls)
+        np.testing.assert_array_equal(a.stage_costs, b.stage_costs)
+        assert (len(a.controls), a.diverged, a.diverged_step) == (len(b.controls), b.diverged, b.diverged_step)
+
+
+def run_both(sys, models, sols, x0, T, **kw):
+    """The closed loops as one call, and each model's stack of one."""
+    stacked = rollout_closed_loops(sys, models, sols, x0, T, **kw)
+    singles = [rollout_closed_loop(sys, model, sol, x0, T, **kw) for model, sol in zip(models, sols)]
+    assert_same_rollouts(stacked, singles)
+    return stacked
+
+
+@pytest.fixture(scope="module")
+def cubic_regulators():
+    sys, ds = experiments.cubic_training_data(seed=0)
+    models = [experiments.fit_nystrom(ds, 100, seed) for seed in range(5)]
+    return sys, ds, models, [solve_model_dare(model, np.eye(1), np.eye(1)) for model in models]
+
+
+def test_stacked_closed_loops_match_singles_cubic(cubic_regulators):
+    sys, _, models, sols = cubic_regulators
+    runs = run_both(sys, models, sols, [0.9], 10_000, Qprime=np.eye(1), R=np.eye(1), stop_norm=1e-6)
+    steps = {len(res.controls) for res in runs}
+    assert len(steps) > 1 and max(steps) < 10_000  # the rows stop at different steps
+    runs = run_both(sys, models, sols, [0.9], 2_000, reference=[0.2], Qprime=2.0 * np.eye(1), stop_norm=1e-3)
+    assert all(len(res.controls) < 2_000 and abs(res.states[-1, 0] - 0.2) < 1e-3 for res in runs)
+
+
+def test_stacked_closed_loops_match_singles_duffing():
+    sys, ds = experiments.duffing_training_data(seed=0)
+    models = [experiments.fit_nystrom(ds, 20, seed) for seed in range(5)]
+    sols = [solve_model_dare(model, np.eye(2), np.eye(1)) for model in models]
+    runs = run_both(sys, models, sols, [-0.5, 0.0], 500)
+    assert all(len(res.controls) == 500 for res in runs)
+    run_both(sys, models, sols, [-0.5, 0.0], 300, reference=[0.1, -0.05], Qprime=np.diag([1.0, 0.5]))
+
+
+def test_stacked_closed_loops_split_by_landmark_count(cubic_regulators):
+    sys, ds, models, sols = cubic_regulators
+    small = experiments.fit_nystrom(ds, 50, 7)
+    mixed = [models[0], small, models[1]]
+    assert len({model.m for model in mixed}) == 2
+    mixed_sols = [sols[0], solve_model_dare(small, np.eye(1), np.eye(1)), sols[1]]
+    run_both(sys, mixed, mixed_sols, [0.9], 3_000, stop_norm=1e-6)
+    assert rollout_closed_loops(sys, [], [], [0.9], 10) == []
+    with pytest.raises(ValueError, match="one Riccati solution per model"):
+        rollout_closed_loops(sys, mixed, mixed_sols[:2], [0.9], 10)
+
+
+def test_stacked_thin_plate_loops_end_rows_by_themselves():
+    # x' = x^2 + u from 0.5: a zero gain blows up, scaled regulator gains stop at different steps
+    sys = _boom_forced()
+    ds = build_pairs(collect_training_data(cubic_system(), CollectionProtocol(4, 1.0, UniformIID(), UniformBox())))
+    models = [fit(ds, ThinPlateLift(np.linspace(lo, lo + 2.0, 5)[:, None]), gamma=1e-6) for lo in (-1.0, -0.8)]
+    gains = [solve_model_dare(model, np.eye(1), np.eye(1)).K_m for model in models]
+    sols = [SimpleNamespace(K_m=scale * K) for scale in (0.0, 1.0, 3.0) for K in gains]
+    runs = run_both(sys, models * 3, sols, [0.5], 500, stop_norm=1e-3)
+    assert [res.diverged for res in runs] == [True, True, False, False, False, False]
+    assert len({len(res.controls) for res in runs[2:]}) == 4
 
 
 def test_collect_truncates_at_diverging_step():
