@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data import Dataset, LandmarkSet, LandmarkStrategy, build_pairs, derived_rng, sample_landmarks
-from .identify import ForecastDivergence, KoopmanModel, NystromLift, ThinPlateLift, fit, forecast
+from .identify import ForecastDivergence, KoopmanModel, NystromLift, ThinPlateLift, fit, fit_nested, forecast
 from .kernels import KernelFamily, KernelSpec
 from .lqr import LqrWeights, solve_model_dare
 from .numerics import RankTolerance
@@ -105,9 +105,12 @@ def duffing_training_data(seed: int = 0) -> tuple[SystemSpec, Dataset]:
     return sys, build_pairs(trajs)
 
 
+def _nystrom_lift(ds: Dataset, m: int, seed: int) -> NystromLift:
+    return NystromLift(MATERN_UNIT, sample_landmarks(ds, m, LandmarkStrategy.SharedUniform, seed=seed))
+
+
 def fit_nystrom(ds: Dataset, m: int, seed: int, gamma: float = 1e-6) -> KoopmanModel:
-    landmarks = sample_landmarks(ds, m, LandmarkStrategy.SharedUniform, seed=seed)
-    return fit(ds, NystromLift(MATERN_UNIT, landmarks), gamma=gamma, lam=gamma)
+    return fit(ds, _nystrom_lift(ds, m, seed), gamma=gamma, lam=gamma)
 
 
 def fit_exact(ds: Dataset, gamma: float = 1e-6) -> KoopmanModel:
@@ -263,8 +266,10 @@ def duffing_forecast_experiment(
     lift versus the thin-plate-spline baseline with matched feature counts.
 
     Returns per-m lists of percent RMSE, with non-finite forecasts recorded as
-    +inf, plus divergence counters.  Landmark draws are nested across m for a
-    fixed seed, so per-seed errors are directly comparable along the sweep.
+    +inf, plus divergence counters.  Landmark draws and thin-plate centers are
+    nested across m for a fixed seed, so per-seed errors are directly comparable
+    along the sweep, and each seed fits each lift's sweep with one
+    ``fit_nested`` call: one feature pass over the data per lift.
     """
     sys, ds = duffing_training_data(seed=data_seed)
     T = int(round(horizon_s / sys.dt))
@@ -277,22 +282,17 @@ def duffing_forecast_experiment(
         true_states = truth.states[1:]
         rng_centers = derived_rng("tp-centers", seed)
         centers_pool = np.array([UniformBall(1.0).sample(rng_centers, 2) for _ in range(max(m_list))])
-        row = {}
-        for m in m_list:
-            model = fit_nystrom(ds, m, seed, gamma)
+        # one sweep at a time, so only one lift's feature matrix is ever held
+        ny_models = fit_nested(ds, [_nystrom_lift(ds, m, seed) for m in m_list], gamma, gamma)
+        tp_models = fit_nested(ds, [ThinPlateLift(centers_pool[:m]) for m in m_list], gamma, gamma)
+
+        def rmse(model):
             try:
-                pred = forecast(model, x0, U)
-                ny = metric_rmse_pct(true_states, pred)
+                return metric_rmse_pct(true_states, forecast(model, x0, U))
             except ForecastDivergence:
-                ny = math.inf
-            tp_model = fit(ds, ThinPlateLift(centers_pool[:m]), gamma=gamma, lam=gamma)
-            try:
-                pred = forecast(tp_model, x0, U)
-                tp = metric_rmse_pct(true_states, pred)
-            except ForecastDivergence:
-                tp = math.inf
-            row[m] = (ny, tp)
-        return row
+                return math.inf
+
+        return {m: (rmse(ny), rmse(tp)) for m, ny, tp in zip(m_list, ny_models, tp_models)}
 
     per_seed = seed_map(one, range(n_seeds), workers)
     results: dict = {

@@ -38,10 +38,32 @@ With landmarks equal to the full training set the Nystrom surrogate coincides
 with the uncompressed kernel estimator on the retained input range; that
 degeneracy is exercised by the test-suite through the operator representations
 in :mod:`kooplift.theory`.
+
+Both feature matrices come from one pass per point set P over the data's
+distinct states D = [X; the rows of Y that are not X's next row]: within a
+trajectory y_i = x_{i+1}, so D has n + n_traj rows where X and Y together have
+2n.  Rows :n of K(D, P) (or thin_plate(D, P)) are the inputs' features, rows iy
+(D[iy] = Y) the outputs', and one matrix serves both sides when the input and
+output points agree (shared landmarks, thin-plate centers).  ``fit_nested``
+fits several lifts whose points are row prefixes of the largest lift's (the
+landmark draws of one seed, centers sliced ``[:m]``) from the leading columns
+of that one matrix, and ``fit`` is its call on one lift:
+
+    pass                    K(D, landmarks)              thin_plate(D, centers)
+    inputs' block           rows :n, leading m_in        rows :n, leading m
+    outputs' block          rows iy, leading m_out       rows iy, leading m
+
+Each entry is the one K(X, P) or K(P, Y) would hold: the distance steps are
+elementwise, and each inner product sums the same d products in the same order
+whichever operand comes first (the tests check this bit for bit at d = 1 and
+2).  The outputs' block is gathered into the (m_out, n) layout that
+K(landmarks_out, Y) had before W multiplies it, and F is assembled in place, so
+every model is bit for bit that of two separate feature passes.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -67,6 +89,7 @@ __all__ = [
     "lift_shape",
     "ForecastDivergence",
     "fit",
+    "fit_nested",
     "embed_state",
     "forecast",
     "save_model",
@@ -249,6 +272,51 @@ def _ridge(F: FloatArray, T: FloatArray, reg: FloatArray):
     return solve_psd(M, F.T @ T)
 
 
+def _state_rows(X: FloatArray, Y: FloatArray) -> tuple[FloatArray, NDArray[np.intp]]:
+    """The data's distinct states D = [X; the rows of Y that are not X's next
+    row], and the index iy with D[iy] = Y bytewise.
+
+    Within a trajectory y_i is x_{i+1}, so ``build_pairs`` data give n + n_traj
+    rows.  A row counts as shared only when its bytes match, so data without
+    shared rows (a shuffled subset) give 2n rows and are never misread.
+    """
+    n = len(X)
+    same_bits = np.ascontiguousarray(Y[:-1]).view(np.int64) == np.ascontiguousarray(X[1:]).view(np.int64)
+    shared = np.zeros(n, dtype=bool)
+    shared[:-1] = same_bits.all(axis=1)
+    iy = np.arange(1, n + 1)
+    iy[~shared] = n + np.arange(n - np.count_nonzero(shared))
+    return np.vstack([X, Y[~shared]]), iy
+
+
+# entries gathered per block by ``_rows_t``: a 128 KB temporary, the fastest
+# of the block sizes tried (4 096 to 80 000 entries) at n = 70 000 and 4 000
+_GATHER_ENTRIES = 16_384
+
+
+def _rows_t(K: FloatArray, rows, cols: int) -> FloatArray:
+    """K[rows, :cols].T as a C-contiguous (cols, len(rows)) array.
+
+    This is the layout of K(landmarks_out, Y) built on its own, so the product
+    W @ K rounds exactly as it does on that matrix; a transposed view of the
+    same entries selects another BLAS kernel and rounds differently.  Taken by
+    blocks of rows, so no (len(rows), cols) copy is made.
+    """
+    out = np.empty((cols, len(rows)))
+    step = max(1, _GATHER_ENTRIES // cols)
+    for i in range(0, len(rows), step):
+        out[:, i : i + step] = K[rows[i : i + step], :cols].T
+    return out
+
+
+def _nested_points(point_sets: list) -> FloatArray:
+    """The largest of the point sets, each of which must be a row prefix of it."""
+    P = max(point_sets, key=len)
+    if any(P[: len(Q)].tobytes() != Q.tobytes() for Q in point_sets):
+        raise ValueError("nested fits need every lift's points to be a row prefix of the largest lift's points")
+    return P
+
+
 def fit(
     ds: Dataset,
     lifting: LiftingSpec,
@@ -260,67 +328,122 @@ def fit(
     ``lam`` is the reconstruction ridge weight and defaults to ``gamma``.
     Exact duplicate landmarks/centers are dropped before Gram assembly.
     """
+    return fit_nested(ds, [lifting], gamma, lam)[0]
+
+
+def fit_nested(
+    ds: Dataset,
+    lifts,
+    gamma: float,
+    lam: float | None = None,
+) -> list[KoopmanModel]:
+    """Fit several lifts whose points are nested, reading one feature pass.
+
+    The lifts share one kind and, for kernel lifts, one kernel; after duplicate
+    rows are dropped, each lift's points (input and output landmarks, or
+    centers) must be a row prefix of the largest lift's, which landmark draws
+    of one seed and center pools sliced ``[:m]`` are.  The features of the
+    data's distinct states against the largest point set are built once, and
+    each fit reads its leading columns.  Every model is bit for bit the one
+    ``fit`` returns for its lift alone.  Raises ``ValueError`` for lifts that
+    are not nested or that mix kinds or kernels.
+    """
     if not gamma > 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
     lam = gamma if lam is None else lam
     if not lam > 0:
         raise ValueError(f"lambda must be positive, got {lam}")
-    n = ds.n
-    if isinstance(lifting, NystromLift):
-        if lifting.landmarks.inputs.shape[1] != ds.d:
+    lifts = list(lifts)
+    if not lifts:
+        raise ValueError("fit_nested needs at least one lift")
+    kind = type(lifts[0])
+    if any(type(lifting) is not kind for lifting in lifts):
+        raise ValueError("nested fits need lifts of one kind")
+    if kind is NystromLift:
+        spec = lifts[0].kernel
+        if any(lifting.kernel != spec for lifting in lifts):
+            raise ValueError("nested fits need lifts of one kernel")
+        if any(lifting.landmarks.inputs.shape[1] != ds.d for lifting in lifts):
             raise ValueError("landmark dimension does not match dataset")
-        spec = lifting.kernel
-        lm_in = _dedup_rows(lifting.landmarks.inputs)
-        lm_out = _dedup_rows(lifting.landmarks.outputs)
-        W, V, info = _lift_range(spec, lm_out)
-        E_in, info_in = psd_pinv_sqrt_factor(gram(spec, lm_in))
-        Phi = gram(spec, ds.X, lm_in) @ E_in  # whitened landmark features, (n, r_in)
-        Zt = (W @ gram(spec, lm_out, ds.Y)).T  # lifted training outputs, rows z_{i+1}
-        transport = (E_in.T @ gram(spec, lm_in, lm_out)) @ W
-        diagnostics = {
-            "m_in": len(lm_in),
-            "m_out": len(lm_out),
-            "rank_gram_out": info["rank"],
-            "clipped_gram_out": info["clipped"],
-            "cond_gram_out": info["cond"],
-            "rank_gram_in": info_in["rank"],
-            "clipped_gram_in": info_in["clipped"],
-            "cond_gram_in": info_in["cond"],
-        }
-        lifting = NystromLift(spec, LandmarkSet(lm_in, lm_out, seed=lifting.landmarks.seed))
-    elif isinstance(lifting, ThinPlateLift):
-        if lifting.centers.shape[1] != ds.d:
+        ins = [_dedup_rows(lifting.landmarks.inputs) for lifting in lifts]
+        outs = [_dedup_rows(lifting.landmarks.outputs) for lifting in lifts]
+        pairwise = functools.partial(gram, spec)
+    elif kind is ThinPlateLift:
+        if any(lifting.centers.shape[1] != ds.d for lifting in lifts):
             raise ValueError("center dimension does not match dataset")
-        centers = _dedup_rows(lifting.centers)
-        m = len(centers)
-        Phi = thin_plate_matrix(ds.X, centers)
-        Zt = thin_plate_matrix(ds.Y, centers)
-        W = V = np.eye(m)
-        E_in = transport = None
-        diagnostics = {"m_in": m, "m_out": m}
-        lifting = ThinPlateLift(centers)
+        ins = outs = [_dedup_rows(lifting.centers) for lifting in lifts]
+        pairwise = thin_plate_matrix
     else:
-        raise TypeError(f"unknown lifting {type(lifting).__name__}")
+        raise TypeError(f"unknown lifting {kind.__name__}")
+    P_in, P_out = _nested_points(ins), _nested_points(outs)
+    n = ds.n
+    D, iy = _state_rows(ds.X, ds.Y)
+    K_out = pairwise(D, P_out)  # (len(D), len(P_out)): rows :n are X's features, rows iy Y's
+    K_in = K_out if P_in.shape == P_out.shape and P_in.tobytes() == P_out.tobytes() else pairwise(D, P_in)
+    models = []
+    for k, (lifting, lm_in, lm_out) in enumerate(zip(lifts, ins, outs)):
+        if kind is NystromLift:
+            lifting, W, V, E_in, transport, diagnostics = _nystrom_parts(lifting, lm_in, lm_out)
+            r_in = E_in.shape[1]
+        else:
+            W = V = np.eye(len(lm_out))
+            lifting, E_in, transport, r_in = ThinPlateLift(lm_in), None, None, len(lm_in)
+            diagnostics = {"m_in": len(lm_in), "m_out": len(lm_out)}
+        # F = [Phi(X) | U] (n, r_in + n_u), assembled in place
+        F = np.empty((n, r_in + ds.n_u))
+        if E_in is None:
+            F[:, :r_in] = K_in[:n, : len(lm_in)]
+        else:
+            np.matmul(K_in[:n, : len(lm_in)], E_in, out=F[:, :r_in])  # whitened landmark features
+        F[:, r_in:] = ds.U
+        K_y = K_out[iy, : len(lm_out)] if E_in is None else _rows_t(K_out, iy, len(lm_out))
+        if k == len(lifts) - 1:
+            del K_in, K_out  # both blocks are copied out, so the pass is not held through the products
+        Zt = K_y if E_in is None else (W @ K_y).T  # lifted training outputs, rows z_{i+1}
+        del K_y
+        sol, jitter = _ridge(F, Zt, gamma * n * np.eye(F.shape[1]))
+        A_m = sol[:r_in].T if transport is None else sol[:r_in].T @ transport
+        Ct, c_jitter = _ridge(Zt, ds.Y, lam * n * np.eye(len(lm_out)))
+        diagnostics["jitter_applied"] = bool(jitter or c_jitter)
+        models.append(
+            KoopmanModel(
+                lifting=lifting,
+                A_m=A_m,
+                B_m=sol[r_in:].T,
+                C=Ct.T,
+                gamma=gamma,
+                lam=lam,
+                gram_out_pinv_sqrt=W,
+                _range=V,
+                diagnostics=diagnostics,
+                _coef=sol,
+                _in_factor=E_in,
+            )
+        )
+        del F, Zt  # this lift's n-row blocks, dropped before the next lift builds its own
+    return models
 
-    r_in, m_out = Phi.shape[1], Zt.shape[1]
-    F = np.hstack([Phi, ds.U])  # (n, r_in + n_u)
-    sol, jitter = _ridge(F, Zt, gamma * n * np.eye(F.shape[1]))
-    A_m = sol[:r_in].T if transport is None else sol[:r_in].T @ transport
-    Ct, c_jitter = _ridge(Zt, ds.Y, lam * n * np.eye(m_out))
-    diagnostics["jitter_applied"] = bool(jitter or c_jitter)
-    return KoopmanModel(
-        lifting=lifting,
-        A_m=A_m,
-        B_m=sol[r_in:].T,
-        C=Ct.T,
-        gamma=gamma,
-        lam=lam,
-        gram_out_pinv_sqrt=W,
-        _range=V,
-        diagnostics=diagnostics,
-        _coef=sol,
-        _in_factor=E_in,
-    )
+
+def _nystrom_parts(lifting: NystromLift, lm_in: FloatArray, lm_out: FloatArray):
+    """What a kernel fit takes from its deduplicated landmarks alone: the lift
+    that keeps them, W, the range basis, E_in, the transport and the Grams'
+    rank diagnostics."""
+    spec = lifting.kernel
+    W, V, info = _lift_range(spec, lm_out)
+    E_in, info_in = psd_pinv_sqrt_factor(gram(spec, lm_in))
+    transport = (E_in.T @ gram(spec, lm_in, lm_out)) @ W
+    diagnostics = {
+        "m_in": len(lm_in),
+        "m_out": len(lm_out),
+        "rank_gram_out": info["rank"],
+        "clipped_gram_out": info["clipped"],
+        "cond_gram_out": info["cond"],
+        "rank_gram_in": info_in["rank"],
+        "clipped_gram_in": info_in["clipped"],
+        "cond_gram_in": info_in["cond"],
+    }
+    lifting = NystromLift(spec, LandmarkSet(lm_in, lm_out, seed=lifting.landmarks.seed))
+    return lifting, W, V, E_in, transport, diagnostics
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,12 @@ from kooplift.identify import (
     ForecastDivergence,
     NystromLift,
     ThinPlateLift,
+    _dedup_rows,
+    _ridge,
+    _state_rows,
     embed_state,
     fit,
+    fit_nested,
     forecast,
     load_model,
     model_from_dict,
@@ -16,7 +20,7 @@ from kooplift.identify import (
     save_model,
 )
 from kooplift.kernels import KernelFamily, KernelSpec, gram, thin_plate_matrix
-from kooplift.numerics import psd_pinv
+from kooplift.numerics import psd_pinv, psd_pinv_sqrt, psd_pinv_sqrt_factor
 
 M52 = KernelSpec(KernelFamily.Matern52, 1.0, 1.0)
 RBF = KernelSpec(KernelFamily.RBF, 1.0, 1.0)
@@ -451,3 +455,165 @@ def test_thinplate_readout_stack_matches_features_bit_for_bit():
             np.testing.assert_array_equal(U[s], Ms[s] @ thin_plate_matrix(np.atleast_2d(X[s]), centers)[0])
     with pytest.raises(ValueError):
         readout([[np.inf], [0.0]])
+
+
+# ---------------------------------------------------------------------------
+# One feature pass per lift: bitwise oracles of the distinct-state fit
+# ---------------------------------------------------------------------------
+
+
+def two_pass_fit(ds, lifting, gamma, lam=None):
+    """The fit as two feature passes, one over X and one over Y, with F stacked
+    by ``hstack``: the formula the distinct-state pass replaced, spelled out as
+    its bitwise oracle.  Returns (A_m, B_m, C, W, S)."""
+    lam = gamma if lam is None else lam
+    n = ds.n
+    if isinstance(lifting, NystromLift):
+        spec = lifting.kernel
+        lm_in, lm_out = _dedup_rows(lifting.landmarks.inputs), _dedup_rows(lifting.landmarks.outputs)
+        W = psd_pinv_sqrt(gram(spec, lm_out))
+        E_in, _ = psd_pinv_sqrt_factor(gram(spec, lm_in))
+        Phi = gram(spec, ds.X, lm_in) @ E_in
+        Zt = (W @ gram(spec, lm_out, ds.Y)).T
+        transport = (E_in.T @ gram(spec, lm_in, lm_out)) @ W
+    else:
+        centers = _dedup_rows(lifting.centers)
+        Phi, Zt = thin_plate_matrix(ds.X, centers), thin_plate_matrix(ds.Y, centers)
+        W, transport = np.eye(len(centers)), None
+    r_in = Phi.shape[1]
+    F = np.hstack([Phi, ds.U])
+    sol, _ = _ridge(F, Zt, gamma * n * np.eye(F.shape[1]))
+    A_m = sol[:r_in].T if transport is None else sol[:r_in].T @ transport
+    Ct, _ = _ridge(Zt, ds.Y, lam * n * np.eye(Zt.shape[1]))
+    return A_m, sol[r_in:].T, Ct.T, W, sol
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def assert_models_equal(got, want):
+    for name in ("A_m", "B_m", "C", "gram_out_pinv_sqrt", "_coef"):
+        assert_same_bits(getattr(got, name), getattr(want, name))
+    assert got.diagnostics == want.diagnostics
+
+
+@pytest.fixture(scope="module")
+def planar_pairs():
+    """Regression pairs of 6 forced oscillator trajectories: 2-D states, so the
+    kernels' inner products sum two terms, and pairs shared within a trajectory."""
+    from kooplift.data import build_pairs
+    from kooplift.simulate import CollectionProtocol, UniformBall, UniformIID, collect_training_data, duffing_system
+
+    protocol = CollectionProtocol(
+        n_traj=6, duration=1.0, input_law=UniformIID(-1.0, 1.0), init_law=UniformBall(1.0), seed=4
+    )
+    trajs = collect_training_data(duffing_system(dt=0.01), protocol)
+    return build_pairs(trajs), len(trajs)
+
+
+@pytest.fixture(scope="module")
+def rate_fixture():
+    from kooplift.experiments import fixture_dataset
+
+    return fixture_dataset(500, 7)[1]
+
+
+def _shuffled(ds):
+    """300 pairs of ``ds`` in an order that leaves no two consecutive pairs adjacent."""
+    return ds.subset(np.random.default_rng(1).permutation(ds.n)[:300])
+
+
+def _fit_cases(rate_fixture, planar_pairs):
+    from kooplift.experiments import cubic_training_data
+
+    _, cubic = cubic_training_data(seed=0)
+    planar, _ = planar_pairs
+    yield "cubic-m100", cubic, NystromLift(M52, sample_landmarks(cubic, 100, LandmarkStrategy.SharedUniform, seed=0))
+    for strategy in LandmarkStrategy:
+        for m in (10, 20, 160):
+            lm = sample_landmarks(rate_fixture, m, strategy, seed=1)
+            yield f"rate-{strategy.value}-m{m}", rate_fixture, NystromLift(M52, lm)
+    yield "rate-thinplate", rate_fixture, ThinPlateLift(np.linspace(-1.0, 1.0, 30)[:, None])
+    yield "planar-nystrom", planar, NystromLift(M52, sample_landmarks(planar, 40, LandmarkStrategy.SharedUniform, seed=2))
+    yield "planar-thinplate", planar, ThinPlateLift(np.random.default_rng(5).uniform(-1.0, 1.0, size=(30, 2)))
+    shuffled = _shuffled(rate_fixture)
+    lm = sample_landmarks(shuffled, 40, LandmarkStrategy.IndependentUniform, seed=2)
+    yield "shuffled-subset", shuffled, NystromLift(M52, lm)
+    yield "shuffled-thinplate", shuffled, ThinPlateLift(rate_fixture.X[:30])
+
+
+def test_fit_matches_two_pass_formula_bit_for_bit(rate_fixture, planar_pairs):
+    cases = list(_fit_cases(rate_fixture, planar_pairs))
+    assert len(cases) == 15
+    for name, ds, lifting in cases:
+        model = fit(ds, lifting, gamma=1e-6)
+        A_m, B_m, C, W, sol = two_pass_fit(ds, lifting, 1e-6)
+        for got, want in ((model.A_m, A_m), (model.B_m, B_m), (model.C, C), (model.gram_out_pinv_sqrt, W), (model._coef, sol)):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+
+
+def test_state_rows_split_shared_states(planar_pairs, rate_fixture):
+    ds, n_traj = planar_pairs
+    D, iy = _state_rows(ds.X, ds.Y)
+    assert len(D) == ds.n + n_traj
+    assert_same_bits(D[: ds.n], ds.X)
+    assert_same_bits(D[iy], ds.Y)
+    # a row-shuffled subset shares no rows: every output is a row of its own
+    shuffled = _shuffled(rate_fixture)
+    D, iy = _state_rows(shuffled.X, shuffled.Y)
+    assert len(D) == 2 * shuffled.n
+    assert_same_bits(D[iy], shuffled.Y)
+    # -0.0 and 0.0 compare equal but differ in their bytes, so they are kept apart
+    ds0 = Dataset([[1.0], [0.0]], [[0.0], [0.0]], [[-0.0], [2.0]])
+    D, iy = _state_rows(ds0.X, ds0.Y)
+    assert len(D) == 4
+    assert_same_bits(D[iy], ds0.Y)
+
+
+@pytest.mark.parametrize("strategy", [LandmarkStrategy.SharedUniform, LandmarkStrategy.IndependentUniform])
+def test_fit_nested_matches_separate_fits_nystrom(planar_pairs, strategy):
+    ds, _ = planar_pairs
+    lifts = [NystromLift(M52, sample_landmarks(ds, m, strategy, seed=3)) for m in (20, 10, 40)]
+    models = fit_nested(ds, lifts, gamma=1e-6, lam=1e-5)
+    for model, lifting in zip(models, lifts):
+        assert_models_equal(model, fit(ds, lifting, gamma=1e-6, lam=1e-5))
+
+
+def test_fit_nested_matches_separate_fits_thinplate(planar_pairs):
+    ds, _ = planar_pairs
+    pool = np.random.default_rng(6).uniform(-1.0, 1.0, size=(40, 2))
+    lifts = [ThinPlateLift(pool[:m]) for m in (10, 20, 40)]
+    for model, lifting in zip(fit_nested(ds, lifts, gamma=1e-6), lifts):
+        assert_models_equal(model, fit(ds, lifting, gamma=1e-6))
+
+
+def test_fit_nested_keeps_prefix_after_dropping_duplicates(planar_pairs):
+    ds, _ = planar_pairs
+    pool = sample_landmarks(ds, 12, LandmarkStrategy.SharedUniform, seed=4).outputs.copy()
+    pool[5] = pool[2]  # a duplicate inside the larger sets only
+    lifts = [NystromLift(M52, LandmarkSet(pool[:m], pool[:m], seed=4)) for m in (4, 8, 12)]
+    models = fit_nested(ds, lifts, gamma=1e-6)
+    assert [model.m for model in models] == [4, 7, 11]
+    for model, lifting in zip(models, lifts):
+        assert_models_equal(model, fit(ds, lifting, gamma=1e-6))
+    tp_lifts = [ThinPlateLift(pool[:m]) for m in (4, 8, 12)]
+    for model, lifting in zip(fit_nested(ds, tp_lifts, gamma=1e-6), tp_lifts):
+        assert_models_equal(model, fit(ds, lifting, gamma=1e-6))
+
+
+def test_fit_nested_rejects_lifts_it_cannot_share(planar_pairs):
+    ds, _ = planar_pairs
+    lift = NystromLift(M52, sample_landmarks(ds, 10, LandmarkStrategy.SharedUniform, seed=0))
+    other_draw = NystromLift(M52, sample_landmarks(ds, 20, LandmarkStrategy.SharedUniform, seed=1))
+    with pytest.raises(ValueError, match="prefix"):
+        fit_nested(ds, [lift, other_draw], gamma=1e-6)
+    with pytest.raises(ValueError, match="kind"):
+        fit_nested(ds, [lift, ThinPlateLift(lift.landmarks.outputs)], gamma=1e-6)
+    with pytest.raises(ValueError, match="kernel"):
+        fit_nested(ds, [lift, NystromLift(RBF, lift.landmarks)], gamma=1e-6)
+    centers = np.random.default_rng(7).uniform(-1.0, 1.0, size=(10, 2))
+    with pytest.raises(ValueError, match="prefix"):
+        fit_nested(ds, [ThinPlateLift(centers[:5]), ThinPlateLift(centers[::-1])], gamma=1e-6)
+    with pytest.raises(ValueError):
+        fit_nested(ds, [], gamma=1e-6)
