@@ -9,56 +9,66 @@ Two lifts are supported:
 * ``ThinPlateLift`` -- explicit thin-plate-spline features against fixed
   centers.  This is the baseline the landmark lift is benchmarked against.
 
-Both lifts are fitted by the same two ridge regressions through ``_ridge``, the
-one normal-equation solve: with F (n x k) and targets T (n x p) it factorizes
-only the k x k matrix F'F + reg and forms F'T before the solve, so no n-sized
-system and no n x k product of the solution is ever built.  With feature block
-F = [Phi(X) | U] and lifted training outputs Z' (n x m_out),
+Both lifts are fitted by the same two ridge regressions.  With feature block
+F = [Phi(X) | U] (n x k) and lifted training outputs Z = Psi(Y) V' (n x m_out),
 
-    S = _ridge(F, Z', gamma n I),   A_m = S_x' T,   B_m = S_u',   C = _ridge(Z', Y, lam n I)'
+    (F'F + gamma n I) S = F'Z,   A_m = S_x' T,   B_m = S_u',   (Z'Z + lam n I) C' = Z'Y
 
-The lifts differ in three things only:
+and every n-long sum is read from one set of cross products, G'G for
+G = [Phi(X) | U | Psi(Y) | Y], so only k x k and m_out x m_out systems are
+factorized and no n x m array of the solution or of the lifted outputs is
+built.  The lifts differ in three things only:
 
-    feature block Phi(X)    K(X, landmarks_in) E_in      thin_plate(X, centers)
-    lifted outputs Z'       (W K(landmarks_out, Y))'      thin_plate(Y, centers)
-    transport T             E_in' K_in_out W              I
+    feature block Phi(X)     K(X, landmarks_in) E_in      thin_plate(X, centers)
+    output features Psi(Y)   K(Y, landmarks_out) E_out    thin_plate(Y, centers)
+    V, transport T           V_out, E_in' K_in_out W      I, I
 
-where W = (K_out^+)^(1/2), E_in = V_r Lambda_r^(-1/2) is the thin inverse
-square-root factor of the input-landmark Gram K_in (one column per eigenvalue
-above the rank cutoff), and K_in_out is the cross-Gram of the input and output
-landmarks.  Each row of F has norm at most sqrt(kappa^2 + |u|^2), since
-E_in' k_in(x) is the projection of the feature of x onto the landmark span, so
-F'F + gamma n I is conditioned by 1 + (kappa^2 + max |u|^2) / gamma at worst,
-and the regression is the compressed estimator
-Pi_out Z*S P (P C P + gamma)^(-1) of the rate theory (the parametrization of
-Rudi, Camoriano & Rosasco, "Less is more: Nystrom computational
-regularization", NeurIPS 2015).  The model keeps S and the input factor, from
-which :func:`kooplift.theory.build_nystrom_operator` reads the fitted operator.
-With landmarks equal to the full training set the Nystrom surrogate coincides
-with the uncompressed kernel estimator on the retained input range; that
-degeneracy is exercised by the test-suite through the operator representations
-in :mod:`kooplift.theory`.
+where W = (K_out^+)^(1/2) = E_out V_out', E_in = V_r Lambda_r^(-1/2) is the
+thin inverse square-root factor of the input-landmark Gram K_in (one column per
+eigenvalue above the rank cutoff), E_out = W V_out that of the output Gram
+(taken from W and its kept eigenvectors V_out, so each Gram is decomposed once,
+and shared landmarks take Psi = Phi), and K_in_out is the cross-Gram of the
+input and output landmarks.  Each row of F has norm at most
+sqrt(kappa^2 + |u|^2), since E_in' k_in(x) is the projection of the feature of
+x onto the landmark span, so F'F + gamma n I is conditioned by
+1 + (kappa^2 + max |u|^2) / gamma at worst, and the regression is the
+compressed estimator Pi_out Z*S P (P C P + gamma)^(-1) of the rate theory (the
+parametrization of Rudi, Camoriano & Rosasco, "Less is more: Nystrom
+computational regularization", NeurIPS 2015).  The model keeps S and the input
+factor, from which :func:`kooplift.theory.build_nystrom_operator` reads the
+fitted operator.  With landmarks equal to the full training set the Nystrom
+surrogate coincides with the uncompressed kernel estimator on the retained
+input range; that degeneracy is exercised by the test-suite through the
+operator representations in :mod:`kooplift.theory`.
 
 Both feature matrices come from one pass per point set P over the data's
 distinct states D = [X; the rows of Y that are not X's next row]: within a
 trajectory y_i = x_{i+1}, so D has n + n_traj rows where X and Y together have
 2n.  Rows :n of K(D, P) (or thin_plate(D, P)) are the inputs' features, rows iy
 (D[iy] = Y) the outputs', and one matrix serves both sides when the input and
-output points agree (shared landmarks, thin-plate centers).  ``fit_nested``
+output points agree (shared landmarks, thin-plate centers).  The products are
+summed over blocks of pairs: a block's output rows are its input rows shifted
+by one, with the pairs that end a trajectory read from D[n:].  ``fit_nested``
 fits several lifts whose points are row prefixes of the largest lift's (the
 landmark draws of one seed, centers sliced ``[:m]``) from the leading columns
-of that one matrix, and ``fit`` is its call on one lift:
+of that one pass, and ``fit`` is its call on one lift:
 
-    pass                    K(D, landmarks)              thin_plate(D, centers)
-    inputs' block           rows :n, leading m_in        rows :n, leading m
-    outputs' block          rows iy, leading m_out       rows iy, leading m
+    blocks of G'G            Nystrom lift                 thin-plate lift
+    product set              one per lift                 one at the largest m
+    F'F, F'Psi, Psi'Psi      Phi, Psi at r_in, r_out      leading m of each block
+    Psi'Y                    Psi at r_out                 leading m rows
 
-Each entry is the one K(X, P) or K(P, Y) would hold: the distance steps are
-elementwise, and each inner product sums the same d products in the same order
-whichever operand comes first (the tests check this bit for bit at d = 1 and
-2).  The outputs' block is gathered into the (m_out, n) layout that
-K(landmarks_out, Y) had before W multiplies it, and F is assembled in place, so
-every model is bit for bit that of two separate feature passes.
+A Nystrom sweep keeps one product set per lift because E_in changes with m:
+reading a smaller fit from the largest one's raw kernel products squares the
+landmark Gram's condition number.  A thin-plate fit at m is the leading
+sub-blocks of the largest fit's products, and every entry of the pass is the
+one K(X, P) or K(P, Y) would hold (the tests check this bit for bit at d = 1
+and 2).  Against the two-pass formula (F'F, F'Z and Z'Z each taken over F and
+Z built whole) the sums run in another order, and the tests hold the
+coefficients to 1e-9 relative for kernel lifts (measured within 6.8e-11) and
+5e-9 for thin-plate lifts, whose unwhitened equations reach condition number
+1e7 (measured within 1.5e-9, where both orders sit 0.6e-9 to 1.4e-9 from a
+40-digit solve).  W takes no n-long sum and is unchanged.
 """
 
 from __future__ import annotations
@@ -260,18 +270,6 @@ def _lift_range(spec: KernelSpec, lm_out: FloatArray):
     return W, info["basis"], info
 
 
-def _ridge(F: FloatArray, T: FloatArray, reg: FloatArray):
-    """(F'F + reg)^-1 F'T, the package's one normal-equation solve.
-
-    F is (n, k) and T is (n, p), so the only system factorized is k x k and the
-    sum over the n training pairs is taken once, in F'T, before the solve.
-    Returns (solution (k, p), jitter_applied) as ``solve_psd`` does.
-    """
-    M = F.T @ F
-    M += reg
-    return solve_psd(M, F.T @ T)
-
-
 def _state_rows(X: FloatArray, Y: FloatArray) -> tuple[FloatArray, NDArray[np.intp]]:
     """The data's distinct states D = [X; the rows of Y that are not X's next
     row], and the index iy with D[iy] = Y bytewise.
@@ -289,24 +287,77 @@ def _state_rows(X: FloatArray, Y: FloatArray) -> tuple[FloatArray, NDArray[np.in
     return np.vstack([X, Y[~shared]]), iy
 
 
-# entries gathered per block by ``_rows_t``: a 128 KB temporary, the fastest
-# of the block sizes tried (4 096 to 80 000 entries) at n = 70 000 and 4 000
-_GATHER_ENTRIES = 16_384
+# entries per block of [Phi_x | U | Psi_y | Y] in ``_cross_products``: a 2 MB
+# buffer, the fastest of the sizes tried (2^16 to 2^20 entries) at n = 70 000
+_BLOCK_ENTRIES = 1 << 18
 
 
-def _rows_t(K: FloatArray, rows, cols: int) -> FloatArray:
-    """K[rows, :cols].T as a C-contiguous (cols, len(rows)) array.
+def _cross_products(ds: Dataset, iy: NDArray[np.intp], inputs: tuple, outputs: tuple | None) -> FloatArray:
+    """G'G for G = [Phi_x | U | Psi_y | Y], the one set of n-long sums of a fit.
 
-    This is the layout of K(landmarks_out, Y) built on its own, so the product
-    W @ K rounds exactly as it does on that matrix; a transposed view of the
-    same entries selects another BLAS kernel and rounds differently.  Taken by
-    blocks of rows, so no (len(rows), cols) copy is made.
+    ``inputs`` and ``outputs`` are (K, cols, E): the features of the distinct
+    states D[a:b] are K[a:b, :cols] E (E None for no factor), Phi_x those of
+    the rows :n and Psi_y those of the rows iy.  ``outputs`` None means the two
+    sides share their points.  G is summed over blocks of pairs and never built
+    whole.  Within a trajectory pair i's output is D[i + 1], so a block's output
+    features are those of the block shifted by one row (one feature product for
+    both sides when they are shared); the pairs that end a trajectory take
+    theirs from the states after X, D[n:], in order.
     """
-    out = np.empty((cols, len(rows)))
-    step = max(1, _GATHER_ENTRIES // cols)
-    for i in range(0, len(rows), step):
-        out[:, i : i + step] = K[rows[i : i + step], :cols].T
-    return out
+    n, n_u, d = ds.n, ds.n_u, ds.d
+
+    def features(side, a, b):
+        K, cols, E = side
+        return K[a:b, :cols] if E is None else K[a:b, :cols] @ E
+
+    out_side = inputs if outputs is None else outputs
+    ends = np.flatnonzero(iy >= n)  # iy[ends] = n, n + 1, ...
+    psi_ends = features(out_side, n, n + len(ends))
+    r_in, r_out = features(inputs, 0, 0).shape[1], psi_ends.shape[1]
+    y0 = r_in + n_u
+    k = y0 + r_out + d
+    G = np.zeros((k, k))
+    step = max(1, _BLOCK_ENTRIES // k)
+    block = np.empty((min(step, n), k))
+    for i0 in range(0, n, step):
+        i1 = min(i0 + step, n)
+        B = block[: i1 - i0]
+        if outputs is None:
+            Z = features(inputs, i0, i1 + 1)
+            B[:, :r_in], B[:, y0 : y0 + r_out] = Z[:-1], Z[1:]
+        else:
+            B[:, :r_in], B[:, y0 : y0 + r_out] = features(inputs, i0, i1), features(outputs, i0 + 1, i1 + 1)
+        j0, j1 = np.searchsorted(ends, (i0, i1))
+        B[ends[j0:j1] - i0, y0 : y0 + r_out] = psi_ends[j0:j1]
+        B[:, r_in:y0], B[:, y0 + r_out :] = ds.U[i0:i1], ds.Y[i0:i1]
+        G += B.T @ B
+    return G
+
+
+def _solve_ridges(G: FloatArray, widths: tuple, r_in: int, r_out: int, V: FloatArray, gamma_n: float, lam_n: float):
+    """The fit's two ridges, read from the products G of [Phi_x | U | Psi_y | Y].
+
+    ``widths`` are the block widths (R_in, n_u, R_out) of G and the fit reads
+    the leading r_in and r_out columns of Phi_x and Psi_y; its lifted outputs
+    are Z = Psi_y V', so with F = [Phi_x | U]
+        (F'F + gamma n I) S = F'Psi_y V',   (V Psi_y'Psi_y V' + lam n I) C' = V Psi_y'Y.
+    Returns (S, C', jitter_applied).
+    """
+    R_in, n_u, R_out = widths
+    f = np.r_[:r_in, R_in : R_in + n_u]
+    p = np.arange(R_in + n_u, R_in + n_u + r_out)
+    y = np.arange(R_in + n_u + R_out, len(G))
+    FtF = G[np.ix_(f, f)]
+    FtF += gamma_n * np.eye(len(f))
+    S, jitter = solve_psd(FtF, G[np.ix_(f, p)] @ V.T)
+    ZtZ = V @ G[np.ix_(p, p)] @ V.T
+    ZtZ += lam_n * np.eye(len(V))
+    Ct, c_jitter = solve_psd(ZtZ, V @ G[np.ix_(p, y)])
+    return S, Ct, bool(jitter or c_jitter)
+
+
+def _same_rows(P: FloatArray, Q: FloatArray) -> bool:
+    return P.shape == Q.shape and P.tobytes() == Q.tobytes()
 
 
 def _nested_points(point_sets: list) -> FloatArray:
@@ -344,9 +395,12 @@ def fit_nested(
     centers) must be a row prefix of the largest lift's, which landmark draws
     of one seed and center pools sliced ``[:m]`` are.  The features of the
     data's distinct states against the largest point set are built once, and
-    each fit reads its leading columns.  Every model is bit for bit the one
-    ``fit`` returns for its lift alone.  Raises ``ValueError`` for lifts that
-    are not nested or that mix kinds or kernels.
+    each fit reads its leading columns: a kernel fit sums its own cross
+    products from them, and thin-plate fits read the leading sub-blocks of the
+    largest fit's.  A kernel model is bit for bit the one ``fit`` returns for
+    its lift alone, a thin-plate model agrees with it to the tolerance the
+    module docstring states.  Raises ``ValueError`` for lifts that are not
+    nested or that mix kinds or kernels.
     """
     if not gamma > 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
@@ -379,32 +433,30 @@ def fit_nested(
     n = ds.n
     D, iy = _state_rows(ds.X, ds.Y)
     K_out = pairwise(D, P_out)  # (len(D), len(P_out)): rows :n are X's features, rows iy Y's
-    K_in = K_out if P_in.shape == P_out.shape and P_in.tobytes() == P_out.tobytes() else pairwise(D, P_in)
+    K_in = K_out if _same_rows(P_in, P_out) else pairwise(D, P_in)
+    if kind is ThinPlateLift:
+        # one product set at the largest m: every smaller fit is its leading sub-blocks
+        M = len(P_out)
+        G, widths = _cross_products(ds, iy, (K_out, M, None), None), (M, ds.n_u, M)
+        del K_in, K_out
     models = []
     for k, (lifting, lm_in, lm_out) in enumerate(zip(lifts, ins, outs)):
         if kind is NystromLift:
-            lifting, W, V, E_in, transport, diagnostics = _nystrom_parts(lifting, lm_in, lm_out)
-            r_in = E_in.shape[1]
+            shared = _same_rows(lm_in, lm_out)
+            lifting, W, V, E_in, transport, diagnostics = _nystrom_parts(lifting, lm_in, lm_out, shared)
+            # Psi_y = K(Y, lm_out) E_out with W = E_out V'; shared landmarks take Psi = Phi
+            outputs = None if shared else (K_out, len(lm_out), W @ V)
+            G = _cross_products(ds, iy, (K_in, len(lm_in), E_in), outputs)
+            if k == len(lifts) - 1:
+                del K_in, K_out  # the products are summed, so the pass is not held through the solves
+            r_in, r_out = E_in.shape[1], V.shape[1]
+            widths = (r_in, ds.n_u, r_out)
         else:
             W = V = np.eye(len(lm_out))
-            lifting, E_in, transport, r_in = ThinPlateLift(lm_in), None, None, len(lm_in)
+            lifting, E_in, transport, r_in, r_out = ThinPlateLift(lm_in), None, None, len(lm_in), len(lm_out)
             diagnostics = {"m_in": len(lm_in), "m_out": len(lm_out)}
-        # F = [Phi(X) | U] (n, r_in + n_u), assembled in place
-        F = np.empty((n, r_in + ds.n_u))
-        if E_in is None:
-            F[:, :r_in] = K_in[:n, : len(lm_in)]
-        else:
-            np.matmul(K_in[:n, : len(lm_in)], E_in, out=F[:, :r_in])  # whitened landmark features
-        F[:, r_in:] = ds.U
-        K_y = K_out[iy, : len(lm_out)] if E_in is None else _rows_t(K_out, iy, len(lm_out))
-        if k == len(lifts) - 1:
-            del K_in, K_out  # both blocks are copied out, so the pass is not held through the products
-        Zt = K_y if E_in is None else (W @ K_y).T  # lifted training outputs, rows z_{i+1}
-        del K_y
-        sol, jitter = _ridge(F, Zt, gamma * n * np.eye(F.shape[1]))
+        sol, Ct, diagnostics["jitter_applied"] = _solve_ridges(G, widths, r_in, r_out, V, gamma * n, lam * n)
         A_m = sol[:r_in].T if transport is None else sol[:r_in].T @ transport
-        Ct, c_jitter = _ridge(Zt, ds.Y, lam * n * np.eye(len(lm_out)))
-        diagnostics["jitter_applied"] = bool(jitter or c_jitter)
         models.append(
             KoopmanModel(
                 lifting=lifting,
@@ -420,17 +472,18 @@ def fit_nested(
                 _in_factor=E_in,
             )
         )
-        del F, Zt  # this lift's n-row blocks, dropped before the next lift builds its own
     return models
 
 
-def _nystrom_parts(lifting: NystromLift, lm_in: FloatArray, lm_out: FloatArray):
+def _nystrom_parts(lifting: NystromLift, lm_in: FloatArray, lm_out: FloatArray, shared: bool):
     """What a kernel fit takes from its deduplicated landmarks alone: the lift
     that keeps them, W, the range basis, E_in, the transport and the Grams'
-    rank diagnostics."""
+    rank diagnostics.  Each landmark Gram is decomposed once: ``shared``
+    landmarks (input and output points equal) take E_in from the
+    eigendecomposition behind W."""
     spec = lifting.kernel
     W, V, info = _lift_range(spec, lm_out)
-    E_in, info_in = psd_pinv_sqrt_factor(gram(spec, lm_in))
+    E_in, info_in = (info["factor"], info) if shared else psd_pinv_sqrt_factor(gram(spec, lm_in))
     transport = (E_in.T @ gram(spec, lm_in, lm_out)) @ W
     diagnostics = {
         "m_in": len(lm_in),

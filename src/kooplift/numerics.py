@@ -77,10 +77,12 @@ def _clipped_eigh(M: FloatArray, tol: RankTolerance):
 
 
 def _rank_info(w: FloatArray, V: FloatArray, kept) -> dict:
-    """The rank decision of a clipped eigendecomposition, as the fits report it."""
+    """The rank decision of a clipped eigendecomposition, as the fits report it,
+    with the thin inverse square-root factor V_r Lambda_r^(-1/2) it defines."""
     nkept = int(np.count_nonzero(kept))
     return {
         "basis": V[:, kept],
+        "factor": V[:, kept] / np.sqrt(w[kept]),
         "rank": nkept,
         "clipped": int(w.size - nkept),
         "cond": float(w[-1] / w[kept][0]) if nkept else math.inf,
@@ -95,8 +97,9 @@ def psd_pinv_sqrt(M, tol: RankTolerance = RankTolerance(), return_info: bool = F
     matrix maps to the zero matrix.
 
     With ``return_info=True`` also returns a dict with the retained eigenvectors
-    (an orthonormal basis of the range), the rank, the number of clipped
-    eigenvalues and the condition number of the retained block.
+    (an orthonormal basis of the range), the thin factor of
+    ``psd_pinv_sqrt_factor``, the rank, the number of clipped eigenvalues and
+    the condition number of the retained block.
     """
     M = _check_finite_square(M, "M")
     w, V, kept = _clipped_eigh(M, tol)
@@ -118,8 +121,8 @@ def psd_pinv_sqrt_factor(M):
     root itself is never formed.
     """
     M = _check_finite_square(M, "M")
-    w, V, kept = _clipped_eigh(M, RankTolerance())
-    return V[:, kept] / np.sqrt(w[kept]), _rank_info(w, V, kept)
+    info = _rank_info(*_clipped_eigh(M, RankTolerance()))
+    return info["factor"], info
 
 
 def psd_sqrt(M, tol: RankTolerance = RankTolerance()) -> FloatArray:
