@@ -33,7 +33,7 @@ from .identify import (
 )
 from .kernels import KernelFamily, KernelSpec, gram, kernel_eval
 from .lqr import LqrWeights, RiccatiSolution, build_weights, dare_residual, solve_dare, solve_model_dare
-from .numerics import RankTolerance, psd_pinv_sqrt, spectral_radius, tau
+from .numerics import RankTolerance, spectral_radius, tau
 from .simulate import (
     CollectionProtocol,
     RolloutResult,

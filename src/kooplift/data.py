@@ -383,8 +383,8 @@ def cross_validate(
             model, hold_idx = fit_fold(ds, fold, folds, lengthscale, gamma, m, seed, kernel_family)
             hold = ds.subset(hold_idx)
             Z = model.embed_states(hold.X)
-            Znext = model.A_m @ Z + model.B_m @ hold.U.T
-            pred = (model.C @ Znext).T
+            Znext = model.A_r @ Z + model.B_r @ hold.U.T
+            pred = (model.C_r @ Znext).T
             fold_scores.append(float(np.mean(np.sum((pred - hold.Y) ** 2, axis=1))))
         scores[(lengthscale, gamma)] = float(np.mean(fold_scores))
     best = min(scores, key=lambda cell: (scores[cell], -cell[1], -cell[0]))

@@ -415,7 +415,7 @@ def riccati_objective_sweep(
     norm_R_inv = 1.0 / sigma_min_R
     G = theory.build_exact_operator(ds, MATERN_UNIT, gamma)
     exact_model = fit_exact(ds, gamma)
-    Q_exact = exact_model.C.T @ exact_model.C
+    Q_exact = exact_model.C_r.T @ exact_model.C_r
     exact_sol = solve_model_dare(exact_model, np.eye(ds.d), R, rho_cap=0.9995)
     basis = _sweep_basis(ds)
     norms = theory.exact_model_norms(G, exact_model, exact_sol, basis)

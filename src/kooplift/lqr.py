@@ -15,9 +15,9 @@ O(log N) products.  Gains follow the convention u = K z with
 K = -(R + B' P B)^(-1) B' P A.
 
 ``solve_model_dare`` is the entry point used by the pipeline: it synthesizes
-on the numerically retained range of the model's lift (same solution, much
-cheaper when the landmark set is the whole training set) and stays usable on
-lifts whose marginal modes make the textbook infinite-horizon problem
+on the model's own coordinates, the r-dimensional retained range of its lift,
+so every matrix here is r x r whatever the landmark count, and it stays usable
+on lifts whose marginal modes make the textbook infinite-horizon problem
 ill-posed; see its docstring.  ``solve_dare`` and ``solve_model_dare`` share
 one core, ``_riccati_core``.  The core also serves fixed-gain costs: with
 B = 0 the iteration is P_{k+1} = A' P_k A + Q, whose iterates are the Lyapunov
@@ -30,7 +30,7 @@ same sums in their dual form, along (A + B K)' with the weight z0 z0'.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from numpy.typing import NDArray
@@ -52,7 +52,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class LqrWeights:
-    """State weight in lifted coordinates and control weight."""
+    """State weight in the model's lifted coordinates and control weight."""
 
     Q_m: FloatArray
     R: FloatArray
@@ -88,6 +88,9 @@ class RiccatiSolution:
     leaves them untouched and ``rho_L`` refers to the synthesized subsystem.
     ``jitter_applied`` records whether any PSD solve of the synthesis (the
     input weight, each checked residual, the gain) fell back to jitter.
+
+    For a model, P_m, K_m and L_m are in its lifted coordinates (r x r, n_u x r
+    and r x r).
     """
 
     P_m: FloatArray
@@ -101,17 +104,17 @@ class RiccatiSolution:
     rho_L_full: float | None = None
     converged: bool = True
     jitter_applied: bool = False
-    # orthonormal columns spanning the synthesized subspace, when synthesis ran
-    # on a restriction of the lifted coordinates
+    # orthonormal columns spanning the synthesized subspace when a deflation
+    # restricted synthesis to it, else None
     basis: FloatArray | None = field(default=None, repr=False)
 
 
 def build_weights(model: KoopmanModel, Qprime, R) -> LqrWeights:
-    """Pull a state-space weight back through the reconstruction: Q_m = C' Q' C."""
+    """Pull a state-space weight back through the reconstruction: Q_m = C_r' Q' C_r."""
     Qprime = np.atleast_2d(np.asarray(Qprime, dtype=float))
     if Qprime.shape != (model.d, model.d):
         raise ValueError(f"Qprime must be ({model.d}, {model.d}), got {Qprime.shape}")
-    Q_m = model.C.T @ Qprime @ model.C
+    Q_m = model.C_r.T @ Qprime @ model.C_r
     return LqrWeights(Q_m=Q_m, R=np.atleast_2d(np.asarray(R, dtype=float)))
 
 
@@ -274,10 +277,8 @@ def solve_model_dare(
 ) -> RiccatiSolution:
     """LQR synthesis for a fitted surrogate, robust to marginal lifted modes.
 
-    Weights are either given directly or built as C' Q' C from ``Qprime`` and
-    ``R``.  The iteration runs on the retained range of the lift (with V the
-    orthonormal range basis, A_m = V A_r V', B_m = V B_r and Q_m = V Q_r V'
-    hold for fitted models up to round-off).
+    Weights are either given directly or built as C_r' Q' C_r from ``Qprime``
+    and ``R``.  The iteration runs on (A_r, B_r), the model's own coordinates.
 
     Kernel lifts of these systems carry numerically marginal modes (constants
     are an eigenfunction of the step map at eigenvalue 1) with negligible
@@ -289,50 +290,34 @@ def solve_model_dare(
       has resolved while leaving un-inflated marginal directions alone;
       ``converged=False`` records the cap.  An iterate that overflows before
       the cap raises RuntimeError.
-    * ``rho_cap`` (optional) deflates modes with |eig(A)| >= rho_cap from the
+    * ``rho_cap`` (optional) deflates modes with |eig(A_r)| >= rho_cap from the
       synthesis outright via an ordered Schur form, which yields a strictly
       contractive synthesized loop.  Only appropriate when no genuine
-      controllable mode lies above the cap.
+      controllable mode lies above the cap.  The solution's ``basis`` is then
+      the Schur basis U1 of the kept modes, P_m = U1 P_s U1' and K_m = K_s U1'.
     """
     if weights is None:
         if Qprime is None or R is None:
             raise ValueError("provide either weights or both Qprime and R")
         weights = build_weights(model, Qprime, R)
-    V = model.range_basis()
-    A_r = V.T @ model.A_m @ V
-    B_r = V.T @ model.B_m
-    Q_r = 0.5 * (V.T @ weights.Q_m @ V + (V.T @ weights.Q_m @ V).T)
-    deflation = _deflate_marginal_modes(A_r, rho_cap) if rho_cap is not None else None
-    if deflation is not None:
-        U1, T11 = deflation
-        basis = V @ U1
-        A_s, B_s = T11, U1.T @ B_r
-        Q_s = 0.5 * (U1.T @ Q_r @ U1 + (U1.T @ Q_r @ U1).T)
-        deflated = A_r.shape[0] - U1.shape[1]
-    else:
-        basis = V
-        A_s, B_s, Q_s = A_r, B_r, Q_r
-        deflated = 0
-    red = _riccati_core(A_s, B_s, LqrWeights(Q_s, weights.R), tol, horizon)
-    P = basis @ red.P_m @ basis.T
-    K = red.K_m @ basis.T
-    L = model.A_m + model.B_m @ K
-    if deflated:
-        # the full loop's nonzero spectrum lives on the retained range
-        rho_full = spectral_radius(A_r + B_r @ (K @ V))
-    else:
-        rho_full = red.rho_L
-    return RiccatiSolution(
+    A, B = model.A_r, model.B_r
+    deflation = _deflate_marginal_modes(A, rho_cap) if rho_cap is not None else None
+    if deflation is None:
+        red = _riccati_core(A, B, weights, tol, horizon)
+        return replace(red, rho_L_full=red.rho_L)
+    U1, T11 = deflation
+    Q_s = U1.T @ weights.Q_m @ U1
+    red = _riccati_core(T11, U1.T @ B, LqrWeights(Q_s, weights.R), tol, horizon)
+    P = U1 @ red.P_m @ U1.T
+    K = red.K_m @ U1.T
+    L = A + B @ K
+    return replace(
+        red,
         P_m=0.5 * (P + P.T),
         K_m=K,
         L_m=L,
-        residual=red.residual,
-        rho_L=red.rho_L,
-        iterations=red.iterations,
-        delta_history=red.delta_history,
-        deflated=deflated,
-        rho_L_full=rho_full,
-        converged=red.converged,
-        jitter_applied=red.jitter_applied,
-        basis=basis,
+        deflated=A.shape[0] - U1.shape[1],
+        # the full loop's spectrum: the deflated modes stay where they were
+        rho_L_full=spectral_radius(L),
+        basis=U1,
     )

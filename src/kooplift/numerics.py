@@ -76,40 +76,19 @@ def _clipped_eigh(M: FloatArray, tol: RankTolerance):
     return w, V, w > cutoff
 
 
-def _rank_info(w: FloatArray, V: FloatArray, kept) -> dict:
-    """The rank decision of a clipped eigendecomposition, as the fits report it,
-    with the thin inverse square-root factor V_r Lambda_r^(-1/2) it defines."""
-    nkept = int(np.count_nonzero(kept))
-    return {
-        "basis": V[:, kept],
-        "factor": V[:, kept] / np.sqrt(w[kept]),
-        "rank": nkept,
-        "clipped": int(w.size - nkept),
-        "cond": float(w[-1] / w[kept][0]) if nkept else math.inf,
-    }
-
-
-def psd_pinv_sqrt(M, tol: RankTolerance = RankTolerance(), return_info: bool = False):
+def psd_pinv_sqrt(M, tol: RankTolerance = RankTolerance()) -> FloatArray:
     """Pseudo-inverse square root of a symmetric PSD matrix.
 
     Eigenvalues above the relative cutoff map to lambda^(-1/2), the rest to 0;
     eigenvectors are preserved and the result is symmetric.  The all-zero
     matrix maps to the zero matrix.
-
-    With ``return_info=True`` also returns a dict with the retained eigenvectors
-    (an orthonormal basis of the range), the thin factor of
-    ``psd_pinv_sqrt_factor``, the rank, the number of clipped eigenvalues and
-    the condition number of the retained block.
     """
     M = _check_finite_square(M, "M")
     w, V, kept = _clipped_eigh(M, tol)
     inv_sqrt = np.zeros_like(w)
     inv_sqrt[kept] = 1.0 / np.sqrt(w[kept])
     R = (V * inv_sqrt[None, :]) @ V.T
-    R = 0.5 * (R + R.T)
-    if not return_info:
-        return R
-    return R, _rank_info(w, V, kept)
+    return 0.5 * (R + R.T)
 
 
 def psd_pinv_sqrt_factor(M):
@@ -117,12 +96,21 @@ def psd_pinv_sqrt_factor(M):
 
     One column per eigenvalue above the default relative cutoff, so E has shape
     (N, r), E' M E = I_r and E V_r' is the pseudo-inverse square root.  Returns
-    (E, info) with ``info`` as ``psd_pinv_sqrt`` reports it; the N x N square
-    root itself is never formed.
+    (E, info), ``info`` holding the kept eigenvectors V_r (``basis``), the
+    rank, the number of clipped eigenvalues and the condition number of the
+    kept block, as the fits report them; the N x N square root itself is never
+    formed.
     """
     M = _check_finite_square(M, "M")
-    info = _rank_info(*_clipped_eigh(M, RankTolerance()))
-    return info["factor"], info
+    w, V, kept = _clipped_eigh(M, RankTolerance())
+    rank = int(np.count_nonzero(kept))
+    info = {
+        "basis": V[:, kept],
+        "rank": rank,
+        "clipped": int(w.size - rank),
+        "cond": float(w[-1] / w[kept][0]) if rank else math.inf,
+    }
+    return V[:, kept] / np.sqrt(w[kept]), info
 
 
 def psd_sqrt(M, tol: RankTolerance = RankTolerance()) -> FloatArray:
@@ -134,16 +122,6 @@ def psd_sqrt(M, tol: RankTolerance = RankTolerance()) -> FloatArray:
     M = _check_finite_square(M, "M")
     w, V, kept = _clipped_eigh(M, tol)
     return np.sqrt(w[kept])[:, None] * V[:, kept].T
-
-
-def psd_pinv(M, tol: RankTolerance = RankTolerance()) -> FloatArray:
-    """Clipped pseudo-inverse of a symmetric PSD matrix."""
-    M = _check_finite_square(M, "M")
-    w, V, kept = _clipped_eigh(M, tol)
-    inv = np.zeros_like(w)
-    inv[kept] = 1.0 / w[kept]
-    R = (V * inv[None, :]) @ V.T
-    return 0.5 * (R + R.T)
 
 
 def spectral_radius(L) -> float:

@@ -7,8 +7,13 @@ exactly as
 
     D [l; u]  =  F_out @ out_weight @ core @ [ in_weight @ (l at in_anchors); u ]
 
-with ``F_out`` the formal row of features at the output anchors.  Operator
-norms then reduce to the largest singular value of the whitened factor
+with ``F_out`` the formal row of features at the output anchors.  The weights
+may be thin: a fitted model's operators take its embedding factors, out_weight
+= E_out (q x r_out) and in_weight = E_in' (r_in x p), and their cores are
+r-sized (the compressed operator's core is the fit's S_r', the Riccati
+operator's the solution P_r in the model's coordinates), so no landmark-sized
+square matrix is formed.  Operator norms then reduce to the largest singular
+value of the whitened factor
 
     C = [ (R_out @ out_weight) @ core_x @ (in_weight @ R_in') | (R_out @ out_weight) @ core_u ]
 
@@ -18,7 +23,9 @@ r x (r + n_u).  A signed sum of operators adds each term on its own columns of
 R_out and R_in.  Each weight multiplies whitened columns first: the
 R @ weight factors are contractions, so differences of nearly equal operators
 keep full relative precision instead of being squared away.  The Riccati
-solutions and the closed loop are operators of the same form.
+solutions and the closed loop are operators of the same form.  The weight
+transport from one model's coordinates to another's is E_a' K(out_a, out_b) E_b,
+r_a x r_b.
 
 Every factor is read from an ``AnchorBasis``: one ``psd_sqrt`` of the Gram of
 a point set's distinct rows, from which any anchor set among those rows takes
@@ -107,14 +114,19 @@ __all__ = [
 
 @dataclass
 class RkhsOperator:
-    """Finite-rank operator from (lifted state, control) pairs to lifted states."""
+    """Finite-rank operator from (lifted state, control) pairs to lifted states.
+
+    The weights may be thin: ``out_weight`` is (q, a) and ``in_weight`` (b, p),
+    so the core is (a, b + n_u); a weight of None is the identity (a = q,
+    b = p).
+    """
 
     kernel: KernelSpec
     out_anchors: FloatArray  # (q, d)
-    core: FloatArray  # (q, p + n_u) if control block else (q, p)
+    core: FloatArray  # (a, b + n_u) if control block else (a, b)
     in_anchors: FloatArray | None = None  # (p, d); None means p = 0
-    out_weight: FloatArray | None = None  # (q, q); None means identity
-    in_weight: FloatArray | None = None  # (p, p); None means identity
+    out_weight: FloatArray | None = None  # (q, a); None means identity
+    in_weight: FloatArray | None = None  # (b, p); None means identity
     n_u: int = 0
 
     def __post_init__(self) -> None:
@@ -124,11 +136,11 @@ class RkhsOperator:
             self.in_anchors = np.atleast_2d(np.asarray(self.in_anchors, dtype=float))
         if not np.all(np.isfinite(self.core)):
             raise ValueError("core coefficients contain non-finite entries")
-        p = 0 if self.in_anchors is None else len(self.in_anchors)
-        if self.core.shape != (len(self.out_anchors), p + self.n_u):
+        a = self.q if self.out_weight is None else self.out_weight.shape[1]
+        if self.core.shape != (a, self.b + self.n_u):
             raise ValueError(
-                f"core shape {self.core.shape} inconsistent with "
-                f"{len(self.out_anchors)} out anchors, {p} in anchors, n_u = {self.n_u}"
+                f"core shape {self.core.shape} inconsistent with {a} output and {self.b} input "
+                f"coordinates, n_u = {self.n_u}"
             )
 
     @property
@@ -139,12 +151,17 @@ class RkhsOperator:
     def q(self) -> int:
         return len(self.out_anchors)
 
+    @property
+    def b(self) -> int:
+        """Width of the core's state block."""
+        return self.p if self.in_weight is None else self.in_weight.shape[0]
+
     def state_part(self) -> "RkhsOperator":
         """The operator restricted to the lifted-state input (control dropped)."""
         return RkhsOperator(
             kernel=self.kernel,
             out_anchors=self.out_anchors,
-            core=self.core[:, : self.p],
+            core=self.core[:, : self.b],
             in_anchors=self.in_anchors,
             out_weight=self.out_weight,
             in_weight=self.in_weight,
@@ -179,8 +196,8 @@ def _whitened_factor(ops: list[tuple[RkhsOperator, float]], R_out: FloatArray, R
             E_in = R_in[:, p0 : p0 + op.p].T
             if op.in_weight is not None:
                 E_in = op.in_weight @ E_in
-            C[:, :r_in] += sign * ((E_out @ op.core[:, : op.p]) @ E_in)
-        C[:, r_in:] += sign * (E_out @ op.core[:, op.p :])
+            C[:, :r_in] += sign * ((E_out @ op.core[:, : op.b]) @ E_in)
+        C[:, r_in:] += sign * (E_out @ op.core[:, op.b :])
         q0 += op.q
         p0 += op.p
     return C
@@ -274,16 +291,16 @@ def operator_norm(A: RkhsOperator, tol: AnchorBasis | RankTolerance = RankTolera
 
 
 def _riccati_operator(model: KoopmanModel, P: FloatArray) -> RkhsOperator:
-    """The quadratic form P on the model's lifted coordinates, F W P W F^*."""
+    """The quadratic form P on the model's lifted coordinates, F E_out P E_out' F^*."""
     out = model.lifting.landmarks.outputs
-    W = model.gram_out_pinv_sqrt
+    E = model.out_factor
     return RkhsOperator(
         kernel=model.lifting.kernel,
         out_anchors=out,
         core=P,
         in_anchors=out,
-        out_weight=W,
-        in_weight=W,
+        out_weight=E,
+        in_weight=E.T,
     )
 
 
@@ -319,13 +336,11 @@ def build_nystrom_operator(model: KoopmanModel) -> RkhsOperator:
     """The landmark-compressed regression operator of a fitted kernel-lift model.
 
     A view of the regression ``identify.fit`` solved, anchored on the model's
-    landmarks: with its ridge solution S = [S_x; S_u] over the features
-    [K(X, lm_in) E_in | U] and E_in = V_in Lambda^(-1/2) the thin factor of the
-    input-landmark Gram, the core is [S_x' V_in' | S_u'], in_weight is the
-    clipped (K_in^+)^(1/2) = E_in V_in' and out_weight is the embedding weight
-    W, so the state block reads W S_x' E_in' at the input landmarks.  V_in is
-    E_in with its columns scaled to unit norm.  Every stored factor stays
-    bounded, and nothing is solved here.  Raises TypeError
+    landmarks: with its ridge solution S_r = [S_x; S_u] over the features
+    [K(X, lm_in) E_in | U] and E_in, E_out the thin factors of the landmark
+    Grams, the core is S_r', in_weight is E_in' and out_weight is E_out, so the
+    state block reads E_out S_x' E_in' at the input landmarks.  Every stored
+    factor is thin and bounded, and nothing is solved here.  Raises TypeError
     for a thin-plate model and ValueError for a model loaded from JSON, which
     carries no regression coefficients.
     """
@@ -333,16 +348,13 @@ def build_nystrom_operator(model: KoopmanModel) -> RkhsOperator:
         raise TypeError("the compressed operator needs a kernel-lift model")
     if model._coef is None:
         raise ValueError("model carries no regression coefficients (models loaded from JSON do not)")
-    S, E_in = model._coef, model._in_factor
-    V_in = E_in / np.linalg.norm(E_in, axis=0)
-    r_in = E_in.shape[1]
     return RkhsOperator(
         kernel=model.lifting.kernel,
         out_anchors=model.lifting.landmarks.outputs,
-        core=np.hstack([S[:r_in].T @ V_in.T, S[r_in:].T]),
+        core=model._coef.T,
         in_anchors=model.lifting.landmarks.inputs,
-        out_weight=model.gram_out_pinv_sqrt,
-        in_weight=E_in @ V_in.T,
+        out_weight=model.out_factor,
+        in_weight=model._in_factor.T,
         n_u=model.n_u,
     )
 
@@ -411,7 +423,7 @@ def projection_error(
 def transport_weights(exact_model: KoopmanModel, Q_exact: FloatArray, ny_model: KoopmanModel):
     """Express the exact surrogate's state weight in the compressed coordinates.
 
-    Returns (Q_ny, T) with T = W_exact K(out_exact, out_ny) W_ny the map from
+    Returns (Q_ny, T) with T = E_exact' K(out_exact, out_ny) E_ny the map from
     compressed to exact lifted coordinates, so both quadratic forms realize the
     same weighting operator on the lifted space: Q_ny = T' Q_exact T.  The
     compressed gain reads the exact coordinates through T' (``objective_gap``).
@@ -420,7 +432,7 @@ def transport_weights(exact_model: KoopmanModel, Q_exact: FloatArray, ny_model: 
         raise TypeError("weight transport requires kernel lifts on both sides")
     kernel = exact_model.lifting.kernel
     cross = gram(kernel, exact_model.lifting.landmarks.outputs, ny_model.lifting.landmarks.outputs)
-    T = exact_model.gram_out_pinv_sqrt @ cross @ ny_model.gram_out_pinv_sqrt
+    T = exact_model.out_factor.T @ cross @ ny_model.out_factor
     Q = T.T @ Q_exact @ T
     return 0.5 * (Q + Q.T), T
 
@@ -446,6 +458,12 @@ class ExactModelNorms:
         return 1.0 + max(self.A, self.B, self.P, self.K)
 
 
+def _synthesis_basis(model: KoopmanModel, sol: RiccatiSolution) -> FloatArray:
+    """Orthonormal basis, in the model's coordinates, of the subspace ``sol``
+    was synthesized on: the deflation's Schur basis, or I_r."""
+    return sol.basis if sol.basis is not None else np.eye(model.r)
+
+
 def exact_model_norms(
     G_exact: RkhsOperator,
     exact_model: KoopmanModel,
@@ -467,21 +485,22 @@ def exact_model_norms(
     R_y, R_x = basis.columns(out), basis.columns(G_exact.in_anchors)
     C = _whitened_factor([(G_exact, 1.0)], R_y, R_x)
     norm_P = _factor_norm(_whitened_factor([(_riccati_operator(exact_model, exact_sol.P_m), 1.0)], R_y, R_y))
-    KW = exact_sol.K_m @ exact_model.gram_out_pinv_sqrt
+    E = exact_model.out_factor
     # closed loop A + B K: the gain reads the state at the model's output
     # landmarks and feeds G's control block
     gain = RkhsOperator(
         kernel=kernel,
         out_anchors=G_exact.out_anchors,
-        core=G_exact.core[:, G_exact.p :] @ KW,
+        core=G_exact.core[:, G_exact.p :] @ exact_sol.K_m,
         in_anchors=out,
         out_weight=G_exact.out_weight,
+        in_weight=E.T,
     )
     norm_L = _sum_norm([(G_exact.state_part(), 1.0), (gain, 1.0)], basis)
     # transient growth and sigma_min are taken on the synthesized subsystem:
-    # the basis spans an A-invariant subspace, so this block is exactly the
-    # closed loop the gain was designed for
-    V = exact_sol.basis if exact_sol.basis is not None else exact_model.range_basis()
+    # after a deflation its basis spans an A_r-invariant subspace, so this
+    # block is exactly the closed loop the gain was designed for
+    V = _synthesis_basis(exact_model, exact_sol)
     L_red = V.T @ exact_sol.L_m @ V
     P_red = V.T @ exact_sol.P_m @ V
     sigma_min_P = float(np.min(np.linalg.eigvalsh(0.5 * (P_red + P_red.T))))
@@ -493,7 +512,7 @@ def exact_model_norms(
         A=_factor_norm(C[:, : len(R_x)]),
         B=_factor_norm(C[:, len(R_x) :]),
         P=norm_P,
-        K=_factor_norm(KW @ R_y.T),
+        K=_factor_norm(exact_sol.K_m @ (R_y @ E).T),
         L=norm_L,
         sigma_min_P=sigma_min_P,
         rho_L=rho,
@@ -628,9 +647,9 @@ def objective_reference(
     surrogate, the system both gains are designed against.
     """
     R = np.atleast_2d(np.asarray(R, dtype=float))
-    V = exact_sol.basis if exact_sol.basis is not None else exact_model.range_basis()
-    A = V.T @ exact_model.A_m @ V
-    B = V.T @ exact_model.B_m
+    V = _synthesis_basis(exact_model, exact_sol)
+    A = V.T @ exact_model.A_r @ V
+    B = V.T @ exact_model.B_r
     Q = V.T @ Q_exact @ V
     P = V.T @ exact_sol.P_m @ V
     P = 0.5 * (P + P.T)

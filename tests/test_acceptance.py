@@ -274,7 +274,7 @@ def test_criterion_8_degeneracy_and_invariants():
     # zero-input decoupling
     ds0 = Dataset(X, np.zeros((40, 1)), 0.6 * X)
     model0 = fit(ds0, NystromLift(M52, sample_landmarks(ds0, 15, seed=0)), gamma=1e-6)
-    checks["B_m == 0 under zero controls"] = bool(np.all(model0.B_m == 0.0))
+    checks["B_r == 0 under zero controls"] = bool(np.all(model0.B_r == 0.0))
 
     # RK4 order factor in [24, 40]
     sysa, sysb = cubic_system(0.1), cubic_system(0.05)

@@ -64,7 +64,7 @@ def test_build_weights_orthonormal_rows():
     ds = Dataset(np.eye(2), np.zeros((2, 1)), np.eye(2))
     model = fit(ds, NystromLift(M52, sample_landmarks(ds, 2, seed=0)), gamma=1e-4)
     C = np.array([[1.0, 0.0], [0.0, 1.0]])
-    model.C = C
+    model.C_r = C
     w = build_weights(model, np.eye(2), np.eye(1))
     np.testing.assert_allclose(w.Q_m, C.T @ C, atol=1e-14)
     assert np.trace(w.Q_m) == pytest.approx(2.0)
@@ -183,7 +183,7 @@ def test_model_dare_matches_plain_solve_on_full_rank_model():
     ds = Dataset(X, U, 0.5 * X + 0.2 * U)
     model = fit(ds, NystromLift(M52, sample_landmarks(ds, 8, LandmarkStrategy.SharedUniform, seed=1)), gamma=1e-3)
     weights = build_weights(model, np.eye(1), np.eye(1))
-    direct = solve_dare(model.A_m, model.B_m, weights)
+    direct = solve_dare(model.A_r, model.B_r, weights)
     via_model = solve_model_dare(model, np.eye(1), np.eye(1))
     np.testing.assert_allclose(via_model.P_m, direct.P_m, atol=1e-8 * (1 + np.linalg.norm(direct.P_m, 2)))
     np.testing.assert_allclose(via_model.K_m, direct.K_m, atol=1e-8)
@@ -235,18 +235,19 @@ def marginal_cubic_model():
 
 
 def restricted_problem(model, sol):
-    V = sol.basis
-    Q_r = V.T @ build_weights(model, np.eye(1), np.eye(1)).Q_m @ V
-    return V.T @ model.A_m @ V, V.T @ model.B_m, 0.5 * (Q_r + Q_r.T), np.eye(1)
+    """The problem ``sol`` was synthesized on, (A_r, B_r, Q_r, R) restricted to
+    the deflation's basis V when there is one, and P_m read on the same basis."""
+    V = np.eye(model.r) if sol.basis is None else sol.basis
+    Q = V.T @ build_weights(model, np.eye(1), np.eye(1)).Q_m @ V
+    return V.T @ model.A_r @ V, V.T @ model.B_r, 0.5 * (Q + Q.T), np.eye(1), V.T @ sol.P_m @ V
 
 
 @pytest.mark.parametrize("N", [1, 2, 3, 5, 100, 1000, 3001])
 def test_doubling_matches_value_iteration_at_capped_horizon(marginal_cubic_model, N):
     model = marginal_cubic_model
     sol = solve_model_dare(model, np.eye(1), np.eye(1), horizon=N)
-    A, B, Q, R = restricted_problem(model, sol)
+    A, B, Q, R, P_solver = restricted_problem(model, sol)
     P_oracle = value_iteration_oracle(A, B, Q, R, horizon=N)
-    P_solver = sol.basis.T @ sol.P_m @ sol.basis
     assert np.linalg.norm(P_solver - P_oracle, 2) <= 1e-10 * np.linalg.norm(P_oracle, 2)
     assert sol.iterations == N
     delta = np.linalg.norm(value_iteration_oracle(A, B, Q, R, horizon=N + 1) - P_oracle, 2)
@@ -259,9 +260,8 @@ def test_doubling_stops_at_converged_doubled_iterate(marginal_cubic_model):
     assert sol.converged and sol.deflated > 0
     assert sol.iterations < 10_000
     assert math.log2(sol.iterations + 1).is_integer()
-    A, B, Q, R = restricted_problem(model, sol)
+    A, B, Q, R, P_solver = restricted_problem(model, sol)
     P_oracle = value_iteration_oracle(A, B, Q, R, horizon=sol.iterations)
-    P_solver = sol.basis.T @ sol.P_m @ sol.basis
     assert np.linalg.norm(P_solver - P_oracle, 2) <= 1e-10 * np.linalg.norm(P_oracle, 2)
 
 
@@ -275,7 +275,7 @@ def test_overflowing_iterate_raises_in_solve_dare():
 
 def test_overflowing_iterate_raises_in_solve_model_dare(marginal_cubic_model):
     model = copy.deepcopy(marginal_cubic_model)
-    model.A_m = 1.5 * model.A_m
-    model.B_m = np.zeros_like(model.B_m)
+    model.A_r = 1.5 * model.A_r
+    model.B_r = np.zeros_like(model.B_r)
     with pytest.raises(RuntimeError, match=r"not finite beyond iteration \d+ \(horizon 10000\)"):
         solve_model_dare(model, np.eye(1), np.eye(1))

@@ -203,7 +203,7 @@ def _boom():
 def _closed_loop_zero_gain(sys, x0, T):
     ds = build_pairs(collect_training_data(cubic_system(), CollectionProtocol(1, 0.2, UniformIID(), UniformBox())))
     model = fit(ds, ThinPlateLift(np.linspace(-1.0, 1.0, 5)[:, None]), gamma=1e-6)
-    return rollout_closed_loop(sys, model, SimpleNamespace(K_m=np.zeros((1, model.m))), x0, T)
+    return rollout_closed_loop(sys, model, SimpleNamespace(K_m=np.zeros((1, model.r))), x0, T)
 
 
 @pytest.mark.parametrize(

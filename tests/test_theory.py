@@ -229,7 +229,7 @@ def test_riccati_gap_matches_dense_oracle():
         (a, sol_a), (b, sol_b) = models
         out_a, out_b = a.lifting.landmarks.outputs, b.lifting.landmarks.outputs
         Phi = explicit_coordinates(ORACLE_SPEC, np.vstack([out_a, out_b]))
-        Pa, Pb = Phi[:, : len(out_a)] @ a.gram_out_pinv_sqrt, Phi[:, len(out_a) :] @ b.gram_out_pinv_sqrt
+        Pa, Pb = Phi[:, : len(out_a)] @ a.out_factor, Phi[:, len(out_a) :] @ b.out_factor
         oracle = np.linalg.norm(Pa @ sol_a.P_m @ Pa.T - Pb @ sol_b.P_m @ Pb.T, 2)
         gap = theory.riccati_gap(a, sol_a, b, sol_b, RankTolerance(1e-13))
         assert gap == pytest.approx(oracle, rel=1e-9)
@@ -253,7 +253,7 @@ def test_exact_model_norms_match_dense_oracle(data_seed):
     F = np.vstack([PX, ds.U.T])
     G_dense = (PY @ F.T / n) @ np.linalg.inv(F @ F.T / n + ORACLE_GAMMA * np.eye(r + ds.n_u))
     A, B = G_dense[:, :r], G_dense[:, r:]
-    PW = PY @ model.gram_out_pinv_sqrt
+    PW = PY @ model.out_factor
     K = sol.K_m @ PW.T  # the gain reads the state through the output landmarks
     oracle = {
         "G": np.linalg.norm(G_dense, 2),
@@ -375,7 +375,7 @@ def small_control_fixture():
     ds = Dataset(X, U, Y)
     gamma = 1e-3
     exact_model = fit(ds, NystromLift(M52, LandmarkSet(X.copy(), Y.copy(), seed=-1)), gamma=gamma)
-    Q_exact = exact_model.C.T @ exact_model.C
+    Q_exact = exact_model.C_r.T @ exact_model.C_r
     exact_sol = solve_model_dare(exact_model, np.eye(1), np.eye(1), rho_cap=0.9995)
     G = theory.build_exact_operator(ds, M52, gamma)
     norms = theory.exact_model_norms(G, exact_model, exact_sol, RankTolerance())
@@ -451,9 +451,9 @@ def test_riccati_gap_zero_state_cost(small_control_fixture):
     ds, gamma, exact_model, _, _, _ = small_control_fixture
     lm = sample_landmarks(ds, 10, LandmarkStrategy.IndependentUniform, seed=3)
     ny_model = fit(ds, NystromLift(M52, lm), gamma=gamma)
-    w0 = LqrWeights(np.zeros((exact_model.m, exact_model.m)), np.eye(1))
+    w0 = LqrWeights(np.zeros((exact_model.r, exact_model.r)), np.eye(1))
     sol0 = solve_model_dare(exact_model, weights=w0, rho_cap=0.9995)
-    w0n = LqrWeights(np.zeros((ny_model.m, ny_model.m)), np.eye(1))
+    w0n = LqrWeights(np.zeros((ny_model.r, ny_model.r)), np.eye(1))
     sol0n = solve_model_dare(ny_model, weights=w0n, rho_cap=0.9995)
     assert theory.riccati_gap(exact_model, sol0, ny_model, sol0n) <= 1e-10
 
@@ -545,18 +545,19 @@ def assert_objective_gap_matches_rollout(ds, gamma, exact_model, exact_sol, Q_ex
     ref = theory.objective_reference(exact_model, exact_sol, Q_exact, R, [0.9])
     rep = theory.objective_gap(ref, ny_sol, T)
 
-    V = exact_sol.basis
-    A_r, B_r = V.T @ exact_model.A_m @ V, V.T @ exact_model.B_m
+    V = exact_sol.basis if exact_sol.basis is not None else np.eye(exact_model.r)
+    A_r, B_r = V.T @ exact_model.A_r @ V, V.T @ exact_model.B_r
     Q_r = V.T @ Q_exact @ V
     z0 = V.T @ exact_model.embed_states(np.array([[0.9]]))[:, 0]
     cross = gram(M52, ny_model.lifting.landmarks.outputs, exact_model.lifting.landmarks.outputs)
-    T_ny = ny_model.gram_out_pinv_sqrt @ cross @ exact_model.gram_out_pinv_sqrt
+    T_ny = ny_model.out_factor.T @ cross @ exact_model.out_factor
     J, J_hat = (
         longdouble_cost(A_r + B_r @ K, Q_r + K.T @ R @ K, z0) for K in (exact_sol.K_m @ V, (ny_sol.K_m @ T_ny) @ V)
     )
     # the gap is a second-order difference: reassociating the product that
-    # forms K_hat moves K_hat by up to 4e-9 relative here and the gap by up to
-    # 3.2e-6, so the gap-level oracle takes K_hat as objective_gap forms it
+    # forms K_hat moves K_hat by up to 2.0e-10 relative here and the gap by up
+    # to 1.1e-8 (rate fixture, m = 160), so the gap-level oracle takes K_hat as
+    # objective_gap forms it
     gap = longdouble_objective_gap(A_r, B_r, V.T @ exact_sol.P_m @ V, Q_r, R, (ny_sol.K_m @ T.T) @ V, z0)
     assert rep.stabilizes
     assert rep.J == pytest.approx(float(J), rel=1e-9)
@@ -600,7 +601,7 @@ def test_objective_gap_matches_longdouble_rollout_on_rate_study():
     _, ds = fixture_dataset(n=500, seed=7)
     gamma = 1e-6
     exact_model = fit_exact(ds, gamma)
-    Q_exact = exact_model.C.T @ exact_model.C
+    Q_exact = exact_model.C_r.T @ exact_model.C_r
     exact_sol = solve_model_dare(exact_model, np.eye(1), np.eye(1), rho_cap=0.9995)
     for seed in range(3):
         assert_objective_gap_matches_rollout(ds, gamma, exact_model, exact_sol, Q_exact, 160, seed)
@@ -697,7 +698,7 @@ def test_sweep_basis_gaps_match_stacked_anchor_whitening(rate_sweep_rows):
     gamma = rows[0].gamma
     G = theory.build_exact_operator(ds, MATERN_UNIT, gamma)
     exact_model = fit_exact(ds, gamma)
-    Q_exact = exact_model.C.T @ exact_model.C
+    Q_exact = exact_model.C_r.T @ exact_model.C_r
     exact_sol = solve_model_dare(exact_model, np.eye(1), np.eye(1), rho_cap=0.9995)
     P_exact = theory._riccati_operator(exact_model, exact_sol.P_m)
     for row in rows:
