@@ -12,9 +12,18 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import Dataset, LandmarkSet, LandmarkStrategy, build_pairs, derived_rng, sample_landmarks
-from .identify import ForecastDivergence, KoopmanModel, NystromLift, ThinPlateLift, fit, fit_nested, forecast
-from .kernels import KernelFamily, KernelSpec
+from .data import Dataset, LandmarkStrategy, build_pairs, derived_rng, sample_landmarks
+from .identify import (
+    ForecastDivergence,
+    KoopmanModel,
+    NystromLift,
+    ThinPlateLift,
+    fit,
+    fit_factored,
+    fit_nested,
+    forecast,
+)
+from .kernels import KernelFamily, KernelSpec, gram_factor
 from .lqr import LqrWeights, solve_model_dare
 from .numerics import RankTolerance
 from .simulate import (
@@ -113,16 +122,18 @@ def fit_nystrom(ds: Dataset, m: int, seed: int, gamma: float = 1e-6) -> KoopmanM
     return fit(ds, _nystrom_lift(ds, m, seed), gamma=gamma, lam=gamma)
 
 
-def fit_exact(ds: Dataset, gamma: float = 1e-6) -> KoopmanModel:
-    """Landmarks = the full paired training set.
+def fit_exact(ds: Dataset, gamma: float = 1e-6, basis: theory.AnchorBasis | None = None) -> KoopmanModel:
+    """Landmarks = the full paired training set, fitted from one pivoted
+    Cholesky factor of the Gram of the data's states (``identify.fit_factored``).
 
-    The input-landmark Gram K(X, X) is clipped at the default rank cutoff like
-    any other, so this is the uncompressed estimator restricted to the kept
-    eigenvectors of K(X, X), not the dual n x n solve of
-    ``theory.build_exact_operator``.
+    The factor is ``basis.factor`` when a basis over X and Y is given (a rate
+    sweep's), else one taken here.  The Grams K(X, X) and K(Y, Y) are clipped
+    at the default rank cutoff like any other, read from that factor, so this
+    is the uncompressed estimator restricted to the kept eigenvectors of
+    K(X, X), not the dual n x n solve of ``theory.build_exact_operator``.
     """
-    landmarks = LandmarkSet(ds.X.copy(), ds.Y.copy(), seed=-1)
-    return fit(ds, NystromLift(MATERN_UNIT, landmarks), gamma=gamma, lam=gamma)
+    factor = gram_factor(MATERN_UNIT, np.vstack([ds.X, ds.Y])) if basis is None else basis.factor
+    return fit_factored(ds, factor, gamma, gamma)
 
 
 def _synthesized(ds: Dataset, m: int, gamma: float, Qprime, n_seeds: int, workers: int):
@@ -334,7 +345,7 @@ def fixture_dataset(n: int = 500, seed: int = 7) -> tuple[SystemSpec, Dataset]:
 def _sweep_basis(ds: Dataset) -> theory.AnchorBasis:
     """The one whitened basis a rate sweep reads every norm from: every anchor
     of the sweep (G's, the exact model's and each landmark set) is a row of X
-    or Y."""
+    or Y.  Its Gram factor is the one ``fit_exact`` reads."""
     return theory.AnchorBasis(MATERN_UNIT, np.vstack([ds.X, ds.Y]), SWEEP_BASIS_TOL)
 
 
@@ -345,8 +356,10 @@ def _gap_study(
 
     ``row(m, seed)`` draws the landmarks, fits the compressed model once,
     measures the gap of its operator and the two projection errors on
-    ``basis``, and returns the row with the fitted model.
+    ``basis``, and returns the row with the fitted model.  G's whitened factor
+    on the basis is taken once, for every row's gap.
     """
+    G_factor = theory.whitened_operator(G, basis)
 
     def row(m: int, seed: int) -> tuple[theory.BoundReport, KoopmanModel]:
         lm = sample_landmarks(ds, m, LandmarkStrategy.IndependentUniform, seed=seed)
@@ -357,7 +370,7 @@ def _gap_study(
             gamma=gamma,
             delta=delta,
             kappa=MATERN_UNIT.kappa,
-            empirical_gap=theory.operator_gap_norm(G, theory.build_nystrom_operator(model), basis),
+            empirical_gap=theory.operator_gap_norm(G, theory.build_nystrom_operator(model), basis, G_factor),
             gap_bound=theory.nystrom_gap_bound(MATERN_UNIT.kappa, gamma, m, delta),
             proj_in=theory.projection_error(ds, "input", MATERN_UNIT, lm, basis),
             proj_out=theory.projection_error(ds, "output", MATERN_UNIT, lm, basis),
@@ -414,10 +427,10 @@ def riccati_objective_sweep(
     sigma_min_R, sigma_max_R = float(np.min(eig_R)), float(np.max(eig_R))
     norm_R_inv = 1.0 / sigma_min_R
     G = theory.build_exact_operator(ds, MATERN_UNIT, gamma)
-    exact_model = fit_exact(ds, gamma)
+    basis = _sweep_basis(ds)
+    exact_model = fit_exact(ds, gamma, basis)
     Q_exact = exact_model.C_r.T @ exact_model.C_r
     exact_sol = solve_model_dare(exact_model, np.eye(ds.d), R, rho_cap=0.9995)
-    basis = _sweep_basis(ds)
     norms = theory.exact_model_norms(G, exact_model, exact_sol, basis)
     reference = theory.objective_reference(exact_model, exact_sol, Q_exact, R, np.array([x0]))
     row = _gap_study(ds, G, norms.G, basis, gamma, delta)

@@ -75,6 +75,14 @@ C_r E_out' = C W, the tests hold kernel lifts to 2e-7 relative (measured within
 thin-plate lifts to 5e-9, whose unwhitened equations reach condition number
 1e7 (measured within 1.5e-9, where both orders sit 0.6e-9 to 1.4e-9 from a
 40-digit solve).
+
+The fit whose landmarks are the whole training set (the exact surrogate) is
+read from one pivoted Cholesky factor L of the Gram of the data's states by
+``fit_factored``: the feature pass is L times the kept eigenvectors of the
+small L'L blocks, the cross products and ridges are the ones above, and no
+n x n Gram is formed.  The tests hold it to 1e-5 relative of ``fit`` on the
+same landmarks, whose rank decisions at condition numbers near 1e10 resolve
+the kept range to about that (measured within 3.4e-6).
 """
 
 from __future__ import annotations
@@ -90,7 +98,16 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .data import Dataset, LandmarkSet
-from .kernels import FeatureStack, KernelFamily, KernelSpec, gram, gram_stack, thin_plate_matrix, thin_plate_stack
+from .kernels import (
+    FeatureStack,
+    GramFactor,
+    KernelFamily,
+    KernelSpec,
+    gram,
+    gram_stack,
+    thin_plate_matrix,
+    thin_plate_stack,
+)
 from .numerics import psd_pinv_sqrt_factor, solve_psd
 
 FloatArray = NDArray[np.float64]
@@ -106,6 +123,7 @@ __all__ = [
     "ForecastDivergence",
     "fit",
     "fit_nested",
+    "fit_factored",
     "embed_state",
     "forecast",
     "save_model",
@@ -404,11 +422,7 @@ def fit_nested(
     module docstring states.  Raises ``ValueError`` for lifts that are not
     nested or that mix kinds or kernels.
     """
-    if not gamma > 0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
-    lam = gamma if lam is None else lam
-    if not lam > 0:
-        raise ValueError(f"lambda must be positive, got {lam}")
+    lam = _ridge_weights(gamma, lam)
     lifts = list(lifts)
     if not lifts:
         raise ValueError("fit_nested needs at least one lift")
@@ -451,28 +465,97 @@ def fit_nested(
             G = _cross_products(ds, iy, (K_in, len(lm_in), E_in), outputs)
             if k == len(lifts) - 1:
                 del K_in, K_out  # the products are summed, so the pass is not held through the solves
-            r_in, r_out = E_in.shape[1], E_out.shape[1]
-            widths = (r_in, ds.n_u, r_out)
+            widths = (E_in.shape[1], ds.n_u, E_out.shape[1])
         else:
-            lifting, E_in, transport, r_in, r_out = ThinPlateLift(lm_in), None, None, len(lm_in), len(lm_out)
-            E_out = np.eye(r_out)
+            lifting, E_in, E_out, transport = ThinPlateLift(lm_in), None, np.eye(len(lm_out)), None
             diagnostics = {"m_in": len(lm_in), "m_out": len(lm_out)}
-        sol, Ct, diagnostics["jitter_applied"] = _solve_ridges(G, widths, r_in, r_out, gamma * n, lam * n)
-        models.append(
-            KoopmanModel(
-                lifting=lifting,
-                A_r=sol[:r_in].T if transport is None else sol[:r_in].T @ transport,
-                B_r=sol[r_in:].T,
-                C_r=Ct.T,
-                gamma=gamma,
-                lam=lam,
-                out_factor=E_out,
-                diagnostics=diagnostics,
-                _coef=sol,
-                _in_factor=E_in,
-            )
-        )
+        models.append(_ridge_model(lifting, G, widths, E_in, E_out, transport, diagnostics, gamma, lam, n))
     return models
+
+
+def _ridge_weights(gamma: float, lam: float | None) -> float:
+    """The reconstruction ridge weight (``gamma`` when None), once both are checked positive."""
+    if not gamma > 0:
+        raise ValueError(f"gamma must be positive, got {gamma}")
+    lam = gamma if lam is None else lam
+    if not lam > 0:
+        raise ValueError(f"lambda must be positive, got {lam}")
+    return lam
+
+
+def _ridge_model(lifting, G, widths, E_in, E_out, transport, diagnostics: dict, gamma: float, lam: float, n: int):
+    """The model of a fit from its products G, its thin factors (E_in None for
+    a thin-plate lift, whose input and output centers agree) and its transport
+    (None for I_r)."""
+    r_out = E_out.shape[1]
+    r_in = r_out if E_in is None else E_in.shape[1]
+    sol, Ct, diagnostics["jitter_applied"] = _solve_ridges(G, widths, r_in, r_out, gamma * n, lam * n)
+    return KoopmanModel(
+        lifting=lifting,
+        A_r=sol[:r_in].T if transport is None else sol[:r_in].T @ transport,
+        B_r=sol[r_in:].T,
+        C_r=Ct.T,
+        gamma=gamma,
+        lam=lam,
+        out_factor=E_out,
+        diagnostics=diagnostics,
+        _coef=sol,
+        _in_factor=E_in,
+    )
+
+
+def fit_factored(ds: Dataset, factor: GramFactor, gamma: float, lam: float | None = None) -> KoopmanModel:
+    """The kernel fit with the whole paired training set as its landmarks, read
+    from a factor of the Gram of the data's states instead of their Grams.
+
+    ``factor`` (``kernels.gram_factor``) must hold every row of X and Y.  With
+    L, L_X and L_Y its rows at the distinct states D, at X and at Y, the Grams
+    K(X, X) = L_X L_X' and K(Y, Y) = L_Y L_Y' share their nonzero spectrum with
+    the small matrices L_X'L_X and L_Y'L_Y, whose eigenvectors kept by the
+    fit's rank policy, V_in and V_out with eigenvalues w_in and w_out, give
+
+        E_in = L_X V_in / w_in,   E_out = L_Y V_out / w_out,
+        Phi(D) = L V_in,          Psi(D) = L V_out,          T = V_in' V_out,
+
+    so the cross products and ridges are those of ``fit`` on
+    NystromLift(kernel, LandmarkSet(X, Y)) and no N x N array is formed.  The
+    model keeps the same deduplicated landmarks as that fit and agrees with it
+    to the precision of their rank decisions (the module docstring states the
+    tolerance); its diagnostics add the factor's rank, cutoff and residual
+    (``factor_*``) to the fit's.
+    """
+    lam = _ridge_weights(gamma, lam)
+    D, iy = _state_rows(ds.X, ds.Y)
+    L = factor.rows(D)
+    lm_in, lm_out = _dedup_rows(ds.X), _dedup_rows(ds.Y)
+    sides = []
+    for lm in (lm_in, lm_out):
+        L_lm = factor.rows(lm)
+        _, info = psd_pinv_sqrt_factor(L_lm.T @ L_lm)
+        sides.append((info["basis"], L_lm @ (info["basis"] / info["values"]), info))
+    (V_in, E_in, info_in), (V_out, E_out, info_out) = sides
+    G = _cross_products(ds, iy, (L, factor.rank, V_in), (L, factor.rank, V_out))
+    diagnostics = _rank_diagnostics(len(lm_in), len(lm_out), info_in, info_out)
+    diagnostics.update(factor_rank=factor.rank, factor_cutoff=factor.cutoff, factor_residual=factor.residual)
+    # seed -1: the landmarks are the data themselves, not a draw
+    lifting = NystromLift(factor.kernel, LandmarkSet(lm_in, lm_out, seed=-1))
+    widths = (V_in.shape[1], ds.n_u, V_out.shape[1])
+    return _ridge_model(lifting, G, widths, E_in, E_out, V_in.T @ V_out, diagnostics, gamma, lam, ds.n)
+
+
+def _rank_diagnostics(m_in: int, m_out: int, info_in: dict, info_out: dict) -> dict:
+    """The landmark Grams' sizes and rank decisions, from their ``psd_pinv_sqrt_factor`` infos:
+    of the m eigenvalues of an m x m Gram, m - rank are clipped."""
+    return {
+        "m_in": m_in,
+        "m_out": m_out,
+        "rank_gram_out": info_out["rank"],
+        "clipped_gram_out": m_out - info_out["rank"],
+        "cond_gram_out": info_out["cond"],
+        "rank_gram_in": info_in["rank"],
+        "clipped_gram_in": m_in - info_in["rank"],
+        "cond_gram_in": info_in["cond"],
+    }
 
 
 def _nystrom_parts(lifting: NystromLift, lm_in: FloatArray, lm_out: FloatArray, shared: bool):
@@ -489,16 +572,7 @@ def _nystrom_parts(lifting: NystromLift, lm_in: FloatArray, lm_out: FloatArray, 
     else:
         E_in, info_in = psd_pinv_sqrt_factor(gram(spec, lm_in))
         transport = (E_in.T @ gram(spec, lm_in, lm_out)) @ E_out
-    diagnostics = {
-        "m_in": len(lm_in),
-        "m_out": len(lm_out),
-        "rank_gram_out": info["rank"],
-        "clipped_gram_out": info["clipped"],
-        "cond_gram_out": info["cond"],
-        "rank_gram_in": info_in["rank"],
-        "clipped_gram_in": info_in["clipped"],
-        "cond_gram_in": info_in["cond"],
-    }
+    diagnostics = _rank_diagnostics(len(lm_in), len(lm_out), info_in, info)
     lifting = NystromLift(spec, LandmarkSet(lm_in, lm_out, seed=lifting.landmarks.seed))
     return lifting, E_out, E_in, transport, diagnostics
 

@@ -29,6 +29,10 @@ its last bits, even for blocks aligned to 64 rows.
 
 A ``FeatureStack`` runs the same steps for S points at once, each against its
 own point set: the per-step feature map of S feedback laws stepped together.
+
+``gram_factor`` factors the Gram of many points without forming it: a
+pivoted Cholesky factor built one kernel column at a time, which the exact
+side of the rate theory reads in place of the data's N x N Grams.
 """
 
 from __future__ import annotations
@@ -51,6 +55,9 @@ __all__ = [
     "FeatureStack",
     "gram_stack",
     "thin_plate_stack",
+    "FACTOR_CUTOFF",
+    "GramFactor",
+    "gram_factor",
 ]
 
 
@@ -268,3 +275,98 @@ def thin_plate_stack(centers) -> FeatureStack:
     """Thin-plate features of S points against S center sets (S, m, d), validated here."""
     C = _point_stack(centers)
     return FeatureStack(C, (C * C).sum(axis=2), _thin_plate_profile)
+
+
+# largest residual diagonal at which ``gram_factor`` stops, as a fraction of
+# the kernel variance
+FACTOR_CUTOFF = 1e-14
+# rows by which the factor's buffer grows: the rank is not known in advance,
+# and growing in small steps keeps the buffer near it.  ``ndarray.resize``
+# reallocates the buffer, so old and new copies are not held side by side
+_FACTOR_CHUNK = 64
+
+
+@dataclass(frozen=True)
+class GramFactor:
+    """Pivoted incomplete Cholesky factor of the Gram of a point set's distinct rows.
+
+    ``L`` (N, r) holds one row per distinct row of the points, in order of
+    first occurrence, and K(rows, rows) - L L' is PSD with largest diagonal
+    entry ``residual`` < ``cutoff`` * variance, so (up to round-off) every
+    entry of L L' lies within ``residual`` of the Gram and its spectral norm
+    within N times that.
+    Rows are matched by their exact bytes.
+    """
+
+    kernel: KernelSpec
+    L: FloatArray
+    cutoff: float
+    residual: float
+    _index: dict = field(repr=False)
+
+    @property
+    def rank(self) -> int:
+        return self.L.shape[1]
+
+    def index(self, points) -> NDArray[np.intp]:
+        """The row of ``L`` of each of ``points``, each of which must be a
+        factored row; raises ValueError naming the first point that is not."""
+        pts = np.ascontiguousarray(np.atleast_2d(np.asarray(points, dtype=float)))
+        idx = [self._index.get(row.tobytes()) for row in pts]
+        if None in idx:
+            raise ValueError(f"point {pts[idx.index(None)].tolist()} is not a row of the factored points")
+        return np.array(idx, dtype=np.intp)
+
+    def rows(self, points) -> FloatArray:
+        """The rows of ``L`` at ``points``: a view of L when they are a run of
+        consecutive factored rows, else a copy."""
+        idx = self.index(points)
+        if len(idx) and np.array_equal(idx, np.arange(idx[0], idx[0] + len(idx))):
+            return self.L[idx[0] : idx[0] + len(idx)]
+        return self.L[idx]
+
+
+def gram_factor(spec: KernelSpec, points, cutoff: float = FACTOR_CUTOFF) -> GramFactor:
+    """Factor the Gram of the distinct rows of ``points`` by greedy diagonal pivoting.
+
+    Each step takes the row with the largest residual diagonal as the pivot,
+    evaluates the kernel column at it and subtracts the factor so far
+    (Fine & Scheinberg, JMLR 2001); it stops once every residual diagonal lies
+    below ``cutoff`` * variance, which bounds the trace of the residual
+    (Harbrecht, Peters & Schneider, Appl. Numer. Math. 2012).  Only kernel
+    columns are evaluated: the work is O(N r^2) and the memory the N x r factor,
+    and the N x N Gram is never formed.
+    """
+    if not 0.0 < cutoff < 1.0:
+        raise ValueError(f"cutoff must lie in (0, 1), got {cutoff}")
+    pts = np.ascontiguousarray(_as_points(points, "points"))
+    index: dict[bytes, int] = {}
+    first = []
+    for i, row in enumerate(pts):
+        key = row.tobytes()
+        if key not in index:
+            index[key] = len(first)
+            first.append(i)
+    X = pts[first] if len(first) < len(pts) else pts
+    N = len(X)
+    xx = _sq_norms(X)
+    profile = _kernel_profile(spec)
+    d = np.full(N, spec.variance)  # the residual diagonal: k(x, x) = variance
+    stop = cutoff * spec.variance
+    Lt = np.empty((min(N, _FACTOR_CHUNK), N))  # the factor's columns, as rows
+    r = 0
+    while r < N:
+        p = int(np.argmax(d))
+        if d[p] < stop:
+            break
+        if r == len(Lt):
+            Lt.resize((min(N, r + _FACTOR_CHUNK), N), refcheck=False)
+        col = _pairwise(X, xx, X[p : p + 1], xx[p : p + 1], profile)[:, 0]
+        col -= Lt[:r, p] @ Lt[:r]
+        col /= math.sqrt(d[p])
+        Lt[r] = col
+        d -= col * col
+        d[p] = 0.0
+        r += 1
+    Lt.resize((r, N), refcheck=False)
+    return GramFactor(spec, Lt.T, cutoff, max(float(d.max()), 0.0), index)

@@ -91,21 +91,22 @@ def psd_pinv_sqrt(M, tol: RankTolerance = RankTolerance()) -> FloatArray:
     return 0.5 * (R + R.T)
 
 
-def psd_pinv_sqrt_factor(M):
+def psd_pinv_sqrt_factor(M, tol: RankTolerance = RankTolerance()):
     """Thin inverse square-root factor E = V_r Lambda_r^(-1/2) of a symmetric PSD matrix.
 
-    One column per eigenvalue above the default relative cutoff, so E has shape
-    (N, r), E' M E = I_r and E V_r' is the pseudo-inverse square root.  Returns
-    (E, info), ``info`` holding the kept eigenvectors V_r (``basis``), the
-    rank, the number of clipped eigenvalues and the condition number of the
-    kept block, as the fits report them; the N x N square root itself is never
-    formed.
+    One column per eigenvalue above the relative cutoff, so E has shape (N, r),
+    E' M E = I_r and E V_r' is the pseudo-inverse square root.  Returns
+    (E, info), ``info`` holding the kept eigenvectors V_r (``basis``) and
+    eigenvalues Lambda_r (``values``), the rank, the number of clipped
+    eigenvalues and the condition number of the kept block, as the fits report
+    them; the N x N square root itself is never formed.
     """
     M = _check_finite_square(M, "M")
-    w, V, kept = _clipped_eigh(M, RankTolerance())
+    w, V, kept = _clipped_eigh(M, tol)
     rank = int(np.count_nonzero(kept))
     info = {
         "basis": V[:, kept],
+        "values": w[kept],
         "rank": rank,
         "clipped": int(w.size - rank),
         "cond": float(w[-1] / w[kept][0]) if rank else math.inf,

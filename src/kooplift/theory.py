@@ -27,16 +27,22 @@ solutions and the closed loop are operators of the same form.  The weight
 transport from one model's coordinates to another's is E_a' K(out_a, out_b) E_b,
 r_a x r_b.
 
-Every factor is read from an ``AnchorBasis``: one ``psd_sqrt`` of the Gram of
-a point set's distinct rows, from which any anchor set among those rows takes
-its columns.  Each norm's ``tol`` slot takes a basis or a ``RankTolerance``;
+Every factor is read from an ``AnchorBasis``: one thin square-root factor of
+the Gram of a point set's distinct rows, from which any anchor set among those
+rows takes its columns.  The basis never forms that Gram: it rotates the rows'
+pivoted Cholesky factor L (``kernels.gram_factor``, kernel columns only) onto
+the eigenvectors of the small L'L kept at its cutoff, and the same L serves the
+exact surrogate's fit (``identify.fit_factored``), so a rate sweep factors its
+data once.  Each norm's ``tol`` slot takes a basis or a ``RankTolerance``;
 given a tolerance, the norm builds a basis over its own anchors (for a signed
 sum, one over its output anchors and one over its input anchors).  Every anchor
 of a rate sweep (G's X and Y, the exact surrogate's landmarks, each drawn
 landmark set) is a row of X or Y, so a sweep builds one basis over [X; Y] and
 every operator gap, Riccati gap, projection error and exact-model norm of the
-sweep, the closed loop A + BK included, reads its columns.  Projection errors
-are then sigma_max((I - Pi_m) R_pts) / sqrt(n), an r x n product.
+sweep, the closed loop A + BK included, reads its columns; G's own whitened
+factor is taken once per sweep and every row's gap adds its term to it.
+Projection errors are then sigma_max((I - Pi_m) R_pts) / sqrt(n), an r x n
+product.
 
 The uncompressed operator G is built by its own dual n x n solve
 (``build_exact_operator``): it is the estimator the bounds are stated for and
@@ -78,9 +84,9 @@ from numpy.typing import NDArray
 
 from .data import Dataset, LandmarkSet
 from .identify import KoopmanModel, NystromLift
-from .kernels import KernelSpec, gram
+from .kernels import KernelSpec, gram, gram_factor
 from .lqr import LqrWeights, RiccatiSolution, _dare_defect, solve_dare
-from .numerics import RankTolerance, psd_pinv_sqrt_factor, psd_sqrt, solve_psd, spectral_radius, tau
+from .numerics import RankTolerance, psd_pinv_sqrt_factor, solve_psd, spectral_radius, tau
 
 FloatArray = NDArray[np.float64]
 
@@ -91,6 +97,7 @@ __all__ = [
     "build_nystrom_operator",
     "operator_gap_norm",
     "operator_norm",
+    "whitened_operator",
     "nystrom_gap_bound",
     "projection_bound",
     "projection_error",
@@ -176,17 +183,20 @@ def _check_compatible(A: RkhsOperator, B: RkhsOperator) -> None:
         raise ValueError("operators have different control dimensions")
 
 
-def _whitened_factor(ops: list[tuple[RkhsOperator, float]], R_out: FloatArray, R_in: FloatArray) -> FloatArray:
+def _whitened_factor(
+    ops: list[tuple[RkhsOperator, float]], R_out: FloatArray, R_in: FloatArray, start: FloatArray | None = None
+) -> FloatArray:
     """The factor C with ||D||_op = sigma_max(C).
 
     ``ops`` is a list of (operator, sign); D is the signed sum.  ``R_out`` and
     ``R_in`` are thin square-root factors of the Grams of the stacked output
     and input anchors; each operator's weights act on its own columns of
-    them, and the shared control block is summed.
+    them, and the shared control block is summed.  The sum starts from zero,
+    or from ``start``, the factor of terms taken before on the same basis.
     """
     n_u = ops[0][0].n_u
     r_in = len(R_in)
-    C = np.zeros((len(R_out), r_in + n_u))
+    C = np.zeros((len(R_out), r_in + n_u)) if start is None else start.copy()
     q0 = p0 = 0
     for op, sign in ops:
         E_out = R_out[:, q0 : q0 + op.q]
@@ -214,21 +224,21 @@ class AnchorBasis:
     of a row is the coordinate vector of its feature in one orthonormal basis
     of their span.  Every anchor set drawn from the points reads its factor as
     columns of ``R`` (``columns``) instead of whitening a Gram of its own.
-    Rows are matched by their exact bytes; the basis is read-only once built.
+    ``R`` is read from the rows' pivoted Cholesky factor L (``factor``, N x r_L,
+    from ``kernels.gram_factor``): with V the eigenvectors of L'L kept at
+    ``tol``, R = (L V)'.  The eigenvalues of L'L are the nonzero ones of L L',
+    which matches the Gram to the factor's residual, so R is the Gram's
+    square-root factor sqrt(Lambda_r) V_r' up to a rotation of its rows, and
+    every norm read from it is invariant under that rotation.  Rows are matched
+    by their exact bytes; the basis is read-only once built.
     """
 
     def __init__(self, kernel: KernelSpec, points, tol: RankTolerance) -> None:
-        pts = np.ascontiguousarray(np.atleast_2d(np.asarray(points, dtype=float)))
-        index: dict[bytes, int] = {}
-        first = []
-        for i, row in enumerate(pts):
-            key = row.tobytes()
-            if key not in index:
-                index[key] = len(first)
-                first.append(i)
         self.kernel = kernel
-        self._index = index
-        self.R = psd_sqrt(gram(kernel, pts[first]), tol)
+        self.factor = gram_factor(kernel, points)
+        L = self.factor.L
+        V = psd_pinv_sqrt_factor(L.T @ L, tol)[1]["basis"]
+        self.R = V.T @ L.T
 
     @property
     def rank(self) -> int:
@@ -239,14 +249,7 @@ class AnchorBasis:
 
         Raises ValueError naming the first point that is not.
         """
-        pts = np.ascontiguousarray(np.atleast_2d(np.asarray(points, dtype=float)))
-        idx = []
-        for row in pts:
-            i = self._index.get(row.tobytes())
-            if i is None:
-                raise ValueError(f"point {row.tolist()} is not a row of the anchor basis")
-            idx.append(i)
-        return self.R[:, idx]
+        return self.R[:, self.factor.index(points)]
 
 
 def _anchor_basis(tol: AnchorBasis | RankTolerance, kernel: KernelSpec, blocks) -> AnchorBasis:
@@ -260,7 +263,14 @@ def _anchor_basis(tol: AnchorBasis | RankTolerance, kernel: KernelSpec, blocks) 
 
 
 def _sum_norm(ops: list[tuple[RkhsOperator, float]], tol: AnchorBasis | RankTolerance) -> float:
-    """Operator norm of the signed sum of ``ops``, its anchors read as basis columns.
+    """Operator norm of the signed sum of ``ops``, its anchors read as basis columns."""
+    return _factor_norm(_sum_factor(ops, tol))
+
+
+def _sum_factor(
+    ops: list[tuple[RkhsOperator, float]], tol: AnchorBasis | RankTolerance, start: FloatArray | None = None
+) -> FloatArray:
+    """The whitened factor of the signed sum of ``ops`` (added to ``start``).
 
     Given a tolerance, the output anchors and the input anchors are each
     whitened on their own, once if every term reads its input at its own
@@ -275,15 +285,36 @@ def _sum_norm(ops: list[tuple[RkhsOperator, float]], tol: AnchorBasis | RankTole
         in_basis = _anchor_basis(tol, kernel, in_blocks) if in_blocks else None
     R_out = np.hstack([out_basis.columns(op.out_anchors) for op, _ in ops])
     R_in = np.hstack([in_basis.columns(a) for a in in_blocks]) if in_blocks else np.zeros((0, 0))
-    return _factor_norm(_whitened_factor(ops, R_out, R_in))
+    return _whitened_factor(ops, R_out, R_in, start)
+
+
+def whitened_operator(A: RkhsOperator, basis: AnchorBasis) -> FloatArray:
+    """A's whitened factor on ``basis``, whose largest singular value is ||A||_op.
+
+    A sweep that measures many gaps from one operator takes it once and passes
+    it to ``operator_gap_norm`` as ``A_factor``.
+    """
+    return _sum_factor([(A, 1.0)], basis)
 
 
 def operator_gap_norm(
-    A: RkhsOperator, B: RkhsOperator, tol: AnchorBasis | RankTolerance = RankTolerance()
+    A: RkhsOperator,
+    B: RkhsOperator,
+    tol: AnchorBasis | RankTolerance = RankTolerance(),
+    A_factor: FloatArray | None = None,
 ) -> float:
-    """Operator norm of A - B over the lifted input space."""
+    """Operator norm of A - B over the lifted input space.
+
+    ``A_factor``, A's ``whitened_operator`` on the basis ``tol``, stands in for
+    A's term: B's term is added to it in the order the sum of both takes, so
+    the gap has the same bits while A's columns and products are not read again.
+    """
     _check_compatible(A, B)
-    return _sum_norm([(A, 1.0), (B, -1.0)], tol)
+    if A_factor is None:
+        return _sum_norm([(A, 1.0), (B, -1.0)], tol)
+    if not isinstance(tol, AnchorBasis):
+        raise TypeError("A_factor needs the anchor basis it was taken on")
+    return _factor_norm(_sum_factor([(B, -1.0)], tol, A_factor))
 
 
 def operator_norm(A: RkhsOperator, tol: AnchorBasis | RankTolerance = RankTolerance()) -> float:

@@ -10,6 +10,7 @@ from kooplift.identify import (
     _state_rows,
     embed_state,
     fit,
+    fit_factored,
     fit_nested,
     forecast,
     load_model,
@@ -19,7 +20,7 @@ from kooplift.identify import (
     readout_stack,
     save_model,
 )
-from kooplift.kernels import KernelFamily, KernelSpec, gram, thin_plate_matrix
+from kooplift.kernels import KernelFamily, KernelSpec, gram, gram_factor, thin_plate_matrix
 from kooplift.numerics import psd_pinv_sqrt, psd_pinv_sqrt_factor, solve_psd
 
 M52 = KernelSpec(KernelFamily.Matern52, 1.0, 1.0)
@@ -808,3 +809,77 @@ def test_fit_nested_peak_memory_stays_near_its_feature_passes(case):
     finally:
         tracemalloc.stop()
     assert peak <= (passes + 1) * unit, peak / unit
+
+
+# relative tolerance of the factored full-landmark fit against the dense one,
+# compared basis-free.  Both rank decisions sit at condition numbers near 1e10,
+# where the dense eigendecompositions resolve the kept range to about
+# eps * cond = 2e-6; measured within 3.4e-6 (E E' of the scalar set), 3.7e-7
+# (the rate fixture) and 4.8e-7 (the planar trajectories)
+FACTORED_RTOL = 1e-5
+
+
+def test_fit_factored_matches_full_landmark_fit(rate_fixture, planar_pairs):
+    # the same landmarks, ranks and clipped counts as ``fit`` on the whole
+    # training set, and the same model read basis-free: E A_r E', E B_r,
+    # C_r E', the operator's state block E S_x' E_in' and the rank decision E E'
+    cases = (
+        ("scalar", scalar_dataset(lambda x, u: 0.5 * x + 0.25 * u - 0.3 * x**3, n=80, seed=3)),
+        ("planar", planar_pairs[0]),
+        ("rate", rate_fixture),
+    )
+    for name, ds in cases:
+        for gamma in (1e-6, 1e-3):
+            got = fit_factored(ds, gram_factor(M52, np.vstack([ds.X, ds.Y])), gamma)
+            want = fit(ds, NystromLift(M52, LandmarkSet(ds.X, ds.Y, seed=-1)), gamma)
+            assert got.lifting == want.lifting, name
+            for key in ("m_in", "m_out", "rank_gram_in", "rank_gram_out", "clipped_gram_in", "clipped_gram_out"):
+                assert got.diagnostics[key] == want.diagnostics[key], (name, key)
+            E, F = got.out_factor, want.out_factor
+            r = got._in_factor.shape[1]
+            pairs = (
+                (E @ got.A_r @ E.T, F @ want.A_r @ F.T),
+                (E @ got.B_r, F @ want.B_r),
+                (got.C_r @ E.T, want.C_r @ F.T),
+                (E @ got._coef[:r].T @ got._in_factor.T, F @ want._coef[:r].T @ want._in_factor.T),
+                (E @ E.T, F @ F.T),
+            )
+            for a, b in pairs:
+                _assert_close(a, b, FACTORED_RTOL)
+
+
+def test_fit_factored_reports_its_factor(rate_fixture):
+    factor = gram_factor(M52, np.vstack([rate_fixture.X, rate_fixture.Y]))
+    d = fit_factored(rate_fixture, factor, 1e-6).diagnostics
+    assert (d["rank_gram_in"], d["rank_gram_out"]) == (34, 33)
+    assert d["factor_rank"] == factor.rank < len(factor.L)
+    assert d["factor_cutoff"] == factor.cutoff and d["factor_residual"] == factor.residual < factor.cutoff
+    assert not d["jitter_applied"] and d["cond_gram_in"] < 1e10
+    with pytest.raises(ValueError, match="is not a row"):
+        fit_factored(rate_fixture, gram_factor(M52, rate_fixture.X), 1e-6)
+
+
+@pytest.mark.parametrize("case,units", [("rate", 2.5), ("cubic", 1.0)])
+def test_fit_exact_peak_memory_stays_below_the_dense_grams(case, units):
+    # one unit is one N x N array of doubles over the N distinct states, the
+    # size of the Gram the factor replaces.  On the cubic data (N = 4 020,
+    # factor rank 714) the whole fit stays under one unit, so it never holds
+    # such an array: measured 0.47, where the dense fit peaked at 6.
+    # On the rate fixture (N = 510) the factor keeps 264 columns, so its
+    # r x r eigenproblems alone take about one unit and the bound is set
+    # between the factored fit (measured 2.0) and the dense fit (5.0)
+    import tracemalloc
+
+    from kooplift.experiments import cubic_training_data, fit_exact, fixture_dataset
+
+    ds = fixture_dataset(500, 7)[1] if case == "rate" else cubic_training_data(seed=0)[1]
+    fit_exact(ds.subset(np.arange(50)))  # first-call work is not the fit's memory
+    unit = len(_state_rows(ds.X, ds.Y)[0]) ** 2 * 8
+    tracemalloc.start()
+    try:
+        model = fit_exact(ds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert model.diagnostics["factor_rank"] < model.m
+    assert peak < units * unit, peak / unit

@@ -6,9 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kooplift.kernels import (
+    FACTOR_CUTOFF,
     KernelFamily,
     KernelSpec,
     gram,
+    gram_factor,
     gram_stack,
     kernel_eval,
     thin_plate_matrix,
@@ -216,3 +218,76 @@ def test_feature_stacks_match_matrices_bit_for_bit():
             gram_stack(M52, bad)
         with pytest.raises(ValueError):
             thin_plate_stack(bad)
+
+
+# ---------------------------------------------------------------------------
+# Pivoted Cholesky factor of a Gram
+# ---------------------------------------------------------------------------
+
+FACTOR_POINTS = {
+    1: np.random.default_rng(21).uniform(-1.0, 1.0, size=(300, 1)),
+    2: np.random.default_rng(22).uniform(-1.0, 1.0, size=(300, 2)),
+}
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("cutoff", [1e-6, FACTOR_CUTOFF])
+def test_gram_factor_matches_gram_within_trace_bound(d, cutoff):
+    # K - L L' is the PSD residual of the pivoting, so its entries lie within
+    # its largest diagonal entry and its norm within its trace <= N residual;
+    # the default cutoff sits near round-off, which the entries are allowed
+    # (measured within 2e-15 of K at every rank, full rank 300 included)
+    X = FACTOR_POINTS[d]
+    for spec in (M52, KernelSpec(KernelFamily.RBF, 0.5, 2.5)):
+        f = gram_factor(spec, X, cutoff)
+        L = f.rows(X)
+        E = gram(spec, X) - L @ L.T
+        assert f.residual < cutoff * spec.variance
+        assert np.max(np.abs(E)) <= f.residual + 1e-14 * spec.variance
+        assert np.linalg.norm(E, 2) <= len(X) * f.residual + 1e-13 * spec.variance
+        assert np.all(np.isfinite(f.L))
+
+
+def test_gram_factor_of_few_distinct_points_has_their_rank():
+    X = np.array([[-2.0], [-0.5], [0.25], [1.0], [3.0]])
+    f = gram_factor(M52, X)
+    assert f.rank == 5 and f.residual == 0.0
+    np.testing.assert_allclose(f.L @ f.L.T, gram(M52, X), atol=1e-14)
+
+
+def test_gram_factor_ignores_duplicate_points():
+    # a repeated row adds no column and reads the row of its first occurrence
+    X = FACTOR_POINTS[2][:40]
+    pts = np.vstack([X, X[::3], X[:1]])
+    f = gram_factor(M52, pts, 1e-12)
+    assert f.L.shape == (40, gram_factor(M52, X, 1e-12).rank)
+    L = f.rows(pts)
+    assert np.all(np.isfinite(L))
+    np.testing.assert_array_equal(L[40:54], L[:40:3])
+    np.testing.assert_allclose(L @ L.T, gram(M52, pts), atol=1e-12)
+    # rows read in their factored order are a view of the factor
+    assert np.shares_memory(f.rows(X[5:9]), f.L)
+    with pytest.raises(ValueError, match=r"point \[2\.0, 2\.0\] is not a row"):
+        f.index(np.vstack([X[:2], [[2.0, 2.0]]]))
+    for bad in (0.0, 1.0):
+        with pytest.raises(ValueError, match="cutoff"):
+            gram_factor(M52, X, bad)
+
+
+def test_gram_factor_never_forms_the_gram():
+    # 2 000 points: the N x N Gram would take 32 MB, the factor and its
+    # residual diagonal a fraction of it.  Measured: rank 996 (the residual of
+    # a Matern-5/2 Gram on spread points falls slowly) and a traced peak of
+    # 0.52 N x N doubles
+    import tracemalloc
+
+    X = np.random.default_rng(23).uniform(-1.0, 1.0, size=(2000, 1))
+    gram_factor(M52, X[:10])  # first-call work is not the factor's memory
+    tracemalloc.start()
+    try:
+        f = gram_factor(M52, X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert f.rank < len(X)
+    assert peak < len(X) ** 2 * 8, peak / (len(X) ** 2 * 8)

@@ -7,7 +7,7 @@ import pytest
 from kooplift import theory
 from kooplift.data import Dataset, LandmarkSet, LandmarkStrategy, sample_landmarks
 from kooplift.identify import NystromLift, fit
-from kooplift.kernels import KernelFamily, KernelSpec, gram
+from kooplift.kernels import KernelFamily, KernelSpec, gram, gram_factor
 from kooplift.lqr import LqrWeights, solve_model_dare
 from kooplift.numerics import RankTolerance, psd_sqrt
 
@@ -107,6 +107,23 @@ def test_gap_of_identical_operators_is_zero():
     ds = toy_dataset(n=15, seed=5)
     G = theory.build_exact_operator(ds, M52, 1e-2)
     assert theory.operator_gap_norm(G, G) <= 1e-9
+
+
+def test_gap_from_a_cached_factor_has_the_same_bits():
+    # a sweep takes G's whitened factor once; each gap then adds the other
+    # operator's term to it in the order the two-term sum takes
+    ds = toy_dataset(n=30, seed=6)
+    G = theory.build_exact_operator(ds, M52, 1e-3)
+    basis = theory.AnchorBasis(M52, np.vstack([ds.X, ds.Y]), RankTolerance(1e-13))
+    G_factor = theory.whitened_operator(G, basis)
+    assert float(np.linalg.norm(G_factor, 2)) == theory.operator_norm(G, basis)
+    for seed in range(3):
+        lm = sample_landmarks(ds, 8, LandmarkStrategy.IndependentUniform, seed=seed)
+        G_ny = theory.build_nystrom_operator(fit(ds, NystromLift(M52, lm), gamma=1e-3))
+        gap = theory.operator_gap_norm(G, G_ny, basis, G_factor)
+        assert gap > 0.0 and repr(gap) == repr(theory.operator_gap_norm(G, G_ny, basis))
+    with pytest.raises(TypeError, match="anchor basis"):
+        theory.operator_gap_norm(G, G_ny, RankTolerance(), G_factor)
 
 
 def test_rank_one_operator_norm():
@@ -278,15 +295,16 @@ def test_riccati_gap_rejects_kernel_mismatch(small_control_fixture):
 
 def test_operator_norm_of_empty_factor_is_zero(monkeypatch):
     # an operator with no input block, and one whose anchor Gram whitens to
-    # zero rows, both have an empty factor and norm 0
+    # zero rows (its Gram factor has no column), both have an empty factor and norm 0
     ds = toy_dataset(n=10, seed=13)
     G = theory.build_exact_operator(Dataset(ds.X, np.zeros((ds.n, 0)), ds.Y), M52, 1e-2)
     assert theory.operator_norm(control_part(G)) == 0.0
 
-    def zero_gram(spec, A, B=None):
-        return np.zeros((len(A), len(A if B is None else B)))
+    def rank_zero_factor(spec, points):
+        factor = gram_factor(spec, points)
+        return replace(factor, L=factor.L[:, :0])
 
-    monkeypatch.setattr(theory, "gram", zero_gram)
+    monkeypatch.setattr(theory, "gram_factor", rank_zero_factor)
     assert theory.operator_norm(G) == 0.0
 
 
