@@ -122,18 +122,17 @@ def fit_nystrom(ds: Dataset, m: int, seed: int, gamma: float = 1e-6) -> KoopmanM
     return fit(ds, _nystrom_lift(ds, m, seed), gamma=gamma, lam=gamma)
 
 
-def fit_exact(ds: Dataset, gamma: float = 1e-6, basis: theory.AnchorBasis | None = None) -> KoopmanModel:
+def fit_exact(ds: Dataset, gamma: float = 1e-6) -> KoopmanModel:
     """Landmarks = the full paired training set, fitted from one pivoted
     Cholesky factor of the Gram of the data's states (``identify.fit_factored``).
 
-    The factor is ``basis.factor`` when a basis over X and Y is given (a rate
-    sweep's), else one taken here.  The Grams K(X, X) and K(Y, Y) are clipped
-    at the default rank cutoff like any other, read from that factor, so this
-    is the uncompressed estimator restricted to the kept eigenvectors of
-    K(X, X), not the dual n x n solve of ``theory.build_exact_operator``.
+    The Grams K(X, X) and K(Y, Y) are clipped at the default rank cutoff like
+    any other, read from that factor, so this is the uncompressed estimator
+    restricted to the kept eigenvectors of K(X, X), not the dual n x n solve
+    of ``theory.build_exact_operator``.  A rate sweep fits the same model from
+    its anchor basis's factor instead of taking another.
     """
-    factor = gram_factor(MATERN_UNIT, np.vstack([ds.X, ds.Y])) if basis is None else basis.factor
-    return fit_factored(ds, factor, gamma, gamma)
+    return fit_factored(ds, gram_factor(MATERN_UNIT, np.vstack([ds.X, ds.Y])), gamma, gamma)
 
 
 def _synthesized(ds: Dataset, m: int, gamma: float, Qprime, n_seeds: int, workers: int):
@@ -345,7 +344,7 @@ def fixture_dataset(n: int = 500, seed: int = 7) -> tuple[SystemSpec, Dataset]:
 def _sweep_basis(ds: Dataset) -> theory.AnchorBasis:
     """The one whitened basis a rate sweep reads every norm from: every anchor
     of the sweep (G's, the exact model's and each landmark set) is a row of X
-    or Y.  Its Gram factor is the one ``fit_exact`` reads."""
+    or Y.  Its Gram factor is the one the sweep's exact model is fitted from."""
     return theory.AnchorBasis(MATERN_UNIT, np.vstack([ds.X, ds.Y]), SWEEP_BASIS_TOL)
 
 
@@ -356,10 +355,8 @@ def _gap_study(
 
     ``row(m, seed)`` draws the landmarks, fits the compressed model once,
     measures the gap of its operator and the two projection errors on
-    ``basis``, and returns the row with the fitted model.  G's whitened factor
-    on the basis is taken once, for every row's gap.
+    ``basis``, and returns the row with the fitted model.
     """
-    G_factor = theory.whitened_operator(G, basis)
 
     def row(m: int, seed: int) -> tuple[theory.BoundReport, KoopmanModel]:
         lm = sample_landmarks(ds, m, LandmarkStrategy.IndependentUniform, seed=seed)
@@ -370,7 +367,7 @@ def _gap_study(
             gamma=gamma,
             delta=delta,
             kappa=MATERN_UNIT.kappa,
-            empirical_gap=theory.operator_gap_norm(G, theory.build_nystrom_operator(model), basis, G_factor),
+            empirical_gap=theory.operator_gap_norm(G, theory.build_nystrom_operator(model), basis),
             gap_bound=theory.nystrom_gap_bound(MATERN_UNIT.kappa, gamma, m, delta),
             proj_in=theory.projection_error(ds, "input", MATERN_UNIT, lm, basis),
             proj_out=theory.projection_error(ds, "output", MATERN_UNIT, lm, basis),
@@ -428,7 +425,7 @@ def riccati_objective_sweep(
     norm_R_inv = 1.0 / sigma_min_R
     G = theory.build_exact_operator(ds, MATERN_UNIT, gamma)
     basis = _sweep_basis(ds)
-    exact_model = fit_exact(ds, gamma, basis)
+    exact_model = fit_factored(ds, basis.factor, gamma, gamma)  # fit_exact on the basis's factor
     Q_exact = exact_model.C_r.T @ exact_model.C_r
     exact_sol = solve_model_dare(exact_model, np.eye(ds.d), R, rho_cap=0.9995)
     norms = theory.exact_model_norms(G, exact_model, exact_sol, basis)

@@ -99,6 +99,7 @@ from numpy.typing import NDArray
 
 from .data import Dataset, LandmarkSet
 from .kernels import (
+    FACTOR_CUTOFF,
     FeatureStack,
     GramFactor,
     KernelFamily,
@@ -536,7 +537,7 @@ def fit_factored(ds: Dataset, factor: GramFactor, gamma: float, lam: float | Non
     (V_in, E_in, info_in), (V_out, E_out, info_out) = sides
     G = _cross_products(ds, iy, (L, factor.rank, V_in), (L, factor.rank, V_out))
     diagnostics = _rank_diagnostics(len(lm_in), len(lm_out), info_in, info_out)
-    diagnostics.update(factor_rank=factor.rank, factor_cutoff=factor.cutoff, factor_residual=factor.residual)
+    diagnostics.update(factor_rank=factor.rank, factor_cutoff=FACTOR_CUTOFF, factor_residual=factor.residual)
     # seed -1: the landmarks are the data themselves, not a draw
     lifting = NystromLift(factor.kernel, LandmarkSet(lm_in, lm_out, seed=-1))
     widths = (V_in.shape[1], ds.n_u, V_out.shape[1])

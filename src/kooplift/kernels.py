@@ -292,7 +292,7 @@ class GramFactor:
 
     ``L`` (N, r) holds one row per distinct row of the points, in order of
     first occurrence, and K(rows, rows) - L L' is PSD with largest diagonal
-    entry ``residual`` < ``cutoff`` * variance, so (up to round-off) every
+    entry ``residual`` < ``FACTOR_CUTOFF`` * variance, so (up to round-off) every
     entry of L L' lies within ``residual`` of the Gram and its spectral norm
     within N times that.
     Rows are matched by their exact bytes.
@@ -300,7 +300,6 @@ class GramFactor:
 
     kernel: KernelSpec
     L: FloatArray
-    cutoff: float
     residual: float
     _index: dict = field(repr=False)
 
@@ -326,19 +325,17 @@ class GramFactor:
         return self.L[idx]
 
 
-def gram_factor(spec: KernelSpec, points, cutoff: float = FACTOR_CUTOFF) -> GramFactor:
+def gram_factor(spec: KernelSpec, points) -> GramFactor:
     """Factor the Gram of the distinct rows of ``points`` by greedy diagonal pivoting.
 
     Each step takes the row with the largest residual diagonal as the pivot,
     evaluates the kernel column at it and subtracts the factor so far
     (Fine & Scheinberg, JMLR 2001); it stops once every residual diagonal lies
-    below ``cutoff`` * variance, which bounds the trace of the residual
+    below ``FACTOR_CUTOFF`` * variance, which bounds the trace of the residual
     (Harbrecht, Peters & Schneider, Appl. Numer. Math. 2012).  Only kernel
     columns are evaluated: the work is O(N r^2) and the memory the N x r factor,
     and the N x N Gram is never formed.
     """
-    if not 0.0 < cutoff < 1.0:
-        raise ValueError(f"cutoff must lie in (0, 1), got {cutoff}")
     pts = np.ascontiguousarray(_as_points(points, "points"))
     index: dict[bytes, int] = {}
     first = []
@@ -352,7 +349,7 @@ def gram_factor(spec: KernelSpec, points, cutoff: float = FACTOR_CUTOFF) -> Gram
     xx = _sq_norms(X)
     profile = _kernel_profile(spec)
     d = np.full(N, spec.variance)  # the residual diagonal: k(x, x) = variance
-    stop = cutoff * spec.variance
+    stop = FACTOR_CUTOFF * spec.variance
     Lt = np.empty((min(N, _FACTOR_CHUNK), N))  # the factor's columns, as rows
     r = 0
     while r < N:
@@ -369,4 +366,4 @@ def gram_factor(spec: KernelSpec, points, cutoff: float = FACTOR_CUTOFF) -> Gram
         d[p] = 0.0
         r += 1
     Lt.resize((r, N), refcheck=False)
-    return GramFactor(spec, Lt.T, cutoff, max(float(d.max()), 0.0), index)
+    return GramFactor(spec, Lt.T, max(float(d.max()), 0.0), index)

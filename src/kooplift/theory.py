@@ -39,10 +39,8 @@ sum, one over its output anchors and one over its input anchors).  Every anchor
 of a rate sweep (G's X and Y, the exact surrogate's landmarks, each drawn
 landmark set) is a row of X or Y, so a sweep builds one basis over [X; Y] and
 every operator gap, Riccati gap, projection error and exact-model norm of the
-sweep, the closed loop A + BK included, reads its columns; G's own whitened
-factor is taken once per sweep and every row's gap adds its term to it.
-Projection errors are then sigma_max((I - Pi_m) R_pts) / sqrt(n), an r x n
-product.
+sweep, the closed loop A + BK included, reads its columns.  Projection errors
+are then sigma_max((I - Pi_m) R_pts) / sqrt(n), an r x n product.
 
 The uncompressed operator G is built by its own dual n x n solve
 (``build_exact_operator``): it is the estimator the bounds are stated for and
@@ -97,7 +95,6 @@ __all__ = [
     "build_nystrom_operator",
     "operator_gap_norm",
     "operator_norm",
-    "whitened_operator",
     "nystrom_gap_bound",
     "projection_bound",
     "projection_error",
@@ -183,20 +180,17 @@ def _check_compatible(A: RkhsOperator, B: RkhsOperator) -> None:
         raise ValueError("operators have different control dimensions")
 
 
-def _whitened_factor(
-    ops: list[tuple[RkhsOperator, float]], R_out: FloatArray, R_in: FloatArray, start: FloatArray | None = None
-) -> FloatArray:
+def _whitened_factor(ops: list[tuple[RkhsOperator, float]], R_out: FloatArray, R_in: FloatArray) -> FloatArray:
     """The factor C with ||D||_op = sigma_max(C).
 
     ``ops`` is a list of (operator, sign); D is the signed sum.  ``R_out`` and
     ``R_in`` are thin square-root factors of the Grams of the stacked output
     and input anchors; each operator's weights act on its own columns of
-    them, and the shared control block is summed.  The sum starts from zero,
-    or from ``start``, the factor of terms taken before on the same basis.
+    them, and the shared control block is summed.
     """
     n_u = ops[0][0].n_u
     r_in = len(R_in)
-    C = np.zeros((len(R_out), r_in + n_u)) if start is None else start.copy()
+    C = np.zeros((len(R_out), r_in + n_u))
     q0 = p0 = 0
     for op, sign in ops:
         E_out = R_out[:, q0 : q0 + op.q]
@@ -263,14 +257,7 @@ def _anchor_basis(tol: AnchorBasis | RankTolerance, kernel: KernelSpec, blocks) 
 
 
 def _sum_norm(ops: list[tuple[RkhsOperator, float]], tol: AnchorBasis | RankTolerance) -> float:
-    """Operator norm of the signed sum of ``ops``, its anchors read as basis columns."""
-    return _factor_norm(_sum_factor(ops, tol))
-
-
-def _sum_factor(
-    ops: list[tuple[RkhsOperator, float]], tol: AnchorBasis | RankTolerance, start: FloatArray | None = None
-) -> FloatArray:
-    """The whitened factor of the signed sum of ``ops`` (added to ``start``).
+    """Operator norm of the signed sum of ``ops``, its anchors read as basis columns.
 
     Given a tolerance, the output anchors and the input anchors are each
     whitened on their own, once if every term reads its input at its own
@@ -285,36 +272,15 @@ def _sum_factor(
         in_basis = _anchor_basis(tol, kernel, in_blocks) if in_blocks else None
     R_out = np.hstack([out_basis.columns(op.out_anchors) for op, _ in ops])
     R_in = np.hstack([in_basis.columns(a) for a in in_blocks]) if in_blocks else np.zeros((0, 0))
-    return _whitened_factor(ops, R_out, R_in, start)
-
-
-def whitened_operator(A: RkhsOperator, basis: AnchorBasis) -> FloatArray:
-    """A's whitened factor on ``basis``, whose largest singular value is ||A||_op.
-
-    A sweep that measures many gaps from one operator takes it once and passes
-    it to ``operator_gap_norm`` as ``A_factor``.
-    """
-    return _sum_factor([(A, 1.0)], basis)
+    return _factor_norm(_whitened_factor(ops, R_out, R_in))
 
 
 def operator_gap_norm(
-    A: RkhsOperator,
-    B: RkhsOperator,
-    tol: AnchorBasis | RankTolerance = RankTolerance(),
-    A_factor: FloatArray | None = None,
+    A: RkhsOperator, B: RkhsOperator, tol: AnchorBasis | RankTolerance = RankTolerance()
 ) -> float:
-    """Operator norm of A - B over the lifted input space.
-
-    ``A_factor``, A's ``whitened_operator`` on the basis ``tol``, stands in for
-    A's term: B's term is added to it in the order the sum of both takes, so
-    the gap has the same bits while A's columns and products are not read again.
-    """
+    """Operator norm of A - B over the lifted input space."""
     _check_compatible(A, B)
-    if A_factor is None:
-        return _sum_norm([(A, 1.0), (B, -1.0)], tol)
-    if not isinstance(tol, AnchorBasis):
-        raise TypeError("A_factor needs the anchor basis it was taken on")
-    return _factor_norm(_sum_factor([(B, -1.0)], tol, A_factor))
+    return _sum_norm([(A, 1.0), (B, -1.0)], tol)
 
 
 def operator_norm(A: RkhsOperator, tol: AnchorBasis | RankTolerance = RankTolerance()) -> float:

@@ -20,7 +20,7 @@ from kooplift.identify import (
     readout_stack,
     save_model,
 )
-from kooplift.kernels import KernelFamily, KernelSpec, gram, gram_factor, thin_plate_matrix
+from kooplift.kernels import FACTOR_CUTOFF, KernelFamily, KernelSpec, gram, gram_factor, thin_plate_matrix
 from kooplift.numerics import psd_pinv_sqrt, psd_pinv_sqrt_factor, solve_psd
 
 M52 = KernelSpec(KernelFamily.Matern52, 1.0, 1.0)
@@ -846,6 +846,16 @@ def test_fit_factored_matches_full_landmark_fit(rate_fixture, planar_pairs):
             )
             for a, b in pairs:
                 _assert_close(a, b, FACTORED_RTOL)
+            # E_in and E_out whiten L_X L_X' and L_Y L_Y', while the model
+            # reads the kernel itself at run time: they must whiten K(X, X)
+            # and K(Y, Y) inside the loader's check, so the model survives a
+            # save/load round trip.  Measured up to 1.1e-6 (E_in of the rate
+            # fixture; 3.0e-8 for its E_out, where the dense fit shows 4.2e-7)
+            lm = got.lifting.landmarks
+            for E_f, pts in ((got._in_factor, lm.inputs), (E, lm.outputs)):
+                defect = E_f.T @ gram(M52, pts) @ E_f - np.eye(E_f.shape[1])
+                assert np.max(np.abs(defect)) < WHITENING_TOL / 10, (name, gamma)
+            assert model_to_dict(model_from_dict(model_to_dict(got))) == model_to_dict(got)
 
 
 def test_fit_factored_reports_its_factor(rate_fixture):
@@ -853,7 +863,7 @@ def test_fit_factored_reports_its_factor(rate_fixture):
     d = fit_factored(rate_fixture, factor, 1e-6).diagnostics
     assert (d["rank_gram_in"], d["rank_gram_out"]) == (34, 33)
     assert d["factor_rank"] == factor.rank < len(factor.L)
-    assert d["factor_cutoff"] == factor.cutoff and d["factor_residual"] == factor.residual < factor.cutoff
+    assert d["factor_cutoff"] == FACTOR_CUTOFF and d["factor_residual"] == factor.residual < FACTOR_CUTOFF
     assert not d["jitter_applied"] and d["cond_gram_in"] < 1e10
     with pytest.raises(ValueError, match="is not a row"):
         fit_factored(rate_fixture, gram_factor(M52, rate_fixture.X), 1e-6)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kooplift import kernels
 from kooplift.kernels import (
     FACTOR_CUTOFF,
     KernelFamily,
@@ -232,14 +233,15 @@ FACTOR_POINTS = {
 
 @pytest.mark.parametrize("d", [1, 2])
 @pytest.mark.parametrize("cutoff", [1e-6, FACTOR_CUTOFF])
-def test_gram_factor_matches_gram_within_trace_bound(d, cutoff):
+def test_gram_factor_matches_gram_within_trace_bound(d, cutoff, monkeypatch):
     # K - L L' is the PSD residual of the pivoting, so its entries lie within
     # its largest diagonal entry and its norm within its trace <= N residual;
     # the default cutoff sits near round-off, which the entries are allowed
     # (measured within 2e-15 of K at every rank, full rank 300 included)
+    monkeypatch.setattr(kernels, "FACTOR_CUTOFF", cutoff)
     X = FACTOR_POINTS[d]
     for spec in (M52, KernelSpec(KernelFamily.RBF, 0.5, 2.5)):
-        f = gram_factor(spec, X, cutoff)
+        f = gram_factor(spec, X)
         L = f.rows(X)
         E = gram(spec, X) - L @ L.T
         assert f.residual < cutoff * spec.variance
@@ -255,12 +257,13 @@ def test_gram_factor_of_few_distinct_points_has_their_rank():
     np.testing.assert_allclose(f.L @ f.L.T, gram(M52, X), atol=1e-14)
 
 
-def test_gram_factor_ignores_duplicate_points():
+def test_gram_factor_ignores_duplicate_points(monkeypatch):
     # a repeated row adds no column and reads the row of its first occurrence
+    monkeypatch.setattr(kernels, "FACTOR_CUTOFF", 1e-12)
     X = FACTOR_POINTS[2][:40]
     pts = np.vstack([X, X[::3], X[:1]])
-    f = gram_factor(M52, pts, 1e-12)
-    assert f.L.shape == (40, gram_factor(M52, X, 1e-12).rank)
+    f = gram_factor(M52, pts)
+    assert f.L.shape == (40, gram_factor(M52, X).rank)
     L = f.rows(pts)
     assert np.all(np.isfinite(L))
     np.testing.assert_array_equal(L[40:54], L[:40:3])
@@ -269,9 +272,6 @@ def test_gram_factor_ignores_duplicate_points():
     assert np.shares_memory(f.rows(X[5:9]), f.L)
     with pytest.raises(ValueError, match=r"point \[2\.0, 2\.0\] is not a row"):
         f.index(np.vstack([X[:2], [[2.0, 2.0]]]))
-    for bad in (0.0, 1.0):
-        with pytest.raises(ValueError, match="cutoff"):
-            gram_factor(M52, X, bad)
 
 
 def test_gram_factor_never_forms_the_gram():

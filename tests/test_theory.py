@@ -109,23 +109,6 @@ def test_gap_of_identical_operators_is_zero():
     assert theory.operator_gap_norm(G, G) <= 1e-9
 
 
-def test_gap_from_a_cached_factor_has_the_same_bits():
-    # a sweep takes G's whitened factor once; each gap then adds the other
-    # operator's term to it in the order the two-term sum takes
-    ds = toy_dataset(n=30, seed=6)
-    G = theory.build_exact_operator(ds, M52, 1e-3)
-    basis = theory.AnchorBasis(M52, np.vstack([ds.X, ds.Y]), RankTolerance(1e-13))
-    G_factor = theory.whitened_operator(G, basis)
-    assert float(np.linalg.norm(G_factor, 2)) == theory.operator_norm(G, basis)
-    for seed in range(3):
-        lm = sample_landmarks(ds, 8, LandmarkStrategy.IndependentUniform, seed=seed)
-        G_ny = theory.build_nystrom_operator(fit(ds, NystromLift(M52, lm), gamma=1e-3))
-        gap = theory.operator_gap_norm(G, G_ny, basis, G_factor)
-        assert gap > 0.0 and repr(gap) == repr(theory.operator_gap_norm(G, G_ny, basis))
-    with pytest.raises(TypeError, match="anchor basis"):
-        theory.operator_gap_norm(G, G_ny, RankTolerance(), G_factor)
-
-
 def test_rank_one_operator_norm():
     # D = psi(a) <psi(b), .>  has norm sqrt(k(a,a) k(b,b)) = variance
     spec = KernelSpec(KernelFamily.Matern52, 1.0, 2.5)
