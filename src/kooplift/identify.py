@@ -644,7 +644,7 @@ def model_from_dict(doc: dict) -> KoopmanModel:
     The stored ``out_factor`` E_out (m, r) is the lift's rank decision, so a
     loaded model synthesizes the fitted gain bit for bit; it is checked, not
     recomputed: every entry of E_out' K_out E_out - I_r must lie within
-    ``WHITENING_TOL`` (for a thin-plate lift E_out must be the identity).  A
+    ``WHITENING_TOL`` (for a thin-plate lift E_out must be the m x m identity).  A
     document without ``schema_version`` or with another version is refused.
     """
     version = doc.get("schema_version")
@@ -674,7 +674,9 @@ def model_from_dict(doc: dict) -> KoopmanModel:
         defect = E_out.T @ gram(spec, lm_out) @ E_out - np.eye(r)
     elif lift_doc["variant"] == "thinplate":
         lifting = ThinPlateLift(_json_array(lift_doc, "centers", (m, d)))
-        defect = E_out - np.eye(m, r)
+        if r != m:
+            raise ValueError(f"model out_factor has shape {E_out.shape}, expected ({m}, {m}) for a thin-plate lift")
+        defect = E_out - np.eye(m)
     else:
         raise ValueError(f"unknown lifting variant {lift_doc['variant']!r}")
     if defect.size and np.max(np.abs(defect)) > WHITENING_TOL:

@@ -40,6 +40,9 @@ from .numerics import solve_psd, spectral_radius
 
 FloatArray = NDArray[np.float64]
 
+# relative tolerance of the Riccati stopping rule (see RiccatiSolution)
+RICCATI_TOL = 1e-12
+
 __all__ = [
     "LqrWeights",
     "RiccatiSolution",
@@ -76,8 +79,9 @@ class RiccatiSolution:
     """DARE solution with gain, closed loop and solver diagnostics.
 
     ``iterations`` is the N of the returned value iterate P_N (P_0 = Q).  The
-    stopping rule ||P_{k+1} - P_k||_2 <= tol * (1 + ||P_k||_2) is checked at
-    the doubled iterates k = 2^j - 1; the first that meets it is returned with
+    stopping rule ||P_{k+1} - P_k||_2 <= RICCATI_TOL * (1 + ||P_k||_2), with
+    the module constant ``RICCATI_TOL`` = 1e-12, is checked at the doubled
+    iterates k = 2^j - 1; the first that meets it is returned with
     ``converged=True`` and N = k.  Otherwise N is the horizon cap and
     ``converged`` is the rule at k = N.  ``delta_history`` holds the checked
     one-step deltas ||P_{k+1} - P_k||_2 in order, at most about log2(N) + 2;
@@ -135,7 +139,7 @@ def _compose(early, late):
     return A2 @ WA, 0.5 * (G + G.T), 0.5 * (H + H.T)
 
 
-def _riccati_core(A, B, weights: LqrWeights, tol: float, horizon: int) -> RiccatiSolution:
+def _riccati_core(A, B, weights: LqrWeights, horizon: int) -> RiccatiSolution:
     """Value iterate P_N by segment doubling, with its gain and closed loop.
 
     Doubles the one-stage segment, checking the stopping rule at each doubled
@@ -155,7 +159,7 @@ def _riccati_core(A, B, weights: LqrWeights, tol: float, horizon: int) -> Riccat
         defect, jitter = _dare_defect(P, A, B, weights)
         deltas.append(float(np.linalg.norm(defect, 2)))
         jitters.append(jitter)
-        return deltas[-1] <= tol * (1.0 + float(np.linalg.norm(P, 2)))
+        return deltas[-1] <= RICCATI_TOL * (1.0 + float(np.linalg.norm(P, 2)))
 
     def extend(early, late, reached: int):
         with np.errstate(over="ignore", invalid="ignore"):
@@ -204,12 +208,11 @@ def solve_dare(
     A,
     B,
     weights: LqrWeights,
-    tol: float = 1e-12,
     max_iter: int = 1_000_000,
 ) -> RiccatiSolution:
     """Riccati value iterate from P_0 = Q, capped at ``max_iter`` steps.
 
-    Converged when ||P_{k+1} - P_k||_2 <= tol * (1 + ||P_k||_2) at the
+    Converged when ||P_{k+1} - P_k||_2 <= RICCATI_TOL * (1 + ||P_k||_2) at the
     returned P_k (see ``RiccatiSolution``).  Raises RuntimeError on
     non-convergence, on an iterate that overflows, or when the resulting
     closed loop is not contractive.
@@ -220,7 +223,7 @@ def solve_dare(
         B = B[:, None]
     if A.shape[0] != A.shape[1] or B.shape[0] != A.shape[0] or weights.Q_m.shape != A.shape:
         raise ValueError("inconsistent shapes in solve_dare")
-    sol = _riccati_core(A, B, weights, tol, max_iter)
+    sol = _riccati_core(A, B, weights, max_iter)
     if not sol.converged:
         raise RuntimeError(f"Riccati iteration did not converge in {max_iter} iterations")
     if not sol.rho_L < 1.0:
@@ -271,7 +274,6 @@ def solve_model_dare(
     Qprime=None,
     R=None,
     weights: LqrWeights | None = None,
-    tol: float = 1e-12,
     horizon: int = 10_000,
     rho_cap: float | None = None,
 ) -> RiccatiSolution:
@@ -303,11 +305,11 @@ def solve_model_dare(
     A, B = model.A_r, model.B_r
     deflation = _deflate_marginal_modes(A, rho_cap) if rho_cap is not None else None
     if deflation is None:
-        red = _riccati_core(A, B, weights, tol, horizon)
+        red = _riccati_core(A, B, weights, horizon)
         return replace(red, rho_L_full=red.rho_L)
     U1, T11 = deflation
     Q_s = U1.T @ weights.Q_m @ U1
-    red = _riccati_core(T11, U1.T @ B, LqrWeights(Q_s, weights.R), tol, horizon)
+    red = _riccati_core(T11, U1.T @ B, LqrWeights(Q_s, weights.R), horizon)
     P = U1 @ red.P_m @ U1.T
     K = red.K_m @ U1.T
     L = A + B @ K

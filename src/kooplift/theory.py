@@ -1,31 +1,32 @@
 """Finite-rank operator representations and empirical error-rate studies.
 
 Every operator of interest here (the uncompressed regression operator G, its
-landmark-compressed version, the Riccati operators of both) has range and
-co-range inside the span of finitely many kernel features, so it is stored
-exactly as
+landmark-compressed version, and the Riccati solutions and closed loop of the
+models) has range and co-range inside the span of finitely many kernel
+features.  The regression operators are stored exactly as
 
     D [l; u]  =  F_out @ out_weight @ core @ [ in_weight @ (l at in_anchors); u ]
 
 with ``F_out`` the formal row of features at the output anchors.  The weights
-may be thin: a fitted model's operators take its embedding factors, out_weight
-= E_out (q x r_out) and in_weight = E_in' (r_in x p), and their cores are
-r-sized (the compressed operator's core is the fit's S_r', the Riccati
-operator's the solution P_r in the model's coordinates), so no landmark-sized
-square matrix is formed.  Operator norms then reduce to the largest singular
-value of the whitened factor
+may be thin: the compressed operator takes its model's embedding factors,
+out_weight = E_out (q x r_out) and in_weight = E_in' (r_in x p), around the
+r-sized core S_r' of the fit, so no landmark-sized square matrix is formed.
+Operator norms then reduce to the largest singular value of the whitened
+factor
 
     C = [ (R_out @ out_weight) @ core_x @ (in_weight @ R_in') | (R_out @ out_weight) @ core_u ]
 
 where R_out (r, q) and R_in (r, p) are columns of a thin square-root factor
 of the anchors' Gram (R'R = Gram on the kept range), so C is only
-r x (r + n_u).  A signed sum of operators adds each term on its own columns of
-R_out and R_in.  Each weight multiplies whitened columns first: the
-R @ weight factors are contractions, so differences of nearly equal operators
-keep full relative precision instead of being squared away.  The Riccati
-solutions and the closed loop are operators of the same form.  The weight
-transport from one model's coordinates to another's is E_a' K(out_a, out_b) E_b,
-r_a x r_b.
+r x (r + n_u), and the gap of two operators is sigma_max(C_A - C_B) with both
+factors read from the same bases.  Each weight multiplies whitened columns
+first: the R @ weight factors are contractions, so differences of nearly equal
+operators keep full relative precision instead of being squared away.  The
+Riccati solutions, the gain and the closed loop are read from the models'
+whitened embeddings W = R_out E_out: the solution P_r (r x r, in the model's
+coordinates) is the form (W P_r) W', the gain K W' and the closed loop G's
+state block plus (R_out G_u K) W'.  The weight transport from one model's
+coordinates to another's is E_a' K(out_a, out_b) E_b, r_a x r_b.
 
 Every factor is read from an ``AnchorBasis``: one thin square-root factor of
 the Gram of a point set's distinct rows, from which any anchor set among those
@@ -34,13 +35,14 @@ pivoted Cholesky factor L (``kernels.gram_factor``, kernel columns only) onto
 the eigenvectors of the small L'L kept at its cutoff, and the same L serves the
 exact surrogate's fit (``identify.fit_factored``), so a rate sweep factors its
 data once.  Each norm's ``tol`` slot takes a basis or a ``RankTolerance``;
-given a tolerance, the norm builds a basis over its own anchors (for a signed
-sum, one over its output anchors and one over its input anchors).  Every anchor
-of a rate sweep (G's X and Y, the exact surrogate's landmarks, each drawn
-landmark set) is a row of X or Y, so a sweep builds one basis over [X; Y] and
-every operator gap, Riccati gap, projection error and exact-model norm of the
-sweep, the closed loop A + BK included, reads its columns.  Projection errors
-are then sigma_max((I - Pi_m) R_pts) / sqrt(n), an r x n product.
+given a tolerance, the norm builds a basis over its own anchors (for a gap,
+one over both operators' output anchors and one over their input anchors).
+Every anchor of a rate sweep (G's X and Y, the exact surrogate's landmarks,
+each drawn landmark set) is a row of X or Y, so a sweep builds one basis over
+[X; Y] and every operator gap, Riccati gap, projection error and exact-model
+norm of the sweep, the closed loop A + BK included, reads its columns.
+Projection errors are then sigma_max((I - Pi_m) R_pts) / sqrt(n), an r x n
+product.
 
 The uncompressed operator G is built by its own dual n x n solve
 (``build_exact_operator``): it is the estimator the bounds are stated for and
@@ -160,51 +162,12 @@ class RkhsOperator:
         """Width of the core's state block."""
         return self.p if self.in_weight is None else self.in_weight.shape[0]
 
-    def state_part(self) -> "RkhsOperator":
-        """The operator restricted to the lifted-state input (control dropped)."""
-        return RkhsOperator(
-            kernel=self.kernel,
-            out_anchors=self.out_anchors,
-            core=self.core[:, : self.b],
-            in_anchors=self.in_anchors,
-            out_weight=self.out_weight,
-            in_weight=self.in_weight,
-            n_u=0,
-        )
-
 
 def _check_compatible(A: RkhsOperator, B: RkhsOperator) -> None:
     if A.kernel != B.kernel:
         raise ValueError("operators use different kernels")
     if A.n_u != B.n_u:
         raise ValueError("operators have different control dimensions")
-
-
-def _whitened_factor(ops: list[tuple[RkhsOperator, float]], R_out: FloatArray, R_in: FloatArray) -> FloatArray:
-    """The factor C with ||D||_op = sigma_max(C).
-
-    ``ops`` is a list of (operator, sign); D is the signed sum.  ``R_out`` and
-    ``R_in`` are thin square-root factors of the Grams of the stacked output
-    and input anchors; each operator's weights act on its own columns of
-    them, and the shared control block is summed.
-    """
-    n_u = ops[0][0].n_u
-    r_in = len(R_in)
-    C = np.zeros((len(R_out), r_in + n_u))
-    q0 = p0 = 0
-    for op, sign in ops:
-        E_out = R_out[:, q0 : q0 + op.q]
-        if op.out_weight is not None:
-            E_out = E_out @ op.out_weight
-        if op.p:
-            E_in = R_in[:, p0 : p0 + op.p].T
-            if op.in_weight is not None:
-                E_in = op.in_weight @ E_in
-            C[:, :r_in] += sign * ((E_out @ op.core[:, : op.b]) @ E_in)
-        C[:, r_in:] += sign * (E_out @ op.core[:, op.b :])
-        q0 += op.q
-        p0 += op.p
-    return C
 
 
 def _factor_norm(C: FloatArray) -> float:
@@ -256,23 +219,46 @@ def _anchor_basis(tol: AnchorBasis | RankTolerance, kernel: KernelSpec, blocks) 
     return AnchorBasis(kernel, np.vstack(blocks), tol)
 
 
-def _sum_norm(ops: list[tuple[RkhsOperator, float]], tol: AnchorBasis | RankTolerance) -> float:
-    """Operator norm of the signed sum of ``ops``, its anchors read as basis columns.
+def _bases(ops: list[RkhsOperator], tol: AnchorBasis | RankTolerance) -> tuple[AnchorBasis, AnchorBasis | None]:
+    """The output and input bases the norms of ``ops`` read their anchors from.
 
-    Given a tolerance, the output anchors and the input anchors are each
-    whitened on their own, once if every term reads its input at its own
-    output anchors.
+    Given a tolerance, the stacked output anchors and the stacked input
+    anchors are each whitened on their own, once if every operator reads its
+    input at its own output anchors; no input anchors give no input basis.
     """
-    kernel = ops[0][0].kernel
-    in_blocks = [op.in_anchors for op, _ in ops if op.p]
-    out_basis = _anchor_basis(tol, kernel, [op.out_anchors for op, _ in ops])
-    if all(op.in_anchors is op.out_anchors for op, _ in ops):
-        in_basis = out_basis
+    kernel = ops[0].kernel
+    out_basis = _anchor_basis(tol, kernel, [op.out_anchors for op in ops])
+    if all(op.in_anchors is op.out_anchors for op in ops):
+        return out_basis, out_basis
+    in_blocks = [op.in_anchors for op in ops if op.p]
+    return out_basis, _anchor_basis(tol, kernel, in_blocks) if in_blocks else None
+
+
+def _whitened(op: RkhsOperator, out_basis: AnchorBasis, in_basis: AnchorBasis | None) -> FloatArray:
+    """The factor C = [(R_out W_out) core_x (W_in R_in') | (R_out W_out) core_u]
+    with ||op||_op = sigma_max(C), its anchors read as basis columns.
+
+    An operator without input anchors has a zero state block, as wide as the
+    input basis.
+    """
+    W_out = out_basis.columns(op.out_anchors)
+    if op.out_weight is not None:
+        W_out = W_out @ op.out_weight
+    if op.p:
+        W_in = in_basis.columns(op.in_anchors).T
+        if op.in_weight is not None:
+            W_in = op.in_weight @ W_in
+        state = (W_out @ op.core[:, : op.b]) @ W_in
     else:
-        in_basis = _anchor_basis(tol, kernel, in_blocks) if in_blocks else None
-    R_out = np.hstack([out_basis.columns(op.out_anchors) for op, _ in ops])
-    R_in = np.hstack([in_basis.columns(a) for a in in_blocks]) if in_blocks else np.zeros((0, 0))
-    return _factor_norm(_whitened_factor(ops, R_out, R_in))
+        state = np.zeros((len(W_out), 0 if in_basis is None else in_basis.rank))
+    return np.hstack([state, W_out @ op.core[:, op.b :]])
+
+
+def _whitened_embedding(model: KoopmanModel, basis: AnchorBasis) -> tuple[FloatArray, FloatArray]:
+    """W = R_out E_out at the model's output landmarks, and W' taken as E_out' R_out'."""
+    R = basis.columns(model.lifting.landmarks.outputs)
+    E = model.out_factor
+    return R @ E, E.T @ R.T
 
 
 def operator_gap_norm(
@@ -280,25 +266,12 @@ def operator_gap_norm(
 ) -> float:
     """Operator norm of A - B over the lifted input space."""
     _check_compatible(A, B)
-    return _sum_norm([(A, 1.0), (B, -1.0)], tol)
+    out_basis, in_basis = _bases([A, B], tol)
+    return _factor_norm(_whitened(A, out_basis, in_basis) - _whitened(B, out_basis, in_basis))
 
 
 def operator_norm(A: RkhsOperator, tol: AnchorBasis | RankTolerance = RankTolerance()) -> float:
-    return _sum_norm([(A, 1.0)], tol)
-
-
-def _riccati_operator(model: KoopmanModel, P: FloatArray) -> RkhsOperator:
-    """The quadratic form P on the model's lifted coordinates, F E_out P E_out' F^*."""
-    out = model.lifting.landmarks.outputs
-    E = model.out_factor
-    return RkhsOperator(
-        kernel=model.lifting.kernel,
-        out_anchors=out,
-        core=P,
-        in_anchors=out,
-        out_weight=E,
-        in_weight=E.T,
-    )
+    return _factor_norm(_whitened(A, *_bases([A], tol)))
 
 
 # ---------------------------------------------------------------------------
@@ -477,23 +450,13 @@ def exact_model_norms(
     out = exact_model.lifting.landmarks.outputs
     if not np.array_equal(out, G_exact.out_anchors):
         raise ValueError("the exact model's output landmarks must be the exact operator's output anchors")
-    kernel = G_exact.kernel
-    basis = _anchor_basis(tol, kernel, [out, G_exact.in_anchors])
-    R_y, R_x = basis.columns(out), basis.columns(G_exact.in_anchors)
-    C = _whitened_factor([(G_exact, 1.0)], R_y, R_x)
-    norm_P = _factor_norm(_whitened_factor([(_riccati_operator(exact_model, exact_sol.P_m), 1.0)], R_y, R_y))
-    E = exact_model.out_factor
+    basis = _anchor_basis(tol, G_exact.kernel, [out, G_exact.in_anchors])
+    C = _whitened(G_exact, basis, basis)
+    r_x = basis.rank
+    W, Wt = _whitened_embedding(exact_model, basis)
     # closed loop A + B K: the gain reads the state at the model's output
     # landmarks and feeds G's control block
-    gain = RkhsOperator(
-        kernel=kernel,
-        out_anchors=G_exact.out_anchors,
-        core=G_exact.core[:, G_exact.p :] @ exact_sol.K_m,
-        in_anchors=out,
-        out_weight=G_exact.out_weight,
-        in_weight=E.T,
-    )
-    norm_L = _sum_norm([(G_exact.state_part(), 1.0), (gain, 1.0)], basis)
+    C_L = C[:, :r_x] + (basis.columns(out) @ (G_exact.core[:, G_exact.p :] @ exact_sol.K_m)) @ Wt
     # transient growth and sigma_min are taken on the synthesized subsystem:
     # after a deflation its basis spans an A_r-invariant subspace, so this
     # block is exactly the closed loop the gain was designed for
@@ -506,11 +469,11 @@ def exact_model_norms(
     t = tau(L_red, zeta)
     return ExactModelNorms(
         G=_factor_norm(C),
-        A=_factor_norm(C[:, : len(R_x)]),
-        B=_factor_norm(C[:, len(R_x) :]),
-        P=norm_P,
-        K=_factor_norm(exact_sol.K_m @ (R_y @ E).T),
-        L=norm_L,
+        A=_factor_norm(C[:, :r_x]),
+        B=_factor_norm(C[:, r_x:]),
+        P=_factor_norm((W @ exact_sol.P_m) @ Wt),
+        K=_factor_norm(exact_sol.K_m @ W.T),
+        L=_factor_norm(C_L),
         sigma_min_P=sigma_min_P,
         rho_L=rho,
         zeta=zeta,
@@ -578,11 +541,16 @@ def riccati_gap(
 ) -> float:
     """Operator-norm gap between the two Riccati solutions on the lifted space.
 
+    Each solution is the form (W P) W' on its model's whitened embedding W.
     Both models must lift with the same kernel (``ValueError`` otherwise).
     """
-    return operator_gap_norm(
-        _riccati_operator(exact_model, exact_sol.P_m), _riccati_operator(ny_model, ny_sol.P_m), tol
-    )
+    outs = [model.lifting.landmarks.outputs for model in (exact_model, ny_model)]
+    kernel = exact_model.lifting.kernel
+    if ny_model.lifting.kernel != kernel:
+        raise ValueError("operators use different kernels")
+    basis = _anchor_basis(tol, kernel, outs)
+    (W_ex, Wt_ex), (W_ny, Wt_ny) = (_whitened_embedding(model, basis) for model in (exact_model, ny_model))
+    return _factor_norm((W_ex @ exact_sol.P_m) @ Wt_ex - (W_ny @ ny_sol.P_m) @ Wt_ny)
 
 
 @dataclass(frozen=True)

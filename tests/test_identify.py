@@ -483,6 +483,11 @@ def test_model_from_dict_rejects_thinplate_center_count():
     ds = scalar_dataset(lambda x, u: 0.5 * x + 0.25 * u, n=40, seed=15)
     doc = model_to_dict(fit(ds, ThinPlateLift(np.linspace(-1.0, 1.0, 6)[:, None]), gamma=1e-6))
     model_from_dict(doc)
+    # a thin identity E_out = I_{m,r}, r < m, with A_r, B_r and C_r cut to match
+    thin = dict(doc, out_factor=np.eye(6, 3).tolist(), A_r=np.array(doc["A_r"])[:3, :3].tolist(),
+                B_r=np.array(doc["B_r"])[:3].tolist(), C_r=np.array(doc["C_r"])[:, :3].tolist())
+    with pytest.raises(ValueError, match=r"out_factor has shape \(6, 3\), expected \(6, 6\)"):
+        model_from_dict(thin)
     doc["lifting"]["centers"] = doc["lifting"]["centers"][:-1]
     with pytest.raises(ValueError, match="centers has shape"):
         model_from_dict(doc)

@@ -668,14 +668,33 @@ def stacked_anchor_norm(ops, tol):
     """The operator norm of a signed sum with each anchor stack whitened from
     its own Gram: R_out from the stacked output anchors, R_in from the stacked
     input anchors (the same factor when every term reads its input at its own
-    output anchors)."""
+    output anchors), and each term added on its own columns of both."""
     kernel = ops[0][0].kernel
     R_out = psd_sqrt(gram(kernel, np.vstack([op.out_anchors for op, _ in ops])), tol)
     if all(op.in_anchors is op.out_anchors for op, _ in ops):
         R_in = R_out
     else:
         R_in = psd_sqrt(gram(kernel, np.vstack([op.in_anchors for op, _ in ops if op.p])), tol)
-    return float(np.linalg.norm(theory._whitened_factor(ops, R_out, R_in), 2))
+    r_in = len(R_in)
+    C = np.zeros((len(R_out), r_in + ops[0][0].n_u))
+    q0 = p0 = 0
+    for op, sign in ops:
+        W_out = R_out[:, q0 : q0 + op.q]
+        if op.out_weight is not None:
+            W_out = W_out @ op.out_weight
+        W_in = R_in[:, p0 : p0 + op.p].T
+        if op.in_weight is not None:
+            W_in = op.in_weight @ W_in
+        C[:, :r_in] += sign * (W_out @ op.core[:, : op.b] @ W_in)
+        C[:, r_in:] += sign * (W_out @ op.core[:, op.b :])
+        q0, p0 = q0 + op.q, p0 + op.p
+    return float(np.linalg.norm(C, 2))
+
+
+def riccati_form(model, P):
+    """The quadratic form P on the model's lifted coordinates, F E_out P E_out' F^*."""
+    out, E = model.lifting.landmarks.outputs, model.out_factor
+    return theory.RkhsOperator(model.lifting.kernel, out, P, out, E, E.T)
 
 
 @pytest.fixture(scope="module")
@@ -701,17 +720,44 @@ def test_sweep_basis_gaps_match_stacked_anchor_whitening(rate_sweep_rows):
     exact_model = fit_exact(ds, gamma)
     Q_exact = exact_model.C_r.T @ exact_model.C_r
     exact_sol = solve_model_dare(exact_model, np.eye(1), np.eye(1), rho_cap=0.9995)
-    P_exact = theory._riccati_operator(exact_model, exact_sol.P_m)
+    P_exact = riccati_form(exact_model, exact_sol.P_m)
     for row in rows:
         lm = sample_landmarks(ds, row.m, LandmarkStrategy.IndependentUniform, seed=row.seed)
         ny_model = fit(ds, NystromLift(MATERN_UNIT, lm), gamma=gamma, lam=gamma)
         G_ny = theory.build_nystrom_operator(ny_model)
         Q_ny, _ = theory.transport_weights(exact_model, Q_exact, ny_model)
         ny_sol = solve_model_dare(ny_model, weights=LqrWeights(Q_ny, np.eye(1)), rho_cap=0.9995)
-        P_ny = theory._riccati_operator(ny_model, ny_sol.P_m)
+        P_ny = riccati_form(ny_model, ny_sol.P_m)
         assert row.basis_rank == 90
         assert row.empirical_gap == pytest.approx(stacked_anchor_norm([(G, 1.0), (G_ny, -1.0)], tol), rel=1e-4)
         assert row.riccati_gap == pytest.approx(stacked_anchor_norm([(P_exact, 1.0), (P_ny, -1.0)], tol), rel=1e-4)
+
+
+def test_riccati_gap_is_the_gap_of_the_riccati_forms(small_control_fixture, rate_sweep_rows):
+    # riccati_gap reads each model's whitened embedding W = R E_out directly;
+    # on a shared basis it is, bit for bit, the operator gap of the two forms
+    # F E_out P E_out' F^*
+    from kooplift.experiments import MATERN_UNIT, fit_exact
+
+    small_ds, small_gamma, small_exact, small_sol, small_Q, _ = small_control_fixture
+    rate_ds, rows = rate_sweep_rows
+    rate_exact = fit_exact(rate_ds, rows[0].gamma)
+    rate_sol = solve_model_dare(rate_exact, np.eye(1), np.eye(1), rho_cap=0.9995)
+    cases = [
+        (small_ds, M52, small_gamma, small_exact, small_sol, small_Q, 10, RankTolerance()),
+        (rate_ds, MATERN_UNIT, rows[0].gamma, rate_exact, rate_sol, rate_exact.C_r.T @ rate_exact.C_r, 20,
+         RankTolerance(1e-13)),
+    ]
+    for ds, kernel, gamma, exact_model, exact_sol, Q_exact, m, tol in cases:
+        basis = theory.AnchorBasis(kernel, np.vstack([ds.X, ds.Y]), tol)
+        lm = sample_landmarks(ds, m, LandmarkStrategy.IndependentUniform, seed=0)
+        ny_model = fit(ds, NystromLift(kernel, lm), gamma=gamma, lam=gamma)
+        Q_ny, _ = theory.transport_weights(exact_model, Q_exact, ny_model)
+        ny_sol = solve_model_dare(ny_model, weights=LqrWeights(Q_ny, np.eye(1)), rho_cap=0.9995)
+        gap = theory.riccati_gap(exact_model, exact_sol, ny_model, ny_sol, basis)
+        forms = riccati_form(exact_model, exact_sol.P_m), riccati_form(ny_model, ny_sol.P_m)
+        assert gap > 0
+        assert gap == theory.operator_gap_norm(*forms, basis)
 
 
 def test_sweep_projection_errors_match_explicit_coordinates(rate_sweep_rows):
