@@ -279,7 +279,8 @@ def duffing_forecast_experiment(
     +inf, plus divergence counters.  Landmark draws and thin-plate centers are
     nested across m for a fixed seed, so per-seed errors are directly comparable
     along the sweep, and each seed fits each lift's sweep with one
-    ``fit_nested`` call: one feature pass over the data per lift.
+    ``fit_nested`` call, which evaluates the data's rows once, a block at a
+    time.
     """
     sys, ds = duffing_training_data(seed=data_seed)
     T = int(round(horizon_s / sys.dt))
@@ -292,7 +293,6 @@ def duffing_forecast_experiment(
         true_states = truth.states[1:]
         rng_centers = derived_rng("tp-centers", seed)
         centers_pool = np.array([UniformBall(1.0).sample(rng_centers, 2) for _ in range(max(m_list))])
-        # one sweep at a time, so only one lift's feature matrix is ever held
         ny_models = fit_nested(ds, [_nystrom_lift(ds, m, seed) for m in m_list], gamma, gamma)
         tp_models = fit_nested(ds, [ThinPlateLift(centers_pool[:m]) for m in m_list], gamma, gamma)
 

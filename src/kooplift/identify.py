@@ -45,29 +45,45 @@ coincides with the uncompressed kernel estimator on the retained input range;
 that degeneracy is exercised by the test-suite through the operator
 representations in :mod:`kooplift.theory`.
 
-Both feature matrices come from one pass per point set P over the data's
-distinct states D = [X; the rows of Y that are not X's next row]: within a
-trajectory y_i = x_{i+1}, so D has n + n_traj rows where X and Y together have
-2n.  Rows :n of K(D, P) (or thin_plate(D, P)) are the inputs' features, rows iy
-(D[iy] = Y) the outputs', and one matrix serves both sides when the input and
-output points agree (shared landmarks, thin-plate centers).  The products are
-summed over blocks of pairs: a block's output rows are its input rows shifted
-by one, with the pairs that end a trajectory read from D[n:].  ``fit_nested``
-fits several lifts whose points are row prefixes of the largest lift's (the
-landmark draws of one seed, centers sliced ``[:m]``) from the leading columns
-of that one pass, and ``fit`` is its call on one lift:
+Both feature matrices are read from the data's distinct states
+D = [X; the rows of Y that are not X's next row]: within a trajectory
+y_i = x_{i+1}, so D has n + n_traj rows where X and Y together have 2n.  Rows
+:n of K(D, P) (or thin_plate(D, P)) are the inputs' features and rows iy
+(D[iy] = Y) the outputs'.  No n x m array of them is built: the products are
+summed over blocks of pairs, and a block of pairs i0..i1-1 evaluates the rows
+of its states D[i0:i1 + 1] against each point set P, each state once, with its
+inputs' features those of all but the last and its outputs' those of all but
+the first; the pairs that end a trajectory take theirs from the end states
+D[n:], evaluated once up front.  One set of rows serves both sides when the
+input and output points agree (shared landmarks, thin-plate centers), and a
+fit holds a block of rows, one block of G and the sums, O(block m + k^2)
+memory whatever n.  ``fit_nested`` fits several lifts whose points are row
+prefixes of the largest lift's (the landmark draws of one seed, centers sliced
+``[:m]``) from the leading columns of the same rows, so a sweep evaluates the
+data's rows once, and ``fit`` is its call on one lift:
 
     blocks of G'G            Nystrom lift                 thin-plate lift
     product set              one per lift                 one at the largest m
     F'F, F'Psi, Psi'Psi      Phi, Psi at r_in, r_out      leading m of each block
     Psi'Y                    Psi at r_out                 leading m rows
+    blocks of pairs          those of the widest lift     those of the largest m
 
 A Nystrom sweep keeps one product set per lift because E_in changes with m:
 reading a smaller fit from the largest one's raw kernel products squares the
 landmark Gram's condition number.  A thin-plate fit at m is the leading
-sub-blocks of the largest fit's products, and every entry of the pass is the
-one K(X, P) or K(P, Y) would hold (the tests check this bit for bit at d = 1
-and 2).  Against the dense formulas in the coordinates of the m x m weight
+sub-blocks of the largest fit's products, and every row a block evaluates is
+the one K(D, P) or thin_plate(D, P) would hold (the tests check this bit for
+bit on the cubic and the Duffing data, d = 1 and 2; the ``kernels`` module
+docstring lists the shapes where it holds).  So ``fit`` and a thin-plate sweep
+sum the same products in the same order as when the rows were read from the
+whole matrix.  The lifts of a Nystrom sweep sum theirs over the blocks of the
+widest lift, not over their own, so each agrees with ``fit`` on its lift alone
+to the round-off of the other order: measured within 2.5e-13 relative on the
+Duffing data (m = 10 to 80) and 2.3e-11 on the cubic data (m = 10 to 100,
+landmark Grams of condition number up to 1e10), and within 2.5e-12 in the
+Duffing forecasts' RMSEs.
+
+Against the dense formulas in the coordinates of the m x m weight
 W = (K_out^+)^(1/2) = E_out V_r' (F'F, F'Z and Z'Z each taken over F and
 Z = Psi W built whole), read basis-free as E_out A_r E_out' = W A_m W and
 C_r E_out' = C W, the tests hold kernel lifts to 2e-7 relative (measured within
@@ -78,9 +94,10 @@ thin-plate lifts to 5e-9, whose unwhitened equations reach condition number
 
 The fit whose landmarks are the whole training set (the exact surrogate) is
 read from one pivoted Cholesky factor L of the Gram of the data's states by
-``fit_factored``: the feature pass is L times the kept eigenvectors of the
-small L'L blocks, the cross products and ridges are the ones above, and no
-n x n Gram is formed.  The tests hold it to 1e-5 relative of ``fit`` on the
+``fit_factored``: a block's features are its rows of L (held whole, so read
+as views through the same blocks) times the kept eigenvectors of the small
+L'L blocks, the cross products and ridges are the ones above, and no n x n
+Gram is formed.  The tests hold it to 1e-5 relative of ``fit`` on the
 same landmarks, whose rank decisions at condition numbers near 1e10 resolve
 the kept range to about that (measured within 3.4e-6).
 """
@@ -310,50 +327,102 @@ def _state_rows(X: FloatArray, Y: FloatArray) -> tuple[FloatArray, NDArray[np.in
 
 
 # entries per block of [Phi_x | U | Psi_y | Y] in ``_cross_products``: a 2 MB
-# buffer, the fastest of the sizes tried (2^16 to 2^20 entries) at n = 70 000
+# buffer.  It sets the blocks every fit sums its products over, and so the
+# fits' last bits.  With the rows evaluated inside the block, one Duffing
+# forecast seed's two sweeps (n = 70 000, m up to 80, one thread, 30 runs per
+# size) took 0.45, 0.43, 0.47, 0.50 and 0.58 s in the median at 2^16 to 2^20
+# entries, with overlapping quartiles from 2^16 to 2^19, and peaked at 3.7,
+# 5.0, 7.1, 11.8 and 21.1 MB traced
 _BLOCK_ENTRIES = 1 << 18
 
 
-def _cross_products(ds: Dataset, iy: NDArray[np.intp], inputs: tuple, outputs: tuple | None) -> FloatArray:
-    """G'G for G = [Phi_x | U | Psi_y | Y], the one set of n-long sums of a fit.
+def _state_row_blocks(pairwise, D: FloatArray, point_sets: tuple):
+    """rows(a, b) for ``_cross_products``: pairwise(D[a:b], P) for each point set P.
 
-    ``inputs`` and ``outputs`` are (K, cols, E): the features of the distinct
-    states D[a:b] are K[a:b, :cols] E (E None for no factor), Phi_x those of
-    the rows :n and Psi_y those of the rows iy.  ``outputs`` None means the two
-    sides share their points.  G is summed over blocks of pairs and never built
-    whole.  Within a trajectory pair i's output is D[i + 1], so a block's output
-    features are those of the block shifted by one row (one feature product for
-    both sides when they are shared); the pairs that end a trajectory take
-    theirs from the states after X, D[n:], in order.
+    Every state's row is evaluated once per point set.  The first row of the
+    first read (the end states D[n:], read up front) and the last row of the
+    last read are held: each block of pairs starts on the last state of the
+    block before it and the last block ends on D[n], so a read takes its first
+    row from the last read and its last row from the first read when they hold
+    them.  A lone row is evaluated as a
+    block of two copies of itself: numpy takes a one-row product as a
+    matrix-vector product, whose sums round otherwise than the rows of a matrix
+    product (see the ``kernels`` module docstring for the shapes whose rows
+    agree).
+    """
+    first = last = None  # (start, first rows) of the first read, (end, last rows) of the last one
+
+    def evaluate(a: int, b: int, P: FloatArray) -> FloatArray:
+        return pairwise(D[[a, a]], P)[:1] if b - a == 1 else pairwise(D[a:b], P)
+
+    def rows(a: int, b: int) -> tuple:
+        nonlocal first, last
+        head = last is not None and a == last[0] - 1
+        tail = first is not None and b - 1 == first[0]
+        blocks = []
+        for j, P in enumerate(point_sets):
+            parts = [last[1][j]] if head else []
+            if a + head < b - tail:
+                parts.append(evaluate(a + head, b - tail, P))
+            if tail:
+                parts.append(first[1][j])
+            blocks.append(parts[0] if len(parts) == 1 else np.vstack(parts))
+        first = first or (a, tuple(R[:1] for R in blocks))
+        last = (b, tuple(R[-1:].copy() for R in blocks))  # a copy: the block itself is not held
+        return tuple(blocks)
+
+    return rows
+
+
+def _cross_products(ds: Dataset, iy: NDArray[np.intp], rows, fits: list) -> list[FloatArray]:
+    """G'G for G = [Phi_x | U | Psi_y | Y] of each of ``fits``, the one set of
+    n-long sums of a fit, from one read of the rows of the data's distinct states.
+
+    ``rows(a, b)`` gives the raw rows of the states D[a:b], one array per point
+    set (kernel or thin-plate rows, or the rows of a held factor).  A fit is a
+    pair (inputs, outputs) of sides (j, cols, E): a side's features of D[a:b]
+    are rows(a, b)[j][:, :cols] E (E None for no factor), Phi_x those of the
+    rows :n and Psi_y those of the rows iy, and ``outputs`` None means the two
+    sides share their features.  G is summed over blocks of pairs and never
+    built whole, and every fit reads each block's rows: the blocks are those of
+    the widest fit.  Within a trajectory pair i's output is D[i + 1], so a
+    block of pairs reads the rows D[i0:i1 + 1], its inputs' features are those
+    of all but the last and its outputs' those of all but the first (one
+    feature product for both sides when they are shared); the pairs that end a
+    trajectory take theirs from the states after X, D[n:], read once up front.
     """
     n, n_u, d = ds.n, ds.n_u, ds.d
 
-    def features(side, a, b):
-        K, cols, E = side
-        return K[a:b, :cols] if E is None else K[a:b, :cols] @ E
+    def features(side, R, part=slice(None)):
+        j, cols, E = side
+        F = R[j][part, :cols]
+        return F if E is None else F @ E
 
-    out_side = inputs if outputs is None else outputs
     ends = np.flatnonzero(iy >= n)  # iy[ends] = n, n + 1, ...
-    psi_ends = features(out_side, n, n + len(ends))
-    r_in, r_out = features(inputs, 0, 0).shape[1], psi_ends.shape[1]
-    y0 = r_in + n_u
-    k = y0 + r_out + d
-    G = np.zeros((k, k))
-    step = max(1, _BLOCK_ENTRIES // k)
-    block = np.empty((min(step, n), k))
+    end_rows = rows(n, n + len(ends))
+    psi_ends = [features(inputs if outputs is None else outputs, end_rows) for inputs, outputs in fits]
+    r_ins = [inputs[1] if inputs[2] is None else inputs[2].shape[1] for inputs, _ in fits]
+    ks = [r_in + n_u + ends_out.shape[1] + d for r_in, ends_out in zip(r_ins, psi_ends)]
+    Gs = [np.zeros((k, k)) for k in ks]
+    step = max(1, _BLOCK_ENTRIES // max(ks))
+    buffer = np.empty(min(step, n) * max(ks))
     for i0 in range(0, n, step):
         i1 = min(i0 + step, n)
-        B = block[: i1 - i0]
-        if outputs is None:
-            Z = features(inputs, i0, i1 + 1)
-            B[:, :r_in], B[:, y0 : y0 + r_out] = Z[:-1], Z[1:]
-        else:
-            B[:, :r_in], B[:, y0 : y0 + r_out] = features(inputs, i0, i1), features(outputs, i0 + 1, i1 + 1)
+        R = rows(i0, i1 + 1)
         j0, j1 = np.searchsorted(ends, (i0, i1))
-        B[ends[j0:j1] - i0, y0 : y0 + r_out] = psi_ends[j0:j1]
-        B[:, r_in:y0], B[:, y0 + r_out :] = ds.U[i0:i1], ds.Y[i0:i1]
-        G += B.T @ B
-    return G
+        for (inputs, outputs), r_in, ends_out, k, G in zip(fits, r_ins, psi_ends, ks, Gs):
+            y0, y1 = r_in + n_u, k - d
+            B = buffer[: (i1 - i0) * k].reshape(i1 - i0, k)
+            if outputs is None:
+                Z = features(inputs, R)
+                B[:, :r_in], B[:, y0:y1] = Z[:-1], Z[1:]
+            else:
+                B[:, :r_in], B[:, y0:y1] = features(inputs, R, slice(-1)), features(outputs, R, slice(1, None))
+            B[ends[j0:j1] - i0, y0:y1] = ends_out[j0:j1]
+            B[:, r_in:y0], B[:, y1:] = ds.U[i0:i1], ds.Y[i0:i1]
+            G += B.T @ B
+        R = Z = None  # the next block's read holds neither this block's rows nor its features
+    return Gs
 
 
 def _solve_ridges(G: FloatArray, widths: tuple, r_in: int, r_out: int, gamma_n: float, lam_n: float):
@@ -409,19 +478,21 @@ def fit_nested(
     gamma: float,
     lam: float | None = None,
 ) -> list[KoopmanModel]:
-    """Fit several lifts whose points are nested, reading one feature pass.
+    """Fit several lifts whose points are nested, evaluating the data's rows once.
 
     The lifts share one kind and, for kernel lifts, one kernel; after duplicate
     rows are dropped, each lift's points (input and output landmarks, or
     centers) must be a row prefix of the largest lift's, which landmark draws
-    of one seed and center pools sliced ``[:m]`` are.  The features of the
-    data's distinct states against the largest point set are built once, and
-    each fit reads its leading columns: a kernel fit sums its own cross
-    products from them, and thin-plate fits read the leading sub-blocks of the
-    largest fit's.  A kernel model is bit for bit the one ``fit`` returns for
-    its lift alone, a thin-plate model agrees with it to the tolerance the
-    module docstring states.  Raises ``ValueError`` for lifts that are not
-    nested or that mix kinds or kernels.
+    of one seed and center pools sliced ``[:m]`` are.  The rows of the data's
+    distinct states against the largest point sets are evaluated a block at a
+    time, and each fit reads each block's leading columns: a kernel fit sums
+    its own cross products from them, and thin-plate fits read the leading
+    sub-blocks of the largest fit's.  A thin-plate model agrees with ``fit`` on
+    its lift alone to the tolerance the module docstring states, and a kernel
+    model to the round-off of summing its products over the blocks of the
+    widest lift (measured within 2.3e-11 relative, see the module docstring);
+    the widest lift's model is bit for bit the one ``fit`` returns.  Raises
+    ``ValueError`` for lifts that are not nested or that mix kinds or kernels.
     """
     lam = _ridge_weights(gamma, lam)
     lifts = list(lifts)
@@ -447,30 +518,34 @@ def fit_nested(
     else:
         raise TypeError(f"unknown lifting {kind.__name__}")
     P_in, P_out = _nested_points(ins), _nested_points(outs)
-    n = ds.n
     D, iy = _state_rows(ds.X, ds.Y)
-    K_out = pairwise(D, P_out)  # (len(D), len(P_out)): rows :n are X's features, rows iy Y's
-    K_in = K_out if _same_rows(P_in, P_out) else pairwise(D, P_in)
+    # rows :n of pairwise(D, P) are X's features, rows iy Y's; j_in and j_out
+    # index the rows against P_in and P_out, one set when the two agree
+    point_sets = (P_out,) if _same_rows(P_in, P_out) else (P_in, P_out)
+    j_in, j_out = 0, len(point_sets) - 1
+    rows = _state_row_blocks(pairwise, D, point_sets)
     if kind is ThinPlateLift:
         # one product set at the largest m: every smaller fit is its leading sub-blocks
         M = len(P_out)
-        G, widths = _cross_products(ds, iy, (K_out, M, None), None), (M, ds.n_u, M)
-        del K_in, K_out
+        (G,) = _cross_products(ds, iy, rows, [((j_in, M, None), None)])
+        diagnostics = [{"m_in": len(lm), "m_out": len(lm)} for lm in ins]
+        return [
+            _ridge_model(ThinPlateLift(lm), G, (M, ds.n_u, M), None, np.eye(len(lm)), None, diag, gamma, lam, ds.n)
+            for lm, diag in zip(ins, diagnostics)
+        ]
+    parts = [
+        _nystrom_parts(lifting, lm_in, lm_out, _same_rows(lm_in, lm_out))
+        for lifting, lm_in, lm_out in zip(lifts, ins, outs)
+    ]
+    # Psi_y = K(Y, lm_out) E_out; shared landmarks (transport None) take Psi = Phi
+    fits = [
+        ((j_in, len(lm_in), E_in), None if transport is None else (j_out, len(lm_out), E_out))
+        for (_, E_out, E_in, transport, _), lm_in, lm_out in zip(parts, ins, outs)
+    ]
     models = []
-    for k, (lifting, lm_in, lm_out) in enumerate(zip(lifts, ins, outs)):
-        if kind is NystromLift:
-            shared = _same_rows(lm_in, lm_out)
-            lifting, E_out, E_in, transport, diagnostics = _nystrom_parts(lifting, lm_in, lm_out, shared)
-            # Psi_y = K(Y, lm_out) E_out; shared landmarks take Psi = Phi
-            outputs = None if shared else (K_out, len(lm_out), E_out)
-            G = _cross_products(ds, iy, (K_in, len(lm_in), E_in), outputs)
-            if k == len(lifts) - 1:
-                del K_in, K_out  # the products are summed, so the pass is not held through the solves
-            widths = (E_in.shape[1], ds.n_u, E_out.shape[1])
-        else:
-            lifting, E_in, E_out, transport = ThinPlateLift(lm_in), None, np.eye(len(lm_out)), None
-            diagnostics = {"m_in": len(lm_in), "m_out": len(lm_out)}
-        models.append(_ridge_model(lifting, G, widths, E_in, E_out, transport, diagnostics, gamma, lam, n))
+    for G, (lifting, E_out, E_in, transport, diagnostics) in zip(_cross_products(ds, iy, rows, fits), parts):
+        widths = (E_in.shape[1], ds.n_u, E_out.shape[1])
+        models.append(_ridge_model(lifting, G, widths, E_in, E_out, transport, diagnostics, gamma, lam, ds.n))
     return models
 
 
@@ -535,7 +610,8 @@ def fit_factored(ds: Dataset, factor: GramFactor, gamma: float, lam: float | Non
         _, info = psd_pinv_sqrt_factor(L_lm.T @ L_lm)
         sides.append((info["basis"], L_lm @ (info["basis"] / info["values"]), info))
     (V_in, E_in, info_in), (V_out, E_out, info_out) = sides
-    G = _cross_products(ds, iy, (L, factor.rank, V_in), (L, factor.rank, V_out))
+    # the factor's rows are held, so a block of them is a view
+    (G,) = _cross_products(ds, iy, lambda a, b: (L[a:b],), [((0, factor.rank, V_in), (0, factor.rank, V_out))])
     diagnostics = _rank_diagnostics(len(lm_in), len(lm_out), info_in, info_out)
     diagnostics.update(factor_rank=factor.rank, factor_cutoff=FACTOR_CUTOFF, factor_residual=factor.residual)
     # seed -1: the landmarks are the data themselves, not a draw

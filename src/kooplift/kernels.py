@@ -22,10 +22,23 @@ rows of about 80 000 entries, so each block's temporaries stay in cache while
 it runs, in place, the same steps in the same order as the whole-array formula
     sq = (||x||^2 + ||y||^2) - 2 X Y^T,   r = sqrt(max(sq, 0)),   profile(r).
 Elementwise steps are independent of where a block starts, so the result is
-bit for bit that of the whole-array formula.  The product itself is not split:
-OpenBLAS picks its kernels (and, for X Y^T with Y = X, a symmetric rank-k
-update) from the whole shape, and a product taken block by block differed in
-its last bits, even for blocks aligned to 64 rows.
+bit for bit that of the whole-array formula.  The product itself is not split
+here: OpenBLAS picks its kernels from the whole shape, and whether the rows of
+X[a:b] Y^T are those of X Y^T depends on it.  Seen with OpenBLAS 0.3.31
+(Haswell kernels, one and two threads) for m = len(Y) points in d dimensions:
+
+* d = 1: every block agrees (each entry is one rounded product).
+* d = 2: blocks of two or more rows agree for every m below 196, and above it
+  for m = 0, 1, 2 or 3 mod 8; for other m the last four columns differ (the
+  rate study's 160 x 500 landmark cross-Gram is such a shape).  At d = 4 and 8
+  they agree for m up to 192 and for multiples of 8, except m = 1 at d = 8
+  (one point: a matrix-vector product, as below).
+* A single row (b = a + 1) differs at d >= 2 in most rows: numpy takes it as a
+  matrix-vector product, whose sums round otherwise.
+
+:mod:`kooplift.identify` reads the data's rows in blocks of two or more rows,
+and the tests check the fits' shapes: the cubic data (d = 1, 4 020 x 100) and
+the Duffing data (d = 2, 70 200 x 80).
 
 A ``FeatureStack`` runs the same steps for S points at once, each against its
 own point set: the per-step feature map of S feedback laws stepped together.

@@ -445,8 +445,11 @@ def exact_model_norms(
     The exact model's output landmarks must be G's output anchors, as they are
     for a model fitted on the full paired training set (``ValueError``
     otherwise): G, its blocks A and B, P, K and the closed loop then all read
-    the basis columns of G's output anchors Y and input anchors X.
+    the basis columns of G's output anchors Y and input anchors X.  Raises
+    TypeError for a thin-plate model.
     """
+    if not isinstance(exact_model.lifting, NystromLift):
+        raise TypeError("the exact model's norms need a kernel-lift model")
     out = exact_model.lifting.landmarks.outputs
     if not np.array_equal(out, G_exact.out_anchors):
         raise ValueError("the exact model's output landmarks must be the exact operator's output anchors")
@@ -542,8 +545,11 @@ def riccati_gap(
     """Operator-norm gap between the two Riccati solutions on the lifted space.
 
     Each solution is the form (W P) W' on its model's whitened embedding W.
-    Both models must lift with the same kernel (``ValueError`` otherwise).
+    Both models must lift with the same kernel (``ValueError`` otherwise), and
+    a thin-plate model raises TypeError.
     """
+    if not isinstance(exact_model.lifting, NystromLift) or not isinstance(ny_model.lifting, NystromLift):
+        raise TypeError("the Riccati gap requires kernel lifts on both sides")
     outs = [model.lifting.landmarks.outputs for model in (exact_model, ny_model)]
     kernel = exact_model.lifting.kernel
     if ny_model.lifting.kernel != kernel:

@@ -6,7 +6,7 @@ import pytest
 
 from kooplift import theory
 from kooplift.data import Dataset, LandmarkSet, LandmarkStrategy, sample_landmarks
-from kooplift.identify import NystromLift, fit
+from kooplift.identify import NystromLift, ThinPlateLift, fit
 from kooplift.kernels import KernelFamily, KernelSpec, gram, gram_factor
 from kooplift.lqr import LqrWeights, solve_model_dare
 from kooplift.numerics import RankTolerance, psd_sqrt
@@ -274,6 +274,20 @@ def test_riccati_gap_rejects_kernel_mismatch(small_control_fixture):
     rbf_sol = solve_model_dare(rbf_model, np.eye(1), np.eye(1), rho_cap=0.9995)
     with pytest.raises(ValueError, match="different kernels"):
         theory.riccati_gap(exact_model, exact_sol, rbf_model, rbf_sol)
+
+
+def test_model_norms_reject_thin_plate_models(small_control_fixture):
+    # the norms read kernel landmarks, which a thin-plate lift does not have:
+    # a TypeError, as build_nystrom_operator and transport_weights raise
+    ds, gamma, exact_model, exact_sol, _, _ = small_control_fixture
+    tp = fit(ds, ThinPlateLift(np.linspace(-1.0, 1.0, 5)[:, None]), gamma=gamma)
+    tp_sol = solve_model_dare(tp, np.eye(1), np.eye(1), rho_cap=0.9995)
+    exact, thin = (exact_model, exact_sol), (tp, tp_sol)
+    for a, b in ((thin, thin), (exact, thin), (thin, exact)):
+        with pytest.raises(TypeError, match="kernel lifts"):
+            theory.riccati_gap(*a, *b)
+    with pytest.raises(TypeError, match="kernel-lift model"):
+        theory.exact_model_norms(theory.build_exact_operator(ds, M52, gamma), tp, tp_sol)
 
 
 def test_operator_norm_of_empty_factor_is_zero(monkeypatch):
