@@ -39,10 +39,8 @@ from .simulate import (
     collect_training_data,
     metric_rmse_pct,
     metric_rmse_u_pct,
-    RolloutResult,
     rollout_closed_loops,
     rollout_open_loop,
-    rollout_policy,
     true_optimal_control_cubic,
 )
 from . import theory
@@ -146,17 +144,9 @@ def _synthesized(ds: Dataset, m: int, gamma: float, Qprime, n_seeds: int, worker
     return [model for model, _ in fitted], [sol for _, sol in fitted]
 
 
-def _cubic_costs(sys, models, sols, x0=0.9, max_steps=10_000) -> list[RolloutResult]:
-    return rollout_closed_loops(
-        sys,
-        models,
-        sols,
-        np.array([x0]),
-        T_steps=max_steps,
-        Qprime=np.eye(1),
-        R=np.eye(1),
-        stop_norm=1e-6,
-    )
+def _optimal_cubic(x) -> np.ndarray:
+    """The known optimal feedback of the cubic benchmark, as a rollout policy."""
+    return np.array([true_optimal_control_cubic(x)])
 
 
 @dataclass
@@ -184,28 +174,30 @@ def cubic_cost_experiment(
 
     The cost is the plain running sum of x_t^2 + u_t^2 until ||x|| < 1e-6 or
     10^4 steps, reported for the compressed models across landmark seeds, the
-    uncompressed model, and the known optimal feedback.
+    uncompressed model, and the known optimal feedback.  All of those loops
+    run as one rollout stack.
     """
     sys, ds = cubic_training_data(seed=data_seed)
-    runs = _cubic_costs(sys, *_synthesized(ds, m, gamma, np.eye(1), n_seeds, workers), x0)
-    costs = [res.total_cost for res in runs]
-    diverged = sum(int(res.diverged) for res in runs)
+    models, sols = _synthesized(ds, m, gamma, np.eye(1), n_seeds, workers)
     if exact:
         model_ex = fit_exact(ds, gamma)
-        sol_ex = solve_model_dare(model_ex, np.eye(1), np.eye(1))
-        exact_cost = _cubic_costs(sys, [model_ex], [sol_ex], x0)[0].total_cost
-    else:
-        exact_cost = math.nan
-    opt = rollout_policy(
+        models, sols = models + [model_ex], sols + [solve_model_dare(model_ex, np.eye(1), np.eye(1))]
+    runs = rollout_closed_loops(
         sys,
-        lambda x: np.array([true_optimal_control_cubic(x)]),
+        models,
+        sols,
         np.array([x0]),
         T_steps=10_000,
         Qprime=np.eye(1),
         R=np.eye(1),
         stop_norm=1e-6,
+        policies=[_optimal_cubic],
     )
-    return CubicCostResult(costs, exact_cost, opt.total_cost, diverged)
+    ny_runs = runs[:n_seeds]
+    costs = [res.total_cost for res in ny_runs]
+    diverged = sum(int(res.diverged) for res in ny_runs)
+    exact_cost = runs[n_seeds].total_cost if exact else math.nan
+    return CubicCostResult(costs, exact_cost, runs[-1].total_cost, diverged)
 
 
 def cubic_rmse_experiment(
@@ -219,17 +211,13 @@ def cubic_rmse_experiment(
 ) -> list[float]:
     """Control-signal mismatch against the known optimal regulator, in percent.
 
-    Both controllers run in closed loop on the true system from the same start;
-    the metric compares the two control sequences over T steps.
+    Both controllers run in closed loop on the true system from the same start,
+    every learned loop and the optimal one in one rollout stack; the metric
+    compares the two control sequences over T steps.
     """
     sys, ds = cubic_training_data(seed=data_seed)
-    opt = rollout_policy(
-        sys,
-        lambda x: np.array([true_optimal_control_cubic(x)]),
-        np.array([x0]),
-        T_steps=T,
-    )
-    runs = rollout_closed_loops(sys, *_synthesized(ds, m, gamma, np.eye(1), n_seeds, workers), np.array([x0]), T)
+    models, sols = _synthesized(ds, m, gamma, np.eye(1), n_seeds, workers)
+    *runs, opt = rollout_closed_loops(sys, models, sols, np.array([x0]), T, policies=[_optimal_cubic])
     return [metric_rmse_u_pct(res.controls, opt.controls) for res in runs]
 
 

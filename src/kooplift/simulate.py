@@ -12,10 +12,13 @@ Continuous dynamics are discretized with classical RK4 under a zero-order hold
 on the control.  States and controls travel in stacks: a system's ``rhs`` and
 ``rk4_step`` take S states as an (S, d) array and their controls as an (S, n_u)
 array, and ``_integrate`` is the one RK4 loop, stepping a whole stack at once.
-Collection steps every trajectory of a protocol together, and the closed loops
-of many models (one per landmark seed, say) run as one stack per lift shape;
-a policy or open-loop rollout is a stack of one.  Rollouts never raise on
-divergence; they truncate and flag.
+Collection steps every trajectory of a protocol together.  The rollouts of one
+``rollout_closed_loops`` call, the closed loops of many models (one per landmark
+seed, say) and any baseline policies, run as one stack: the models of one lift
+shape form a group with one batched readout, each policy a group of one row,
+and each row is bit for bit its own stack of one.  ``rollout_policy`` is that
+call with one policy and no models; an open-loop rollout is a stack of one.
+Rollouts never raise on divergence; they truncate and flag.
 """
 
 from __future__ import annotations
@@ -370,16 +373,22 @@ class RolloutResult:
         return float(np.sum(self.stage_costs))
 
 
-def _rollouts(sys: SystemSpec, X0, T_steps: int, control, weights=None, stop_norm=None) -> list[RolloutResult]:
-    """The rows of X0 stepped as one stack on ``_integrate``, one rollout per row.
+def _rollouts(sys: SystemSpec, x0, S: int, T_steps: int, control, weights=None, stop_norm=None) -> list[RolloutResult]:
+    """S rows started at the state x0 and stepped as one stack on ``_integrate``,
+    one rollout per row: the one entry every rollout goes through.
 
     ``control`` is ``_integrate``'s.  With ``weights = (r, Q', R)`` each step
     records the stage cost (x - r)' Q' (x - r) + u' R u of the state it starts
     from, one array expression per row, and ``stop_norm`` ends a row once
     ||x - r|| falls below it; without, stage costs are zero.
     """
+    x = np.asarray(x0, dtype=float).ravel()
+    if x.shape != (sys.d,):
+        raise ValueError(f"x0 has shape {np.shape(x0)}, the {sys.name} system's state has shape ({sys.d},)")
+    if S == 0:
+        return []
     stop = None if stop_norm is None else (weights[0], stop_norm)
-    run = _integrate(sys, X0, T_steps, control, stop)
+    run = _integrate(sys, np.tile(x, (S, 1)), T_steps, control, stop)
     results = []
     for s, n in enumerate(run.steps.tolist()):
         states, controls = run.states[: n + 1, s].copy(), run.controls[:n, s].copy()
@@ -402,19 +411,69 @@ def _stage_weights(sys: SystemSpec, reference, Qprime, R):
     return r, Qprime, R
 
 
+# A group control ``control(x, rows)`` gives the (S', n_u) controls of the S'
+# rows of its group still running: their states x and their indices ``rows``
+# into the group, a slice while all of the stack runs and the same object
+# until the stack's running set changes.
+
+
 def _feedback(readout: ReadoutStack, r: FloatArray):
-    """``_integrate``'s control for u_s = K_s (z_s(x) - z_s(r)), row s of the readout stack.
+    """The group control u_s = K_s (z_s(x) - z_s(r)), row s of the readout stack.
 
     The stack of the rows still running is taken once each time that set changes.
     """
     shift = readout(np.tile(r, (len(readout.M), 1)))
     taken_rows, taken, taken_shift = None, readout, shift
 
-    def control(t, x, rows):
+    def control(x, rows):
         nonlocal taken_rows, taken, taken_shift
         if rows is not taken_rows:
             taken_rows, taken, taken_shift = rows, readout.take(rows), shift[rows]
         return taken(x) - taken_shift
+
+    return control
+
+
+def _policy(policy: Callable[[FloatArray], FloatArray], n_u: int, k: int):
+    """The group control of one row under ``policy``, called on the row's (d,) state."""
+
+    def control(x, rows):
+        u = np.asarray(policy(x[0]), dtype=float)
+        if u.size != n_u:
+            raise ValueError(f"policy {k} gives a control of shape {u.shape}, the system takes ({n_u},)")
+        return u.reshape(1, n_u)
+
+    return control
+
+
+def _grouped(groups, n_u: int):
+    """``_integrate``'s control for a stack of row groups.
+
+    ``groups`` lists (group control, size) pairs, each group taking the next
+    ``size`` rows of the stack.  Each step calls every group that still has a
+    running row on the states of those rows alone, so a row's control is the
+    one its group gives in a stack of its own; the rows' split among the groups
+    is taken once each time the running set changes.
+    """
+    bounds = np.cumsum([0] + [size for _, size in groups])
+    whole = [(group, slice(a, b), slice(None)) for (group, _), a, b in zip(groups, bounds[:-1], bounds[1:])]
+    taken_rows, taken = None, whole
+
+    def control(t, x, rows):
+        nonlocal taken_rows, taken
+        if rows is not taken_rows:
+            taken_rows, taken = rows, whole
+            if not isinstance(rows, slice):  # rows ascend, so each group's running rows are one run of them
+                cuts = np.searchsorted(rows, bounds)
+                taken = [
+                    (group, slice(lo, hi), rows[lo:hi] - a)
+                    for (group, _), a, lo, hi in zip(groups, bounds, cuts[:-1], cuts[1:])
+                    if hi > lo
+                ]
+        u = np.empty((len(x), n_u))
+        for group, pos, local in taken:
+            u[pos] = group(x[pos], local)
+        return u
 
     return control
 
@@ -429,39 +488,52 @@ def rollout_closed_loops(
     Qprime=None,
     R=None,
     stop_norm: float | None = None,
+    policies=(),
 ) -> list[RolloutResult]:
-    """Run the true system from x0 under each model's lifted state-feedback law.
+    """Run the true system from x0 under each model's lifted state-feedback law
+    and under each baseline policy, all in one RK4 stack.
 
     The input of model s is u = K_s (z_s(x) - z_s(r)), with K_s the gain of
     ``sols[s]``: the gain acts on the embedding relative to the embedded
     reference (the origin by default), so the policy vanishes exactly at the
     reference and the closed loop can settle there.  The raw law u = K z(x)
     carries a small constant bias K z(r) that would otherwise park the loop at
-    a cost-accumulating offset.  Stage costs use (x - r)' Q' (x - r) + u' R u.
-    ``stop_norm`` ends a rollout early once ||x - r|| falls below it
-    (cost-truncation rule for effectively converged loops); divergence
-    truncates and flags.  Regulation to a nonzero reference is experimental
-    (no feedforward term is added).
+    a cost-accumulating offset.  A policy in ``policies`` (a baseline or an
+    oracle) maps one (d,) state to its (n_u,) control.  Stage costs use
+    (x - r)' Q' (x - r) + u' R u.  ``stop_norm`` ends a rollout early once
+    ||x - r|| falls below it (cost-truncation rule for effectively converged
+    loops); divergence truncates and flags.  Regulation to a nonzero reference
+    is experimental (no feedforward term is added).
 
-    Models of one ``lift_shape`` step together as one stack, each step one
-    batched feature pass and one batched readout; every row ends by itself and
-    is bit for bit the stack of one of its model.
+    Returns the models' rollouts in order, then the policies'.  Every rollout
+    is one row of a single ``_integrate`` stack: the models of one
+    ``lift_shape`` form one group, each step one batched feature pass and one
+    batched readout, and each policy is a group of one row, called on that
+    row's state alone.  Every row ends by itself and is bit for bit its own
+    stack of one.
     """
-    x = np.asarray(x0, dtype=float).ravel()
     if len(sols) != len(models):
         raise ValueError(f"need one Riccati solution per model, got {len(sols)} for {len(models)} models")
-    if x.shape[0] != sys.d or any(model.d != sys.d for model in models):
-        raise ValueError("state dimension mismatch between system, model and x0")
+    for model, sol in zip(models, sols):
+        if model.d != sys.d:
+            raise ValueError(f"a model has state dimension {model.d}, the {sys.name} system {sys.d}")
+        if np.atleast_2d(sol.K_m).shape[0] != sys.n_u:
+            raise ValueError(f"a gain has shape {np.shape(sol.K_m)}, the {sys.name} system takes {sys.n_u} inputs")
     weights = _stage_weights(sys, reference, Qprime, R)
-    stacks: dict = {}
+    shapes: dict = {}
     for i, model in enumerate(models):
-        stacks.setdefault(lift_shape(model), []).append(i)
-    results: list = [None] * len(models)
-    for idx in stacks.values():
-        readout = readout_stack([models[i] for i in idx], [sols[i].K_m for i in idx])
-        X0 = np.tile(x, (len(idx), 1))
-        for i, res in zip(idx, _rollouts(sys, X0, T_steps, _feedback(readout, weights[0]), weights, stop_norm)):
-            results[i] = res
+        shapes.setdefault(lift_shape(model), []).append(i)
+    groups = [
+        (_feedback(readout_stack([models[i] for i in idx], [sols[i].K_m for i in idx]), weights[0]), len(idx))
+        for idx in shapes.values()
+    ]
+    groups += [(_policy(policy, sys.n_u, k), 1) for k, policy in enumerate(policies)]
+    S = len(models) + len(policies)
+    runs = _rollouts(sys, x0, S, T_steps, _grouped(groups, sys.n_u), weights, stop_norm)
+    order = [i for idx in shapes.values() for i in idx] + list(range(len(models), S))
+    results: list = [None] * S
+    for i, res in zip(order, runs):
+        results[i] = res
     return results
 
 
@@ -490,23 +562,20 @@ def rollout_policy(
     R=None,
     stop_norm: float | None = None,
 ) -> RolloutResult:
-    """Rollout under an arbitrary state-feedback policy (baselines, oracles)."""
-    x = np.asarray(x0, dtype=float).ravel()
-    weights = _stage_weights(sys, reference, Qprime, R)
-
-    def control(t, x, rows):
-        return np.asarray(policy(x[0]), dtype=float).ravel()[None, :]
-
-    return _rollouts(sys, x[None, :], T_steps, control, weights, stop_norm)[0]
+    """Rollout under an arbitrary state-feedback policy (baselines, oracles):
+    ``rollout_closed_loops`` with no models and this one policy."""
+    return rollout_closed_loops(sys, [], [], x0, T_steps, reference, Qprime, R, stop_norm, policies=[policy])[0]
 
 
 def rollout_open_loop(sys: SystemSpec, x0, controls) -> RolloutResult:
-    """Drive the true system with a prescribed control sequence."""
+    """Drive the true system with a prescribed (T, n_u) control sequence
+    (a 1-D sequence is one input's)."""
     controls = np.asarray(controls, dtype=float)
     if controls.ndim == 1:
         controls = controls[:, None]
-    x = np.asarray(x0, dtype=float).ravel()
-    return _rollouts(sys, x[None, :], len(controls), lambda t, x, rows: controls[t][None, :])[0]
+    if controls.ndim != 2 or controls.shape[1] != sys.n_u:
+        raise ValueError(f"controls have shape {controls.shape}, the {sys.name} system takes (T, {sys.n_u})")
+    return _rollouts(sys, x0, 1, len(controls), lambda t, x, rows: controls[t][None, :])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -545,6 +614,10 @@ def metric_avg_running_cost(states, controls, reference, weight: float) -> float
 
 
 def true_optimal_control_cubic(x) -> float:
-    """Closed-form optimal regulator of the cubic benchmark for unit weights."""
-    x = float(np.asarray(x).ravel()[0])
+    """Closed-form optimal regulator of the cubic benchmark for unit weights,
+    at one state: a scalar or an array of one entry."""
+    x = np.asarray(x, dtype=float)
+    if x.size != 1:
+        raise ValueError(f"the cubic benchmark's state has one entry, got shape {x.shape}")
+    x = float(x.ravel()[0])
     return x**3 - x * math.sqrt(1.0 + x**4)

@@ -4,7 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from kooplift import experiments
+from kooplift import experiments, simulate
 from kooplift.data import build_pairs, derived_rng
 from kooplift.identify import ThinPlateLift, fit
 from kooplift.lqr import solve_model_dare
@@ -200,10 +200,10 @@ def _boom():
     return custom_system("boom", 1, 1, 0.1, lambda x, u: x**2 + 1.0)
 
 
-def _closed_loop_zero_gain(sys, x0, T):
+def _closed_loop_zero_gain(sys, x0, T, n_u=1):
     ds = build_pairs(collect_training_data(cubic_system(), CollectionProtocol(1, 0.2, UniformIID(), UniformBox())))
     model = fit(ds, ThinPlateLift(np.linspace(-1.0, 1.0, 5)[:, None]), gamma=1e-6)
-    return rollout_closed_loop(sys, model, SimpleNamespace(K_m=np.zeros((1, model.r))), x0, T)
+    return rollout_closed_loop(sys, model, SimpleNamespace(K_m=np.zeros((n_u, model.r))), x0, T)
 
 
 @pytest.mark.parametrize(
@@ -233,11 +233,21 @@ def assert_same_rollouts(stacked, singles):
         assert (len(a.controls), a.diverged, a.diverged_step) == (len(b.controls), b.diverged, b.diverged_step)
 
 
-def run_both(sys, models, sols, x0, T, **kw):
-    """The closed loops as one call, and each model's stack of one."""
-    stacked = rollout_closed_loops(sys, models, sols, x0, T, **kw)
-    singles = [rollout_closed_loop(sys, model, sol, x0, T, **kw) for model, sol in zip(models, sols)]
-    assert_same_rollouts(stacked, singles)
+def _optimal(x):
+    return np.array([true_optimal_control_cubic(x)])
+
+
+def run_alone(sys, models, sols, policies, x0, T, **kw):
+    """Each model's and each policy's rollout, each in a stack of its own."""
+    return [rollout_closed_loop(sys, model, sol, x0, T, **kw) for model, sol in zip(models, sols)] + [
+        rollout_policy(sys, policy, x0, T, **kw) for policy in policies
+    ]
+
+
+def run_both(sys, models, sols, x0, T, policies=(), **kw):
+    """The closed loops and policies as one call, checked against each one's stack of one."""
+    stacked = rollout_closed_loops(sys, models, sols, x0, T, policies=policies, **kw)
+    assert_same_rollouts(stacked, run_alone(sys, models, sols, policies, x0, T, **kw))
     return stacked
 
 
@@ -269,25 +279,105 @@ def test_stacked_closed_loops_match_singles_duffing():
 def test_stacked_closed_loops_split_by_landmark_count(cubic_regulators):
     sys, ds, models, sols = cubic_regulators
     small = experiments.fit_nystrom(ds, 50, 7)
-    mixed = [models[0], small, models[1]]
+    mixed = [models[0], small, models[1]]  # the m = 100 group's rows are not adjacent in model order
     assert len({model.m for model in mixed}) == 2
     mixed_sols = [sols[0], solve_model_dare(small, np.eye(1), np.eye(1)), sols[1]]
-    run_both(sys, mixed, mixed_sols, [0.9], 3_000, stop_norm=1e-6)
+    # with the optimal policy in the stack: under the stop rule, and without it
+    runs = run_both(sys, mixed, mixed_sols, [0.9], 10_000, [_optimal], Qprime=np.eye(1), R=np.eye(1), stop_norm=1e-6)
+    steps = [len(res.controls) for res in runs]
+    assert len(set(steps)) > 1 and max(steps) < 10_000  # the rows stop at different steps
+    runs = run_both(sys, mixed, mixed_sols, [0.9], 200, [_optimal])
+    assert {len(res.controls) for res in runs} == {200}
     assert rollout_closed_loops(sys, [], [], [0.9], 10) == []
     with pytest.raises(ValueError, match="one Riccati solution per model"):
         rollout_closed_loops(sys, mixed, mixed_sols[:2], [0.9], 10)
 
 
 def test_stacked_thin_plate_loops_end_rows_by_themselves():
-    # x' = x^2 + u from 0.5: a zero gain blows up, scaled regulator gains stop at different steps
+    # x' = x^2 + u from 0.5: a zero gain and a constant push blow up, scaled regulator
+    # gains and stabilizing policies stop at different steps
     sys = _boom_forced()
     ds = build_pairs(collect_training_data(cubic_system(), CollectionProtocol(4, 1.0, UniformIID(), UniformBox())))
     models = [fit(ds, ThinPlateLift(np.linspace(lo, lo + 2.0, 5)[:, None]), gamma=1e-6) for lo in (-1.0, -0.8)]
     gains = [solve_model_dare(model, np.eye(1), np.eye(1)).K_m for model in models]
     sols = [SimpleNamespace(K_m=scale * K) for scale in (0.0, 1.0, 3.0) for K in gains]
-    runs = run_both(sys, models * 3, sols, [0.5], 500, stop_norm=1e-3)
-    assert [res.diverged for res in runs] == [True, True, False, False, False, False]
-    assert len({len(res.controls) for res in runs[2:]}) == 4
+    policies = [lambda x: np.ones(1), lambda x: -x**2 - x, lambda x: -x**2 - 0.5 * x]
+    runs = run_both(sys, models * 3, sols, [0.5], 500, policies, stop_norm=1e-3)
+    assert [res.diverged for res in runs] == [True, True, False, False, False, False, True, False, False]
+    steps = [len(res.controls) for res in runs]
+    assert len(set(steps[2:6])) == 4
+    # the pushed policy's row diverges first and ends by itself; every other row goes on
+    assert steps[6] < min(steps[:6] + steps[7:]) and len(set(steps[6:])) == 3 and max(steps) < 500
+
+
+def test_policy_stack_validates_shapes():
+    with pytest.raises(ValueError, match=r"x0 has shape \(2,\).*\(1,\)"):
+        rollout_policy(cubic_system(), _optimal, [0.5, 0.2], 5)
+    with pytest.raises(ValueError, match=r"x0 has shape \(1,\).*\(2,\)"):
+        rollout_policy(duffing_system(), lambda x: np.zeros(1), [0.5], 5)
+    with pytest.raises(ValueError, match=r"x0 has shape \(1,\)"):
+        rollout_closed_loops(duffing_system(), [], [], [0.5], 5)  # checked with no rows to step too
+    with pytest.raises(ValueError, match=r"a gain has shape \(2, 5\), the cubic system takes 1 inputs"):
+        _closed_loop_zero_gain(cubic_system(), [0.5], 5, n_u=2)
+
+
+def test_policy_stack_validates_control_width():
+    with pytest.raises(ValueError, match=r"policy 1 gives a control of shape \(2,\), the system takes \(1,\)"):
+        rollout_closed_loops(cubic_system(), [], [], [0.5], 5, policies=[_optimal, lambda x: np.zeros(2)])
+    with pytest.raises(ValueError, match=r"policy 0 gives a control of shape \(0,\)"):
+        rollout_policy(duffing_system(), lambda x: np.zeros(0), [0.5, 0.0], 5)
+    res = rollout_policy(cubic_system(), lambda x: -0.5 * float(x[0]), [0.5], 5)  # a scalar is one input's control
+    assert res.controls.shape == (5, 1)
+
+
+def test_open_loop_validates_controls_and_start():
+    sys = duffing_system()
+    with pytest.raises(ValueError, match=r"controls have shape \(5, 2\), the duffing system takes \(T, 1\)"):
+        rollout_open_loop(sys, [0.1, 0.0], np.zeros((5, 2)))
+    with pytest.raises(ValueError, match=r"controls have shape \(5, 1, 1\)"):
+        rollout_open_loop(sys, [0.1, 0.0], np.zeros((5, 1, 1)))
+    with pytest.raises(ValueError, match=r"x0 has shape \(3,\)"):
+        rollout_open_loop(sys, [0.1, 0.0, 0.2], np.zeros(5))
+    assert rollout_open_loop(sys, [0.1, 0.0], np.zeros(5)).controls.shape == (5, 1)
+
+
+@pytest.fixture(scope="module")
+def cubic_experiments_traced():
+    """Both cubic experiments at three landmark seeds, each with the row counts
+    of the RK4 stacks it ran."""
+    integrate = simulate._integrate
+    stacks = []
+
+    def counted(sys, X0, *args, **kw):
+        stacks.append(len(X0))
+        return integrate(sys, X0, *args, **kw)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulate, "_integrate", counted)
+        cost = experiments.cubic_cost_experiment(n_seeds=3, exact=True)
+        cost_stacks, stacks[:] = stacks[:], []
+        rmse = experiments.cubic_rmse_experiment(n_seeds=3)
+    return cost, cost_stacks, rmse, stacks
+
+
+def test_cubic_experiments_run_one_rollout_stack(cubic_experiments_traced):
+    _, cost_stacks, _, rmse_stacks = cubic_experiments_traced
+    # collection steps the 20 training trajectories; then one stack holds every loop
+    assert cost_stacks == [20, 3 + 1 + 1]  # Nystrom seeds, the exact model, the optimal policy
+    assert rmse_stacks == [20, 3 + 1]
+
+
+def test_cubic_experiments_match_rollouts_run_alone(cubic_regulators, cubic_experiments_traced):
+    sys, ds, models, sols = cubic_regulators  # the experiments' models: data seed 0, m = 100, seeds 0..4
+    cost, _, rmse, _ = cubic_experiments_traced
+    model_ex = experiments.fit_exact(ds)
+    sol_ex = solve_model_dare(model_ex, np.eye(1), np.eye(1))
+    kw = dict(Qprime=np.eye(1), R=np.eye(1), stop_norm=1e-6)
+    *ny, ex, opt = run_alone(sys, models[:3] + [model_ex], sols[:3] + [sol_ex], [_optimal], [0.9], 10_000, **kw)
+    assert cost.nystrom_costs == [res.total_cost for res in ny]
+    assert (cost.exact_cost, cost.optimal_cost, cost.diverged) == (ex.total_cost, opt.total_cost, 0)
+    *ny, opt = run_alone(sys, models[:3], sols[:3], [_optimal], [0.9], 200)
+    assert rmse == [metric_rmse_u_pct(res.controls, opt.controls) for res in ny]
 
 
 def test_collect_truncates_at_diverging_step():
@@ -426,6 +516,14 @@ def test_true_optimal_control_cubic():
     assert true_optimal_control_cubic(1.0) == pytest.approx(1.0 - math.sqrt(2.0))
     for x in (0.3, 0.9, 1.7):
         assert true_optimal_control_cubic(-x) == pytest.approx(-true_optimal_control_cubic(x))
+
+
+def test_true_optimal_control_cubic_takes_one_state():
+    assert true_optimal_control_cubic(np.array([0.5])) == true_optimal_control_cubic(0.5)
+    assert true_optimal_control_cubic(np.array([[0.9]])) == true_optimal_control_cubic(0.9)
+    for x in (np.array([0.5, 0.9]), np.zeros(0), np.zeros((2, 1))):
+        with pytest.raises(ValueError, match="one entry"):
+            true_optimal_control_cubic(x)
 
 
 def test_public_names_resolve():
