@@ -415,7 +415,7 @@ def riccati_objective_sweep(
     basis = _sweep_basis(ds)
     exact_model = fit_factored(ds, basis.factor, gamma, gamma)  # fit_exact on the basis's factor
     Q_exact = exact_model.C_r.T @ exact_model.C_r
-    exact_sol = solve_model_dare(exact_model, np.eye(ds.d), R, rho_cap=0.9995)
+    exact_sol = solve_model_dare(exact_model, np.eye(ds.d), R)
     norms = theory.exact_model_norms(G, exact_model, exact_sol, basis)
     reference = theory.objective_reference(exact_model, exact_sol, Q_exact, R, np.array([x0]))
     row = _gap_study(ds, G, norms.G, basis, gamma, delta)
@@ -425,7 +425,7 @@ def riccati_objective_sweep(
             gap_row, ny_model = row(m, seed)
             eps = gap_row.empirical_gap
             Q_ny, T = theory.transport_weights(exact_model, Q_exact, ny_model)
-            ny_sol = solve_model_dare(ny_model, weights=LqrWeights(Q_ny, R), rho_cap=0.9995)
+            ny_sol = solve_model_dare(ny_model, weights=LqrWeights(Q_ny, R))
             obj = theory.objective_gap(reference, ny_sol, T)
             g_eps = theory.riccati_gap_bound(eps, norms, norm_R_inv)
             riccati_ok = theory.riccati_gap_precondition(eps, norms, norm_R_inv)

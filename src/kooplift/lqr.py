@@ -16,16 +16,17 @@ K = -(R + B' P B)^(-1) B' P A.
 
 ``solve_model_dare`` is the entry point used by the pipeline: it synthesizes
 on the model's own coordinates, the r-dimensional retained range of its lift,
-so every matrix here is r x r whatever the landmark count, and it stays usable
-on lifts whose marginal modes make the textbook infinite-horizon problem
-ill-posed; see its docstring.  ``solve_dare`` and ``solve_model_dare`` share
-one core, ``_riccati_core``.  The core also serves fixed-gain costs: with
-B = 0 the iteration is P_{k+1} = A' P_k A + Q, whose iterates are the Lyapunov
-sums sum_{t<=k} A^t' Q A^t, and doubling them is Smith's method.  Given the
-closed loop A + B K in place of A and the stage weight Q + K' R K in place of
-Q, the limit P gives the infinite-horizon cost z0' P z0 of the fixed gain K
-from z0; ``theory.objective_reference`` and ``theory.objective_gap`` run the
-same sums in their dual form, along (A + B K)' with the weight z0 z0'.
+so every matrix here is r x r whatever the landmark count.  It first deflates
+the lift's marginal modes, which make the textbook infinite-horizon problem
+ill-posed, and then iterates to the stopping rule; see its docstring.
+``solve_dare``, the strict textbook solver, raises on such modes instead.
+Both share one core, ``_riccati_core``.  The core also serves fixed-gain
+costs: with B = 0 the iteration is P_{k+1} = A' P_k A + Q, whose iterates are
+the Lyapunov sums sum_{t<=k} A^t' Q A^t, and doubling them is Smith's method.
+Given the closed loop A + B K in place of A and the stage weight Q + K' R K in
+place of Q, the limit P gives the infinite-horizon cost z0' P z0 of the fixed
+gain K from z0; ``theory.objective_reference`` and ``theory.objective_gap``
+run the same sums in their dual form, along (A + B K)' with the weight z0 z0'.
 """
 
 from __future__ import annotations
@@ -42,6 +43,11 @@ FloatArray = NDArray[np.float64]
 
 # relative tolerance of the Riccati stopping rule (see RiccatiSolution)
 RICCATI_TOL = 1e-12
+# solve_model_dare deflates the modes with | |eig(A_r)| - 1 | < MARGINAL_BAND
+MARGINAL_BAND = 1e-4
+# iteration guard: solve_model_dare records reaching it as converged=False, and
+# it is solve_dare's default max_iter
+MAX_ITERATIONS = 1_000_000
 
 __all__ = [
     "LqrWeights",
@@ -82,14 +88,16 @@ class RiccatiSolution:
     stopping rule ||P_{k+1} - P_k||_2 <= RICCATI_TOL * (1 + ||P_k||_2), with
     the module constant ``RICCATI_TOL`` = 1e-12, is checked at the doubled
     iterates k = 2^j - 1; the first that meets it is returned with
-    ``converged=True`` and N = k.  Otherwise N is the horizon cap and
-    ``converged`` is the rule at k = N.  ``delta_history`` holds the checked
-    one-step deltas ||P_{k+1} - P_k||_2 in order, at most about log2(N) + 2;
-    each is the DARE residual of its iterate, and ``residual`` is the last.
+    ``converged=True`` and N = k.  Otherwise N is the iteration guard
+    (``MAX_ITERATIONS`` for ``solve_model_dare``) and ``converged`` is the
+    rule at k = N.  ``delta_history`` holds the checked one-step deltas
+    ||P_{k+1} - P_k||_2 in order, at most about log2(N) + 2; each is the DARE
+    residual of its iterate, and ``residual`` is the last.
 
     ``deflated`` counts lifted modes excluded from synthesis because they sit
-    numerically on the unit circle with negligible control authority; the gain
-    leaves them untouched and ``rho_L`` refers to the synthesized subsystem.
+    within ``MARGINAL_BAND`` of the unit circle; the gain does not read them,
+    ``rho_L`` refers to the synthesized subsystem and ``rho_L_full`` to the
+    whole loop, in which the feedback through B can move them.
     ``jitter_applied`` records whether any PSD solve of the synthesis (the
     input weight, each checked residual, the gain) fell back to jitter.
 
@@ -208,7 +216,7 @@ def solve_dare(
     A,
     B,
     weights: LqrWeights,
-    max_iter: int = 1_000_000,
+    max_iter: int = MAX_ITERATIONS,
 ) -> RiccatiSolution:
     """Riccati value iterate from P_0 = Q, capped at ``max_iter`` steps.
 
@@ -253,16 +261,17 @@ def dare_residual(P, A, B, weights: LqrWeights) -> float:
     return float(np.linalg.norm(_dare_defect(P, A, B, weights)[0], 2))
 
 
-def _deflate_marginal_modes(A: FloatArray, rho_cap: float):
-    """Orthonormal basis of the invariant subspace of modes with |eig| < rho_cap.
+def _deflate_marginal_modes(A: FloatArray):
+    """Orthonormal basis of the invariant subspace of the modes outside the band
+    | |eig| - 1 | < MARGINAL_BAND.
 
-    Returns (U1, T11) from an ordered real Schur form, or None when every mode
-    is strictly inside the cap.
+    Returns (U1, T11) from an ordered real Schur form, or None when no mode
+    falls in the band.
     """
     import scipy.linalg
 
     T, Z, sdim = scipy.linalg.schur(
-        A, output="real", sort=lambda re, im: (re * re + im * im) < rho_cap * rho_cap
+        A, output="real", sort=lambda re, im: abs(np.hypot(re, im) - 1.0) >= MARGINAL_BAND
     )
     if sdim == A.shape[0]:
         return None
@@ -274,42 +283,36 @@ def solve_model_dare(
     Qprime=None,
     R=None,
     weights: LqrWeights | None = None,
-    horizon: int = 10_000,
-    rho_cap: float | None = None,
 ) -> RiccatiSolution:
-    """LQR synthesis for a fitted surrogate, robust to marginal lifted modes.
+    """LQR synthesis for a fitted surrogate, with its marginal lifted modes deflated.
 
     Weights are either given directly or built as C_r' Q' C_r from ``Qprime``
     and ``R``.  The iteration runs on (A_r, B_r), the model's own coordinates.
 
     Kernel lifts of these systems carry numerically marginal modes (constants
     are an eigenfunction of the step map at eigenvalue 1) with negligible
-    control authority; the exact Riccati solution is dominated by them and the
-    fixed-point iteration stalls on them.  Two complementary treatments:
-
-    * ``horizon`` caps the iteration count.  The capped iterate is the
-      finite-horizon cost-to-go, whose gain acts on everything the iteration
-      has resolved while leaving un-inflated marginal directions alone;
-      ``converged=False`` records the cap.  An iterate that overflows before
-      the cap raises RuntimeError.
-    * ``rho_cap`` (optional) deflates modes with |eig(A_r)| >= rho_cap from the
-      synthesis outright via an ordered Schur form, which yields a strictly
-      contractive synthesized loop.  Only appropriate when no genuine
-      controllable mode lies above the cap.  The solution's ``basis`` is then
-      the Schur basis U1 of the kept modes, P_m = U1 P_s U1' and K_m = K_s U1'.
+    control authority; the value iteration stalls on them.  Modes with
+    | |eig(A_r)| - 1 | < ``MARGINAL_BAND`` are split off by an ordered real
+    Schur form, and the iteration runs on the invariant subspace of the rest to
+    its stopping rule.  A mode outside the band, unstable or not, is
+    synthesized.  The solution's ``basis`` is then the Schur basis U1 of the
+    kept modes, P_m = U1 P_s U1' and K_m = K_s U1'; with no mode in the band
+    the iteration runs on (A_r, B_r) itself.  Reaching ``MAX_ITERATIONS``
+    returns that iterate with ``converged=False``; an iterate that overflows
+    raises RuntimeError.
     """
     if weights is None:
         if Qprime is None or R is None:
             raise ValueError("provide either weights or both Qprime and R")
         weights = build_weights(model, Qprime, R)
     A, B = model.A_r, model.B_r
-    deflation = _deflate_marginal_modes(A, rho_cap) if rho_cap is not None else None
+    deflation = _deflate_marginal_modes(A)
     if deflation is None:
-        red = _riccati_core(A, B, weights, horizon)
+        red = _riccati_core(A, B, weights, MAX_ITERATIONS)
         return replace(red, rho_L_full=red.rho_L)
     U1, T11 = deflation
     Q_s = U1.T @ weights.Q_m @ U1
-    red = _riccati_core(T11, U1.T @ B, LqrWeights(Q_s, weights.R), horizon)
+    red = _riccati_core(T11, U1.T @ B, LqrWeights(Q_s, weights.R), MAX_ITERATIONS)
     P = U1 @ red.P_m @ U1.T
     K = red.K_m @ U1.T
     L = A + B @ K
@@ -319,7 +322,8 @@ def solve_model_dare(
         K_m=K,
         L_m=L,
         deflated=A.shape[0] - U1.shape[1],
-        # the full loop's spectrum: the deflated modes stay where they were
+        # the whole loop's spectrum: K feeds back into the deflated modes
+        # through B, so they need not stay where they were
         rho_L_full=spectral_radius(L),
         basis=U1,
     )

@@ -40,7 +40,6 @@ __all__ = [
     "SystemSpec",
     "cubic_system",
     "duffing_system",
-    "custom_system",
     "InputLaw",
     "ZeroInput",
     "UniformIID",
@@ -100,10 +99,6 @@ def duffing_system(dt: float = 0.01) -> SystemSpec:
         return np.array([x2, -0.5 * x2 - x1 * (4.0 * x1 * x1 - 1.0) + 0.5 * u.T[0]]).T
 
     return SystemSpec("duffing", d=2, n_u=1, dt=dt, rhs=rhs)
-
-
-def custom_system(name: str, d: int, n_u: int, dt: float, rhs) -> SystemSpec:
-    return SystemSpec(name, d=d, n_u=n_u, dt=dt, rhs=rhs)
 
 
 def rk4_step(sys: SystemSpec, x, u) -> FloatArray:

@@ -7,8 +7,11 @@ import pytest
 from kooplift.data import Dataset, LandmarkStrategy, build_pairs, sample_landmarks
 from kooplift.identify import NystromLift, fit, load_model, save_model
 from kooplift.kernels import KernelFamily, KernelSpec
+import kooplift.lqr as lqr
 from kooplift.lqr import (
     LqrWeights,
+    _deflate_marginal_modes,
+    _riccati_core,
     build_weights,
     dare_residual,
     solve_dare,
@@ -142,7 +145,6 @@ def test_dare_residual_cases():
 
 def test_riccati_solution_records_any_jitter(monkeypatch, marginal_cubic_model):
     # the input-weight solve, each checked residual and the gain: a jitter in any one shows
-    import kooplift.lqr as lqr
     from kooplift.numerics import solve_psd
 
     A, B, w = np.array([[1.0]]), np.array([[1.0]]), LqrWeights(np.eye(1), np.eye(1))
@@ -163,9 +165,9 @@ def test_riccati_solution_records_any_jitter(monkeypatch, marginal_cubic_model):
         assert again.jitter_applied is True
     # solve_model_dare passes its core's flag on
     monkeypatch.setattr(lqr, "solve_psd", lambda M, rhs: (solve_psd(M, rhs)[0], M.shape == (1, 1)))
-    assert solve_model_dare(marginal_cubic_model, np.eye(1), np.eye(1), horizon=300).jitter_applied is True
+    assert solve_model_dare(marginal_cubic_model, np.eye(1), np.eye(1)).jitter_applied is True
     monkeypatch.setattr(lqr, "solve_psd", solve_psd)
-    assert solve_model_dare(marginal_cubic_model, np.eye(1), np.eye(1), horizon=300).jitter_applied is False
+    assert solve_model_dare(marginal_cubic_model, np.eye(1), np.eye(1)).jitter_applied is False
 
 
 def test_nonconvergence_raises():
@@ -190,13 +192,15 @@ def test_model_dare_matches_plain_solve_on_full_rank_model():
     assert via_model.converged
 
 
-def test_model_dare_horizon_cap_flags_nonconvergence():
+def test_model_dare_horizon_cap_flags_nonconvergence(monkeypatch):
+    # the iteration guard, lowered to 3, is a recorded event
+    monkeypatch.setattr(lqr, "MAX_ITERATIONS", 3)
     rng = np.random.default_rng(6)
     X = rng.uniform(-1, 1, size=(40, 1))
     U = rng.uniform(-1, 1, size=(40, 1))
     ds = Dataset(X, U, 0.5 * X + 0.2 * U)
     model = fit(ds, NystromLift(M52, sample_landmarks(ds, 8, seed=2)), gamma=1e-3)
-    sol = solve_model_dare(model, np.eye(1), np.eye(1), horizon=3)
+    sol = solve_model_dare(model, np.eye(1), np.eye(1))
     assert sol.iterations == 3
     assert not sol.converged
 
@@ -218,7 +222,7 @@ def test_saved_model_synthesizes_the_fitted_gain(tmp_path):
     assert model.diagnostics["clipped_gram_out"] > 0
     save_model(tmp_path / "model.json", model)
     loaded = load_model(tmp_path / "model.json")
-    sols = [solve_model_dare(m, np.eye(1), np.eye(1), horizon=300) for m in (model, loaded)]
+    sols = [solve_model_dare(m, np.eye(1), np.eye(1)) for m in (model, loaded)]
     np.testing.assert_array_equal(sols[1].K_m, sols[0].K_m)
     costs = [rollout_closed_loop(sys, m, s, [0.9], 300).total_cost for m, s in zip((model, loaded), sols)]
     assert costs[1] == costs[0]
@@ -244,8 +248,9 @@ def restricted_problem(model, sol):
 
 @pytest.mark.parametrize("N", [1, 2, 3, 5, 100, 1000, 3001])
 def test_doubling_matches_value_iteration_at_capped_horizon(marginal_cubic_model, N):
+    # the core on the whole lift, marginal modes included, so no N is reached early
     model = marginal_cubic_model
-    sol = solve_model_dare(model, np.eye(1), np.eye(1), horizon=N)
+    sol = _riccati_core(model.A_r, model.B_r, build_weights(model, np.eye(1), np.eye(1)), N)
     A, B, Q, R, P_solver = restricted_problem(model, sol)
     P_oracle = value_iteration_oracle(A, B, Q, R, horizon=N)
     assert np.linalg.norm(P_solver - P_oracle, 2) <= 1e-10 * np.linalg.norm(P_oracle, 2)
@@ -256,9 +261,11 @@ def test_doubling_matches_value_iteration_at_capped_horizon(marginal_cubic_model
 
 def test_doubling_stops_at_converged_doubled_iterate(marginal_cubic_model):
     model = marginal_cubic_model
-    sol = solve_model_dare(model, np.eye(1), np.eye(1), horizon=10_000, rho_cap=0.9995)
+    # the constant mode sits in the band; the rest converges to a contractive loop
+    sol = solve_model_dare(model, np.eye(1), np.eye(1))
     assert sol.converged and sol.deflated > 0
-    assert sol.iterations < 10_000
+    assert sol.rho_L < 1.0 and sol.rho_L_full >= sol.rho_L
+    assert sol.iterations < lqr.MAX_ITERATIONS
     assert math.log2(sol.iterations + 1).is_integer()
     A, B, Q, R, P_solver = restricted_problem(model, sol)
     P_oracle = value_iteration_oracle(A, B, Q, R, horizon=sol.iterations)
@@ -277,5 +284,14 @@ def test_overflowing_iterate_raises_in_solve_model_dare(marginal_cubic_model):
     model = copy.deepcopy(marginal_cubic_model)
     model.A_r = 1.5 * model.A_r
     model.B_r = np.zeros_like(model.B_r)
-    with pytest.raises(RuntimeError, match=r"not finite beyond iteration \d+ \(horizon 10000\)"):
+    with pytest.raises(RuntimeError, match=rf"not finite beyond iteration \d+ \(horizon {lqr.MAX_ITERATIONS}\)"):
         solve_model_dare(model, np.eye(1), np.eye(1))
+
+
+def test_band_keeps_an_unstable_mode_outside_it():
+    # only the mode at 1.0 is marginal; the one at 1.0005 is unstable and synthesized
+    U1, T11 = _deflate_marginal_modes(np.diag([1.0, 1.0005, 0.5]))
+    assert U1.shape == (3, 2)
+    np.testing.assert_allclose(np.sort(np.linalg.eigvals(T11).real), [0.5, 1.0005], rtol=0, atol=1e-15)
+    np.testing.assert_allclose(np.abs(U1[0]), 0.0, atol=1e-15)
+    assert _deflate_marginal_modes(np.diag([1.0 + 2 * lqr.MARGINAL_BAND, 0.5])) is None

@@ -13,13 +13,13 @@ from kooplift.simulate import (
     CollectionProtocol,
     FixedInit,
     SquareWave,
+    SystemSpec,
     UniformBall,
     UniformBox,
     UniformIID,
     ZeroInput,
     collect_training_data,
     cubic_system,
-    custom_system,
     duffing_system,
     metric_avg_running_cost,
     metric_rmse_pct,
@@ -34,13 +34,13 @@ from kooplift.simulate import (
 
 
 def test_rk4_zero_field():
-    sys = custom_system("still", 2, 1, 0.1, lambda x, u: np.zeros(2))
+    sys = SystemSpec("still", d=2, n_u=1, dt=0.1, rhs=lambda x, u: np.zeros(2))
     x = np.array([0.3, -0.7])
     np.testing.assert_array_equal(rk4_step(sys, x, [0.0]), x)
 
 
 def test_rk4_exponential_decay():
-    sys = custom_system("decay", 1, 1, 0.1, lambda x, u: -x)
+    sys = SystemSpec("decay", d=1, n_u=1, dt=0.1, rhs=lambda x, u: -x)
     ratio = rk4_step(sys, [1.0], [0.0])[0]
     # classical RK4: the 4-term exponential series, 0.90483750 to 8 digits;
     # its gap to exp(-0.1) is the h^5/120 truncation, ~8.2e-8
@@ -197,7 +197,7 @@ def test_rollout_policy_uncontrolled_cubic_decays():
 
 def _boom():
     # finite-time blow-up: x' = x^2 + 1 leaves the divergence ball within a few steps
-    return custom_system("boom", 1, 1, 0.1, lambda x, u: x**2 + 1.0)
+    return SystemSpec("boom", d=1, n_u=1, dt=0.1, rhs=lambda x, u: x**2 + 1.0)
 
 
 def _closed_loop_zero_gain(sys, x0, T, n_u=1):
@@ -428,7 +428,7 @@ def collect_one_step_at_a_time(sys, protocol):
 
 def _boom_forced():
     # x' = x^2 + u blows up in finite time from starts near the top of [-1.5, 1]
-    return custom_system("boom-forced", 1, 1, 0.1, lambda x, u: x**2 + u)
+    return SystemSpec("boom-forced", d=1, n_u=1, dt=0.1, rhs=lambda x, u: x**2 + u)
 
 
 @pytest.mark.parametrize(
@@ -531,4 +531,4 @@ def test_public_names_resolve():
 
     missing = [name for name in simulate.__all__ if not hasattr(simulate, name)]
     assert not missing, f"simulate.__all__ names what the module lacks: {missing}"
-    assert {"rollout_policy", "rollout_open_loop", "custom_system", "FixedInit"} <= set(simulate.__all__)
+    assert {"rollout_policy", "rollout_open_loop", "FixedInit"} <= set(simulate.__all__)

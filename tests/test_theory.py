@@ -8,6 +8,7 @@ from kooplift import theory
 from kooplift.data import Dataset, LandmarkSet, LandmarkStrategy, sample_landmarks
 from kooplift.identify import NystromLift, ThinPlateLift, fit
 from kooplift.kernels import KernelFamily, KernelSpec, gram, gram_factor
+import kooplift.lqr as lqr
 from kooplift.lqr import LqrWeights, solve_model_dare
 from kooplift.numerics import RankTolerance, psd_sqrt
 
@@ -225,7 +226,7 @@ def test_riccati_gap_matches_dense_oracle():
             model = fit(ds, NystromLift(ORACLE_SPEC, lm), gamma=ORACLE_GAMMA)
             w = np.linalg.eigvalsh(gram(ORACLE_SPEC, model.lifting.landmarks.outputs))
             assert w[0] > RankTolerance().rel_cutoff * w[-1]
-            models.append((model, solve_model_dare(model, np.eye(1), np.eye(1), rho_cap=0.9995)))
+            models.append((model, solve_model_dare(model, np.eye(1), np.eye(1))))
         (a, sol_a), (b, sol_b) = models
         out_a, out_b = a.lifting.landmarks.outputs, b.lifting.landmarks.outputs
         Phi = explicit_coordinates(ORACLE_SPEC, np.vstack([out_a, out_b]))
@@ -236,16 +237,16 @@ def test_riccati_gap_matches_dense_oracle():
 
 
 @pytest.mark.parametrize("data_seed", [11, 0, 3])
-def test_exact_model_norms_match_dense_oracle(data_seed):
+def test_exact_model_norms_match_dense_oracle(data_seed, monkeypatch):
     # G, A, B, P, K and L = A + B K as explicit matrices on the coordinates
-    # of span{psi(X), psi(Y)}; the exact model's landmarks are (X, Y)
+    # of span{psi(X), psi(Y)}; the exact model's landmarks are (X, Y).  Each
+    # model's top mode (|eig| 0.99957-0.99989) lies outside the band, so a
+    # band widened to 1e-3 checks the norms of a deflated synthesis as well
     ds = toy_dataset(n=60, seed=data_seed)
     n = ds.n
     G = theory.build_exact_operator(ds, ORACLE_SPEC, ORACLE_GAMMA)
     lift = NystromLift(ORACLE_SPEC, LandmarkSet(ds.X.copy(), ds.Y.copy(), seed=-1))
     model = fit(ds, lift, gamma=ORACLE_GAMMA)
-    sol = solve_model_dare(model, np.eye(1), np.eye(1), rho_cap=0.9995)
-    norms = theory.exact_model_norms(G, model, sol, RankTolerance(1e-13))
 
     Phi = explicit_coordinates(ORACLE_SPEC, np.vstack([ds.X, ds.Y]))
     PX, PY = Phi[:, :n], Phi[:, n:]
@@ -254,24 +255,29 @@ def test_exact_model_norms_match_dense_oracle(data_seed):
     G_dense = (PY @ F.T / n) @ np.linalg.inv(F @ F.T / n + ORACLE_GAMMA * np.eye(r + ds.n_u))
     A, B = G_dense[:, :r], G_dense[:, r:]
     PW = PY @ model.out_factor
-    K = sol.K_m @ PW.T  # the gain reads the state through the output landmarks
-    oracle = {
-        "G": np.linalg.norm(G_dense, 2),
-        "A": np.linalg.norm(A, 2),
-        "B": np.linalg.norm(B, 2),
-        "P": np.linalg.norm(PW @ sol.P_m @ PW.T, 2),
-        "K": np.linalg.norm(K, 2),
-        "L": np.linalg.norm(A + B @ K, 2),
-    }
-    for name, val in oracle.items():
-        assert getattr(norms, name) == pytest.approx(val, rel=1e-9), name
+    for band, deflated in ((lqr.MARGINAL_BAND, False), (1e-3, True)):
+        monkeypatch.setattr(lqr, "MARGINAL_BAND", band)
+        sol = solve_model_dare(model, np.eye(1), np.eye(1))
+        assert (sol.deflated > 0) == deflated
+        norms = theory.exact_model_norms(G, model, sol, RankTolerance(1e-13))
+        K = sol.K_m @ PW.T  # the gain reads the state through the output landmarks
+        oracle = {
+            "G": np.linalg.norm(G_dense, 2),
+            "A": np.linalg.norm(A, 2),
+            "B": np.linalg.norm(B, 2),
+            "P": np.linalg.norm(PW @ sol.P_m @ PW.T, 2),
+            "K": np.linalg.norm(K, 2),
+            "L": np.linalg.norm(A + B @ K, 2),
+        }
+        for name, val in oracle.items():
+            assert getattr(norms, name) == pytest.approx(val, rel=1e-9), name
 
 
 def test_riccati_gap_rejects_kernel_mismatch(small_control_fixture):
     ds, gamma, exact_model, exact_sol, _, _ = small_control_fixture
     lm = sample_landmarks(ds, 10, LandmarkStrategy.IndependentUniform, seed=0)
     rbf_model = fit(ds, NystromLift(RBF, lm), gamma=gamma)
-    rbf_sol = solve_model_dare(rbf_model, np.eye(1), np.eye(1), rho_cap=0.9995)
+    rbf_sol = solve_model_dare(rbf_model, np.eye(1), np.eye(1))
     with pytest.raises(ValueError, match="different kernels"):
         theory.riccati_gap(exact_model, exact_sol, rbf_model, rbf_sol)
 
@@ -281,7 +287,7 @@ def test_model_norms_reject_thin_plate_models(small_control_fixture):
     # a TypeError, as build_nystrom_operator and transport_weights raise
     ds, gamma, exact_model, exact_sol, _, _ = small_control_fixture
     tp = fit(ds, ThinPlateLift(np.linspace(-1.0, 1.0, 5)[:, None]), gamma=gamma)
-    tp_sol = solve_model_dare(tp, np.eye(1), np.eye(1), rho_cap=0.9995)
+    tp_sol = solve_model_dare(tp, np.eye(1), np.eye(1))
     exact, thin = (exact_model, exact_sol), (tp, tp_sol)
     for a, b in ((thin, thin), (exact, thin), (thin, exact)):
         with pytest.raises(TypeError, match="kernel lifts"):
@@ -391,7 +397,7 @@ def small_control_fixture():
     gamma = 1e-3
     exact_model = fit(ds, NystromLift(M52, LandmarkSet(X.copy(), Y.copy(), seed=-1)), gamma=gamma)
     Q_exact = exact_model.C_r.T @ exact_model.C_r
-    exact_sol = solve_model_dare(exact_model, np.eye(1), np.eye(1), rho_cap=0.9995)
+    exact_sol = solve_model_dare(exact_model, np.eye(1), np.eye(1))
     G = theory.build_exact_operator(ds, M52, gamma)
     norms = theory.exact_model_norms(G, exact_model, exact_sol, RankTolerance())
     return ds, gamma, exact_model, exact_sol, Q_exact, norms
@@ -411,7 +417,7 @@ def test_exact_model_norms_reject_other_output_landmarks(small_control_fixture):
     ds, gamma, _, _, _, _ = small_control_fixture
     lm = sample_landmarks(ds, 10, LandmarkStrategy.IndependentUniform, seed=0)
     model = fit(ds, NystromLift(M52, lm), gamma=gamma)
-    sol = solve_model_dare(model, np.eye(1), np.eye(1), rho_cap=0.9995)
+    sol = solve_model_dare(model, np.eye(1), np.eye(1))
     with pytest.raises(ValueError, match="output anchors"):
         theory.exact_model_norms(theory.build_exact_operator(ds, M52, gamma), model, sol)
 
@@ -467,9 +473,9 @@ def test_riccati_gap_zero_state_cost(small_control_fixture):
     lm = sample_landmarks(ds, 10, LandmarkStrategy.IndependentUniform, seed=3)
     ny_model = fit(ds, NystromLift(M52, lm), gamma=gamma)
     w0 = LqrWeights(np.zeros((exact_model.r, exact_model.r)), np.eye(1))
-    sol0 = solve_model_dare(exact_model, weights=w0, rho_cap=0.9995)
+    sol0 = solve_model_dare(exact_model, weights=w0)
     w0n = LqrWeights(np.zeros((ny_model.r, ny_model.r)), np.eye(1))
-    sol0n = solve_model_dare(ny_model, weights=w0n, rho_cap=0.9995)
+    sol0n = solve_model_dare(ny_model, weights=w0n)
     assert theory.riccati_gap(exact_model, sol0, ny_model, sol0n) <= 1e-10
 
 
@@ -484,7 +490,7 @@ def test_riccati_and_objective_gap_decrease_and_nonnegative(small_control_fixtur
             lm = sample_landmarks(ds, m, LandmarkStrategy.IndependentUniform, seed=seed)
             ny_model = fit(ds, NystromLift(M52, lm), gamma=gamma)
             Q_ny, T = theory.transport_weights(exact_model, Q_exact, ny_model)
-            ny_sol = solve_model_dare(ny_model, weights=LqrWeights(Q_ny, np.eye(1)), rho_cap=0.9995)
+            ny_sol = solve_model_dare(ny_model, weights=LqrWeights(Q_ny, np.eye(1)))
             obj = theory.objective_gap(ref, ny_sol, T)
             vals.append(theory.riccati_gap(exact_model, exact_sol, ny_model, ny_sol))
             obj_vals.append(obj.gap)
@@ -556,7 +562,7 @@ def assert_objective_gap_matches_rollout(ds, gamma, exact_model, exact_sol, Q_ex
     lm = sample_landmarks(ds, m, LandmarkStrategy.IndependentUniform, seed=seed)
     ny_model = fit(ds, NystromLift(M52, lm), gamma=gamma)
     Q_ny, T = theory.transport_weights(exact_model, Q_exact, ny_model)
-    ny_sol = solve_model_dare(ny_model, weights=LqrWeights(Q_ny, R), rho_cap=0.9995)
+    ny_sol = solve_model_dare(ny_model, weights=LqrWeights(Q_ny, R))
     ref = theory.objective_reference(exact_model, exact_sol, Q_exact, R, [0.9])
     rep = theory.objective_gap(ref, ny_sol, T)
 
@@ -594,13 +600,14 @@ def test_objective_gap_matches_longdouble_rollout(small_control_fixture):
         assert rep.gap == pytest.approx(float(J_hat - J), rel=1e-3, abs=0.0)
 
 
-def test_objective_gap_identity_holds_at_a_truncated_riccati_iterate(small_control_fixture):
+def test_objective_gap_identity_holds_at_a_truncated_riccati_iterate(small_control_fixture, monkeypatch):
     # the identity needs no converged P: at the 3-stage value iterate D has
     # norm 2.2e-2, and leaving X_hat(D) - X(D) out would move the gap by 30%.
     # Measured: 5.4e-13 from the gap-level oracle and 3.4e-9 from the
     # rollouts' J_hat - J, whose K_hat is formed in another product order
     ds, gamma, exact_model, _, Q_exact, _ = small_control_fixture
-    sol = solve_model_dare(exact_model, np.eye(1), np.eye(1), rho_cap=0.9995, horizon=3)
+    monkeypatch.setattr(lqr, "MAX_ITERATIONS", 3)
+    sol = solve_model_dare(exact_model, np.eye(1), np.eye(1))
     rep, J, J_hat = assert_objective_gap_matches_rollout(ds, gamma, exact_model, sol, Q_exact, 20, seed=0)
     assert rep.gap == pytest.approx(float(J_hat - J), rel=1e-6, abs=0.0)
 
@@ -617,7 +624,7 @@ def test_objective_gap_matches_longdouble_rollout_on_rate_study():
     gamma = 1e-6
     exact_model = fit_exact(ds, gamma)
     Q_exact = exact_model.C_r.T @ exact_model.C_r
-    exact_sol = solve_model_dare(exact_model, np.eye(1), np.eye(1), rho_cap=0.9995)
+    exact_sol = solve_model_dare(exact_model, np.eye(1), np.eye(1))
     for seed in range(3):
         assert_objective_gap_matches_rollout(ds, gamma, exact_model, exact_sol, Q_exact, 160, seed)
 
@@ -733,14 +740,14 @@ def test_sweep_basis_gaps_match_stacked_anchor_whitening(rate_sweep_rows):
     G = theory.build_exact_operator(ds, MATERN_UNIT, gamma)
     exact_model = fit_exact(ds, gamma)
     Q_exact = exact_model.C_r.T @ exact_model.C_r
-    exact_sol = solve_model_dare(exact_model, np.eye(1), np.eye(1), rho_cap=0.9995)
+    exact_sol = solve_model_dare(exact_model, np.eye(1), np.eye(1))
     P_exact = riccati_form(exact_model, exact_sol.P_m)
     for row in rows:
         lm = sample_landmarks(ds, row.m, LandmarkStrategy.IndependentUniform, seed=row.seed)
         ny_model = fit(ds, NystromLift(MATERN_UNIT, lm), gamma=gamma, lam=gamma)
         G_ny = theory.build_nystrom_operator(ny_model)
         Q_ny, _ = theory.transport_weights(exact_model, Q_exact, ny_model)
-        ny_sol = solve_model_dare(ny_model, weights=LqrWeights(Q_ny, np.eye(1)), rho_cap=0.9995)
+        ny_sol = solve_model_dare(ny_model, weights=LqrWeights(Q_ny, np.eye(1)))
         P_ny = riccati_form(ny_model, ny_sol.P_m)
         assert row.basis_rank == 90
         assert row.empirical_gap == pytest.approx(stacked_anchor_norm([(G, 1.0), (G_ny, -1.0)], tol), rel=1e-4)
@@ -756,7 +763,7 @@ def test_riccati_gap_is_the_gap_of_the_riccati_forms(small_control_fixture, rate
     small_ds, small_gamma, small_exact, small_sol, small_Q, _ = small_control_fixture
     rate_ds, rows = rate_sweep_rows
     rate_exact = fit_exact(rate_ds, rows[0].gamma)
-    rate_sol = solve_model_dare(rate_exact, np.eye(1), np.eye(1), rho_cap=0.9995)
+    rate_sol = solve_model_dare(rate_exact, np.eye(1), np.eye(1))
     cases = [
         (small_ds, M52, small_gamma, small_exact, small_sol, small_Q, 10, RankTolerance()),
         (rate_ds, MATERN_UNIT, rows[0].gamma, rate_exact, rate_sol, rate_exact.C_r.T @ rate_exact.C_r, 20,
@@ -767,7 +774,7 @@ def test_riccati_gap_is_the_gap_of_the_riccati_forms(small_control_fixture, rate
         lm = sample_landmarks(ds, m, LandmarkStrategy.IndependentUniform, seed=0)
         ny_model = fit(ds, NystromLift(kernel, lm), gamma=gamma, lam=gamma)
         Q_ny, _ = theory.transport_weights(exact_model, Q_exact, ny_model)
-        ny_sol = solve_model_dare(ny_model, weights=LqrWeights(Q_ny, np.eye(1)), rho_cap=0.9995)
+        ny_sol = solve_model_dare(ny_model, weights=LqrWeights(Q_ny, np.eye(1)))
         gap = theory.riccati_gap(exact_model, exact_sol, ny_model, ny_sol, basis)
         forms = riccati_form(exact_model, exact_sol.P_m), riccati_form(ny_model, ny_sol.P_m)
         assert gap > 0
