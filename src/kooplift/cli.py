@@ -9,7 +9,9 @@ Command-line ``--override KEY=VALUE`` entries replace config keys (values are
 parsed as JSON when possible, else taken as strings), and ``--seed`` replaces
 the ``seed`` key.  Every command is a pure function of (config, input files):
 reruns produce byte-identical outputs.  All floating-point output is printed
-with 17 significant digits so files round-trip losslessly.
+with 17 significant digits so files round-trip losslessly.  Every command runs
+on one OpenBLAS thread (``numerics.one_blas_thread``), whatever the library
+default, and ``bench`` records the counts it ran at as ``blas_threads``.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from .data import (
 from .identify import NystromLift, ThinPlateLift, fit, forecast, load_model, save_model
 from .kernels import KernelFamily, KernelSpec
 from .lqr import solve_model_dare
+from .numerics import blas_threads, one_blas_thread
 from .simulate import (
     CollectionProtocol,
     SquareWave,
@@ -376,11 +379,13 @@ def cmd_bench(cfg: dict, out: Path, workers: int = 1) -> int:
         }
     else:
         raise ValueError(f"unknown bench scenario {scenario!r}")
+    doc["blas_threads"] = blas_threads()
     _write_json(out / f"bench_{scenario}.json", doc)
     print(f"wrote {out / f'bench_{scenario}.json'}")
     return 0
 
 
+@one_blas_thread()
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="kooplift", description=__doc__)
     parser.add_argument("command", choices=["collect", "fit", "control", "forecast", "study-bounds", "bench"])
@@ -394,8 +399,8 @@ def main(argv=None) -> int:
         default=1,
         help=(
             "bounded thread pool for the per-seed work of seed sweeps (closed loops run as one stack); "
-            "not a speed option: on 2 cores a 2-seed rate sweep took 20.8 and 22.5 s at 2 workers against "
-            "15.5 and 15.2 s at 1, and ROADMAP item 4 removes the pool"
+            "not a speed option: on 2 cores a 2-seed rate sweep took a median 0.36 s at 2 workers against "
+            "0.38 s at 1 (overlapping quartiles, 10 runs each), as the per-seed work holds the interpreter lock"
         ),
     )
     args = parser.parse_args(argv)

@@ -3,6 +3,13 @@
 Each scenario fixes one training dataset (its own seed) and varies landmark
 draws and, where relevant, test initial conditions across the requested seeds,
 so repeated runs are bit-identical.
+
+Each scenario call runs on one OpenBLAS thread (``numerics.one_blas_thread``),
+whatever the library default, and restores the prior thread counts when it
+returns or raises.  Its outputs are those of a process started with
+``OPENBLAS_NUM_THREADS=1``, bit for bit.  The data builders
+(``cubic_training_data``, ``duffing_training_data``, ``fixture_dataset``) do
+not enter that scope, so they load no scipy.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ from .identify import (
 )
 from .kernels import KernelFamily, KernelSpec, gram_factor
 from .lqr import LqrWeights, solve_model_dare
-from .numerics import RankTolerance
+from .numerics import RankTolerance, one_blas_thread
 from .simulate import (
     CollectionProtocol,
     SquareWave,
@@ -161,6 +168,7 @@ class CubicCostResult:
         return float(np.median(self.nystrom_costs))
 
 
+@one_blas_thread()
 def cubic_cost_experiment(
     n_seeds: int = 50,
     m: int = 100,
@@ -200,6 +208,7 @@ def cubic_cost_experiment(
     return CubicCostResult(costs, exact_cost, runs[-1].total_cost, diverged)
 
 
+@one_blas_thread()
 def cubic_rmse_experiment(
     n_seeds: int = 50,
     m: int = 100,
@@ -232,6 +241,7 @@ class StabilizationResult:
         return float(np.mean(self.reached))
 
 
+@one_blas_thread()
 def duffing_stabilization_experiment(
     n_seeds: int = 50,
     m: int = 20,
@@ -252,6 +262,7 @@ def duffing_stabilization_experiment(
     return StabilizationResult(reached, diverged, min_norms)
 
 
+@one_blas_thread()
 def duffing_forecast_experiment(
     m_list=(10, 20, 40, 80),
     n_seeds: int = 50,
@@ -367,6 +378,7 @@ def _gap_study(
     return row
 
 
+@one_blas_thread()
 def gap_sweep(
     ds: Dataset,
     m_list=(10, 20, 40, 80, 160),
@@ -390,6 +402,7 @@ def gap_sweep(
     return rows, norm_G
 
 
+@one_blas_thread()
 def riccati_objective_sweep(
     ds: Dataset,
     m_list=(10, 20, 40, 80, 160),

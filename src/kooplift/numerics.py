@@ -1,16 +1,32 @@
-"""Dense linear-algebra utilities with explicit tolerance policies.
+"""Dense linear-algebra utilities with explicit tolerance policies, and the
+OpenBLAS thread policy.
 
 Everything here operates on plain ndarrays.  The rank policy is shared across
 the package: an eigenvalue of a PSD matrix counts as zero when it falls below
 ``rel_cutoff`` times the largest eigenvalue.  Landmark Gram matrices are
 routinely rank-deficient at double precision, so the cutoff is load-bearing,
 not cosmetic.
+
+Thread policy: every scenario call and CLI command runs inside
+``one_blas_thread``, which sets each OpenBLAS runtime that numpy and scipy
+ship to one thread and restores the prior counts on exit.  The program's BLAS
+calls are small and interleaved with interpreter work, so a second thread
+spins beside the interpreter and slows the small LAPACK calls: on 2 cores one
+thread was faster on every scenario measured.  The thread count also moves
+the last bits of some results, so under the policy a scenario's output does
+not depend on the environment.  A build without a bundled OpenBLAS is left as
+it is.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
+import glob
 import math
 from dataclasses import dataclass
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -20,6 +36,8 @@ FloatArray = NDArray[np.float64]
 
 __all__ = [
     "RankTolerance",
+    "blas_threads",
+    "one_blas_thread",
     "psd_pinv_sqrt",
     "psd_pinv_sqrt_factor",
     "psd_sqrt",
@@ -196,3 +214,59 @@ def solve_psd(M, rhs):
     Mj = M + jitter * np.eye(M.shape[0])
     c, low = scipy.linalg.cho_factor(Mj, lower=True, check_finite=False)
     return scipy.linalg.cho_solve((c, low), rhs, check_finite=False), True
+
+
+# (get, set) thread-count symbols of an OpenBLAS build: numpy's 64-bit-integer
+# scipy-openblas, scipy's, and a plain OpenBLAS
+_OPENBLAS_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+@functools.cache
+def _openblas_runtimes() -> dict:
+    """The OpenBLAS runtimes bundled with numpy and scipy, as package name -> (get, set).
+
+    Imports ``scipy.linalg`` first, so scipy's runtime is the one loaded.  A
+    package with no bundled OpenBLAS (an MKL or system build, say) is left out.
+    """
+    import scipy.linalg  # loads scipy's OpenBLAS
+
+    found = {}
+    for pkg in (np, scipy):
+        libdir = Path(pkg.__file__).resolve().parent.parent / f"{pkg.__name__}.libs"
+        for path in sorted(glob.glob(str(libdir / "*openblas*.so*"))):
+            lib = ctypes.CDLL(path)
+            for get_name, set_name in _OPENBLAS_SYMBOLS:
+                get, set_threads = getattr(lib, get_name, None), getattr(lib, set_name, None)
+                if get is not None and set_threads is not None:
+                    get.argtypes, get.restype = [], ctypes.c_int
+                    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+                    found[pkg.__name__] = (get, set_threads)
+                    break
+    return found
+
+
+def blas_threads() -> dict:
+    """Current thread count of each OpenBLAS runtime found, by package; {} if none."""
+    return {name: int(get()) for name, (get, _) in _openblas_runtimes().items()}
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the block (or, as a decorator, each call) on one OpenBLAS thread.
+
+    Sets every runtime of ``blas_threads`` to 1 and restores the prior counts
+    on exit, also when the block raises.
+    """
+    runtimes = _openblas_runtimes()
+    prior = blas_threads()
+    for _, set_threads in runtimes.values():
+        set_threads(1)
+    try:
+        yield
+    finally:
+        for name, (_, set_threads) in runtimes.items():
+            set_threads(prior[name])

@@ -7,6 +7,7 @@ import pytest
 from kooplift.cli import main
 from kooplift.data import load_trajectories
 from kooplift.identify import embed_state, load_model
+from kooplift.numerics import blas_threads
 
 
 def write_config(path: Path, cfg: dict) -> str:
@@ -161,9 +162,13 @@ def test_bench_smoke(tmp_path):
         {"bench.scenario": "cubic-rmse", "bench.seeds": 2, "fit.m": 20},
     )
     out = tmp_path / "bench"
+    before = blas_threads()
     assert main(["bench", "--config", cfg, "--out", str(out)]) == 0
     doc = json.loads((out / "bench_cubic-rmse.json").read_text())
     assert "median_rmse_u_pct" in doc and len(doc["rmse_u_pct"]) == 2
+    # the command ran on one thread of every OpenBLAS runtime, and put the counts back
+    assert doc["blas_threads"] == dict.fromkeys(before, 1)
+    assert blas_threads() == before
 
 
 def test_override_and_seed_flags(tmp_path):

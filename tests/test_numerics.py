@@ -1,8 +1,17 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from kooplift import experiments
 from kooplift.numerics import (
     RankTolerance,
+    _openblas_runtimes,
+    blas_threads,
+    one_blas_thread,
     psd_pinv_sqrt,
     psd_pinv_sqrt_factor,
     psd_sqrt,
@@ -166,3 +175,96 @@ def test_solve_psd_plain_and_jitter():
     x, jit = solve_psd(S, np.array([1.0, 0.0]))
     assert jit
     assert np.all(np.isfinite(x))
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+@pytest.fixture
+def two_blas_threads():
+    """Every OpenBLAS runtime set to 2 threads, whatever the environment said;
+    the prior counts are put back after the test."""
+    runtimes = _openblas_runtimes()
+    prior = blas_threads()
+    for _, set_threads in runtimes.values():
+        set_threads(2)
+    yield blas_threads()
+    for name, (_, set_threads) in runtimes.items():
+        set_threads(prior[name])
+
+
+def _gap_fixture():
+    return experiments.fixture_dataset(n=150, seed=7)[1]
+
+
+# the six scenario functions at sizes that run in well under a second each
+SCENARIOS = {
+    "cubic_cost": lambda: experiments.cubic_cost_experiment(n_seeds=1, m=10, exact=False),
+    "cubic_rmse": lambda: experiments.cubic_rmse_experiment(n_seeds=1, m=10, T=5),
+    "duffing_stabilization": lambda: experiments.duffing_stabilization_experiment(n_seeds=1, m=5, horizon_s=0.05),
+    "duffing_forecast": lambda: experiments.duffing_forecast_experiment(m_list=(5,), n_seeds=1, horizon_s=0.05),
+    "gap_sweep": lambda: experiments.gap_sweep(_gap_fixture(), m_list=(5,), n_seeds=1),
+    "riccati_objective_sweep": lambda: experiments.riccati_objective_sweep(_gap_fixture(), m_list=(5,), n_seeds=1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_scenario_runs_on_one_blas_thread(name, monkeypatch, two_blas_threads):
+    # every scenario draws landmarks inside its call: read the counts there
+    seen = []
+    sample_landmarks = experiments.sample_landmarks
+
+    def spy(*args, **kwargs):
+        seen.append(blas_threads())
+        return sample_landmarks(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "sample_landmarks", spy)
+    SCENARIOS[name]()
+    assert seen
+    assert all(counts == dict.fromkeys(two_blas_threads, 1) for counts in seen)
+    assert blas_threads() == two_blas_threads
+
+
+def test_blas_scope_restores_counts_after_a_raise(two_blas_threads):
+    with pytest.raises(ValueError, match="gamma"):
+        experiments.gap_sweep(_gap_fixture(), m_list=(5,), n_seeds=1, gamma=-1.0)
+    assert blas_threads() == two_blas_threads
+
+
+def test_blas_threads_reads_every_runtime(two_blas_threads):
+    assert set(two_blas_threads.values()) <= {2}
+    with one_blas_thread():
+        assert blas_threads() == dict.fromkeys(two_blas_threads, 1)
+    assert blas_threads() == two_blas_threads
+
+
+def _python(args, threads: str | None = None) -> subprocess.CompletedProcess:
+    """Run ``python ARGS`` on this checkout's sources, with OPENBLAS_NUM_THREADS=threads if given."""
+    env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = threads
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, check=True)
+
+
+def test_study_bounds_rows_do_not_depend_on_blas_threads(tmp_path):
+    # the smallest rate-sweep config whose rows differed between one and two
+    # OpenBLAS threads before the scenarios fixed their own thread count
+    overrides = ["bounds.riccati=true", "bounds.n=150", "bounds.m_list=[1]", "bounds.seeds=1"]
+    args = ["-m", "kooplift.cli", "study-bounds"] + [a for ov in overrides for a in ("--override", ov)]
+    for threads in ("1", "2"):
+        _python(args + ["--out", str(tmp_path / threads)], threads=threads)
+    assert (tmp_path / "1" / "bounds.csv").read_bytes() == (tmp_path / "2" / "bounds.csv").read_bytes()
+
+
+def test_import_and_data_builders_load_no_scipy():
+    code = (
+        "import sys\n"
+        "import kooplift\n"
+        "from kooplift import experiments\n"
+        "experiments.cubic_training_data()\n"
+        "experiments.duffing_training_data()\n"
+        "experiments.fixture_dataset()\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    assert _python(["-c", code]).stdout.strip() == "[]"

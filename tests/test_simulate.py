@@ -8,6 +8,7 @@ from kooplift import experiments, simulate
 from kooplift.data import build_pairs, derived_rng
 from kooplift.identify import ThinPlateLift, fit
 from kooplift.lqr import solve_model_dare
+from kooplift.numerics import one_blas_thread
 from kooplift.simulate import (
     DIVERGENCE_NORM,
     CollectionProtocol,
@@ -254,8 +255,9 @@ def run_both(sys, models, sols, x0, T, policies=(), **kw):
 @pytest.fixture(scope="module")
 def cubic_regulators():
     sys, ds = experiments.cubic_training_data(seed=0)
-    models = [experiments.fit_nystrom(ds, 100, seed) for seed in range(5)]
-    return sys, ds, models, [solve_model_dare(model, np.eye(1), np.eye(1)) for model in models]
+    with one_blas_thread():  # the thread count the experiments fit and synthesize at
+        models = [experiments.fit_nystrom(ds, 100, seed) for seed in range(5)]
+        return sys, ds, models, [solve_model_dare(model, np.eye(1), np.eye(1)) for model in models]
 
 
 def test_stacked_closed_loops_match_singles_cubic(cubic_regulators):
@@ -370,8 +372,9 @@ def test_cubic_experiments_run_one_rollout_stack(cubic_experiments_traced):
 def test_cubic_experiments_match_rollouts_run_alone(cubic_regulators, cubic_experiments_traced):
     sys, ds, models, sols = cubic_regulators  # the experiments' models: data seed 0, m = 100, seeds 0..4
     cost, _, rmse, _ = cubic_experiments_traced
-    model_ex = experiments.fit_exact(ds)
-    sol_ex = solve_model_dare(model_ex, np.eye(1), np.eye(1))
+    with one_blas_thread():  # the exact fit's last bits depend on the thread count
+        model_ex = experiments.fit_exact(ds)
+        sol_ex = solve_model_dare(model_ex, np.eye(1), np.eye(1))
     kw = dict(Qprime=np.eye(1), R=np.eye(1), stop_norm=1e-6)
     *ny, ex, opt = run_alone(sys, models[:3] + [model_ex], sols[:3] + [sol_ex], [_optimal], [0.9], 10_000, **kw)
     assert cost.nystrom_costs == [res.total_cost for res in ny]
