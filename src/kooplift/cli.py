@@ -320,7 +320,7 @@ def cmd_forecast(cfg: dict, out: Path) -> int:
     return 0
 
 
-def cmd_study_bounds(cfg: dict, out: Path, workers: int = 1) -> int:
+def cmd_study_bounds(cfg: dict, out: Path) -> int:
     n = int(cfg.get("bounds.n", 500))
     m_list = [int(v) for v in cfg.get("bounds.m_list", [10, 20, 40, 80, 160])]
     seeds = int(cfg.get("bounds.seeds", 50))
@@ -328,23 +328,21 @@ def cmd_study_bounds(cfg: dict, out: Path, workers: int = 1) -> int:
     delta = float(cfg.get("bounds.delta", 0.05))
     _, ds = experiments.fixture_dataset(n=n, seed=int(cfg.get("seed", 7)))
     if cfg.get("bounds.riccati", False):
-        rows = experiments.riccati_objective_sweep(
-            ds, m_list, n_seeds=seeds, gamma=gamma, delta=delta, workers=workers
-        )
+        rows = experiments.riccati_objective_sweep(ds, m_list, n_seeds=seeds, gamma=gamma, delta=delta)
     else:
-        rows, _ = experiments.gap_sweep(ds, m_list, n_seeds=seeds, gamma=gamma, delta=delta, workers=workers)
+        rows, _ = experiments.gap_sweep(ds, m_list, n_seeds=seeds, gamma=gamma, delta=delta)
     out.mkdir(parents=True, exist_ok=True)
     theory.write_bound_reports(out / "bounds.csv", rows)
     print(f"wrote {len(rows)} rows to {out / 'bounds.csv'}")
     return 0
 
 
-def cmd_bench(cfg: dict, out: Path, workers: int = 1) -> int:
+def cmd_bench(cfg: dict, out: Path) -> int:
     scenario = cfg.get("bench.scenario", "cubic-costs")
     seeds = int(cfg.get("bench.seeds", 50))
     out.mkdir(parents=True, exist_ok=True)
     if scenario == "cubic-costs":
-        res = experiments.cubic_cost_experiment(n_seeds=seeds, m=int(cfg.get("fit.m", 100)), workers=workers)
+        res = experiments.cubic_cost_experiment(n_seeds=seeds, m=int(cfg.get("fit.m", 100)))
         doc = {
             "median_cost": res.median_cost,
             "exact_cost": res.exact_cost,
@@ -353,12 +351,10 @@ def cmd_bench(cfg: dict, out: Path, workers: int = 1) -> int:
             "costs": res.nystrom_costs,
         }
     elif scenario == "cubic-rmse":
-        vals = experiments.cubic_rmse_experiment(n_seeds=seeds, m=int(cfg.get("fit.m", 100)), workers=workers)
+        vals = experiments.cubic_rmse_experiment(n_seeds=seeds, m=int(cfg.get("fit.m", 100)))
         doc = {"median_rmse_u_pct": float(np.median(vals)), "rmse_u_pct": vals}
     elif scenario == "duffing-stabilize":
-        res = experiments.duffing_stabilization_experiment(
-            n_seeds=seeds, m=int(cfg.get("fit.m", 20)), workers=workers
-        )
+        res = experiments.duffing_stabilization_experiment(n_seeds=seeds, m=int(cfg.get("fit.m", 20)))
         doc = {
             "success_rate": res.success_rate,
             "diverged": res.diverged,
@@ -368,7 +364,6 @@ def cmd_bench(cfg: dict, out: Path, workers: int = 1) -> int:
         res = experiments.duffing_forecast_experiment(
             m_list=tuple(int(v) for v in cfg.get("bench.m_list", [10, 20, 40, 80])),
             n_seeds=seeds,
-            workers=workers,
         )
         doc = {
             "m_list": res["m_list"],
@@ -393,16 +388,6 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
     parser.add_argument("--out", default="out", help="output directory")
     parser.add_argument("--override", action="append", metavar="KEY=VALUE", help="override a config key")
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help=(
-            "bounded thread pool for the per-seed work of seed sweeps (closed loops run as one stack); "
-            "not a speed option: on 2 cores a 2-seed rate sweep took a median 0.36 s at 2 workers against "
-            "0.38 s at 1 (overlapping quartiles, 10 runs each), as the per-seed work holds the interpreter lock"
-        ),
-    )
     args = parser.parse_args(argv)
     try:
         cfg = _load_config(args)
@@ -416,8 +401,8 @@ def main(argv=None) -> int:
         if args.command == "forecast":
             return cmd_forecast(cfg, out)
         if args.command == "study-bounds":
-            return cmd_study_bounds(cfg, out, workers=args.workers)
-        return cmd_bench(cfg, out, workers=args.workers)
+            return cmd_study_bounds(cfg, out)
+        return cmd_bench(cfg, out)
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         print(f"error: {exc}", file=sys.stderr)
         return 1

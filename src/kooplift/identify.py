@@ -51,13 +51,15 @@ y_i = x_{i+1}, so D has n + n_traj rows where X and Y together have 2n.  Rows
 :n of K(D, P) (or thin_plate(D, P)) are the inputs' features and rows iy
 (D[iy] = Y) the outputs'.  No n x m array of them is built: the products are
 summed over blocks of pairs, and a block of pairs i0..i1-1 evaluates the rows
-of its states D[i0:i1 + 1] against each point set P, each state once, with its
-inputs' features those of all but the last and its outputs' those of all but
-the first; the pairs that end a trajectory take theirs from the end states
-D[n:], evaluated once up front.  One set of rows serves both sides when the
-input and output points agree (shared landmarks, thin-plate centers), and a
-fit holds a block of rows, one block of G and the sums, O(block m + k^2)
-memory whatever n.  ``fit_nested`` fits several lifts whose points are row
+of its states D[i0:i1 + 1] against each point set P, with its inputs' features
+those of all but the last and its outputs' those of all but the first; the
+pairs that end a trajectory take theirs from the end states D[n:], evaluated
+once up front.  A block's last state is the next block's first (the last
+block's is D[n]), so it is evaluated twice: one extra row per block, 44 of
+the 70 200 rows of a Duffing Nystrom sweep.  One set of rows serves both
+sides when the input and output points agree (shared landmarks, thin-plate
+centers), and a fit holds a block of rows, one block of G and the sums,
+O(block m + k^2) memory whatever n.  ``fit_nested`` fits several lifts whose points are row
 prefixes of the largest lift's (the landmark draws of one seed, centers sliced
 ``[:m]``) from the leading columns of the same rows, so a sweep evaluates the
 data's rows once, and ``fit`` is its call on one lift:
@@ -339,37 +341,17 @@ _BLOCK_ENTRIES = 1 << 18
 def _state_row_blocks(pairwise, D: FloatArray, point_sets: tuple):
     """rows(a, b) for ``_cross_products``: pairwise(D[a:b], P) for each point set P.
 
-    Every state's row is evaluated once per point set.  The first row of the
-    first read (the end states D[n:], read up front) and the last row of the
-    last read are held: each block of pairs starts on the last state of the
-    block before it and the last block ends on D[n], so a read takes its first
-    row from the last read and its last row from the first read when they hold
-    them.  A lone row is evaluated as a
-    block of two copies of itself: numpy takes a one-row product as a
-    matrix-vector product, whose sums round otherwise than the rows of a matrix
-    product (see the ``kernels`` module docstring for the shapes whose rows
-    agree).
+    Each read is evaluated on its own, so a state on the boundary of two reads
+    is evaluated in both.  A lone row is evaluated as a block of two copies of
+    itself: numpy takes a one-row product as a matrix-vector product, whose
+    sums round otherwise than the rows of a matrix product (see the
+    ``kernels`` module docstring for the shapes whose rows agree).
     """
-    first = last = None  # (start, first rows) of the first read, (end, last rows) of the last one
-
-    def evaluate(a: int, b: int, P: FloatArray) -> FloatArray:
-        return pairwise(D[[a, a]], P)[:1] if b - a == 1 else pairwise(D[a:b], P)
 
     def rows(a: int, b: int) -> tuple:
-        nonlocal first, last
-        head = last is not None and a == last[0] - 1
-        tail = first is not None and b - 1 == first[0]
-        blocks = []
-        for j, P in enumerate(point_sets):
-            parts = [last[1][j]] if head else []
-            if a + head < b - tail:
-                parts.append(evaluate(a + head, b - tail, P))
-            if tail:
-                parts.append(first[1][j])
-            blocks.append(parts[0] if len(parts) == 1 else np.vstack(parts))
-        first = first or (a, tuple(R[:1] for R in blocks))
-        last = (b, tuple(R[-1:].copy() for R in blocks))  # a copy: the block itself is not held
-        return tuple(blocks)
+        if b - a == 1:
+            return tuple(pairwise(D[[a, a]], P)[:1] for P in point_sets)
+        return tuple(pairwise(D[a:b], P) for P in point_sets)
 
     return rows
 

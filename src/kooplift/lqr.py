@@ -4,15 +4,16 @@ The Riccati equation is approached through its value iteration
 
     P_{k+1} = A' P_k A - A' P_k B (R + B' P_k B)^(-1) B' P_k A + Q,   P_0 = Q,
 
-which converges for stabilizable/detectable systems.  The iterate P_N is not
+which converges for stabilizable/detectable systems.  The iterates are not
 computed step by step but by segment doubling (the structure-preserving
 doubling of Chu, Fan & Lin, LAA 2005, and Anderson, IJC 1978): a segment of k
 stages is the map X -> H + A' X (I + G X)^(-1) A, held as the triple
 (A_k, G_k, H_k), whose value at X = 0 is P_{k-1}.  The one-stage segment is
-(A, B R^(-1) B', Q), and two segments compose into one with a single linear
-solve, so the binary decomposition of N + 1 stages gives the same P_N in
-O(log N) products.  Gains follow the convention u = K z with
-K = -(R + B' P B)^(-1) B' P A.
+(A, B R^(-1) B', Q), and a segment composed with itself doubles its stages
+with a single linear solve, so the core reaches P_k, k = 2^j - 1, in j
+doublings.  It returns the first such iterate that meets the stopping rule,
+or the one at the guard ``MAX_ITERATIONS`` = 2^21 - 1.  Gains follow the
+convention u = K z with K = -(R + B' P B)^(-1) B' P A.
 
 ``solve_model_dare`` is the entry point used by the pipeline: it synthesizes
 on the model's own coordinates, the r-dimensional retained range of its lift,
@@ -45,9 +46,9 @@ FloatArray = NDArray[np.float64]
 RICCATI_TOL = 1e-12
 # solve_model_dare deflates the modes with | |eig(A_r)| - 1 | < MARGINAL_BAND
 MARGINAL_BAND = 1e-4
-# iteration guard: solve_model_dare records reaching it as converged=False, and
-# it is solve_dare's default max_iter
-MAX_ITERATIONS = 1_000_000
+# iteration guard, a doubled iterate 2^j - 1: solve_model_dare records reaching
+# it as converged=False, solve_dare raises
+MAX_ITERATIONS = 2**21 - 1
 
 __all__ = [
     "LqrWeights",
@@ -84,15 +85,15 @@ class LqrWeights:
 class RiccatiSolution:
     """DARE solution with gain, closed loop and solver diagnostics.
 
-    ``iterations`` is the N of the returned value iterate P_N (P_0 = Q).  The
-    stopping rule ||P_{k+1} - P_k||_2 <= RICCATI_TOL * (1 + ||P_k||_2), with
-    the module constant ``RICCATI_TOL`` = 1e-12, is checked at the doubled
-    iterates k = 2^j - 1; the first that meets it is returned with
-    ``converged=True`` and N = k.  Otherwise N is the iteration guard
-    (``MAX_ITERATIONS`` for ``solve_model_dare``) and ``converged`` is the
-    rule at k = N.  ``delta_history`` holds the checked one-step deltas
-    ||P_{k+1} - P_k||_2 in order, at most about log2(N) + 2; each is the DARE
-    residual of its iterate, and ``residual`` is the last.
+    ``iterations`` is the N of the returned value iterate P_N (P_0 = Q), always
+    a doubled iterate 2^j - 1.  The stopping rule
+    ||P_{k+1} - P_k||_2 <= RICCATI_TOL * (1 + ||P_k||_2), with the module
+    constant ``RICCATI_TOL`` = 1e-12, is checked at each k = 2^j - 1; the first
+    that meets it is returned with ``converged=True`` and N = k.  Otherwise N
+    is the guard ``MAX_ITERATIONS`` and ``converged`` is False.
+    ``delta_history`` holds the checked one-step deltas ||P_{k+1} - P_k||_2 in
+    order, log2(N + 1) + 1 of them; each is the DARE residual of its iterate,
+    and ``residual`` is the last.
 
     ``deflated`` counts lifted modes excluded from synthesis because they sit
     within ``MARGINAL_BAND`` of the unit circle; the gain does not read them,
@@ -101,8 +102,10 @@ class RiccatiSolution:
     ``jitter_applied`` records whether any PSD solve of the synthesis (the
     input weight, each checked residual, the gain) fell back to jitter.
 
-    For a model, P_m, K_m and L_m are in its lifted coordinates (r x r, n_u x r
-    and r x r).
+    ``basis`` holds orthonormal columns spanning the subspace synthesized on:
+    for ``solve_model_dare`` the Schur basis of the kept modes, I_r when no
+    mode was deflated; for ``solve_dare`` the identity.  For a model, P_m, K_m
+    and L_m are in its lifted coordinates (r x r, n_u x r and r x r).
     """
 
     P_m: FloatArray
@@ -111,14 +114,12 @@ class RiccatiSolution:
     residual: float
     rho_L: float
     iterations: int
+    basis: FloatArray = field(repr=False)
     delta_history: tuple = field(default=(), repr=False)
     deflated: int = 0
     rho_L_full: float | None = None
     converged: bool = True
     jitter_applied: bool = False
-    # orthonormal columns spanning the synthesized subspace when a deflation
-    # restricted synthesis to it, else None
-    basis: FloatArray | None = field(default=None, repr=False)
 
 
 def build_weights(model: KoopmanModel, Qprime, R) -> LqrWeights:
@@ -130,36 +131,33 @@ def build_weights(model: KoopmanModel, Qprime, R) -> LqrWeights:
     return LqrWeights(Q_m=Q_m, R=np.atleast_2d(np.asarray(R, dtype=float)))
 
 
-def _compose(early, late):
-    """Segment of ``early``'s stages followed by ``late``'s: early(late(X)).
+def _double(seg):
+    """The segment of ``seg``'s stages run twice: seg(seg(X)).
 
-    With early = (A1, G1, H1) and late = (A2, G2, H2) the product is
-    (A2 W A1, G2 + A2 W G1 A2', H1 + A1' H2 W A1) with W = (I + G1 H2)^(-1),
-    which exists because G1 and H2 are PSD.
+    With seg = (A, G, H) the product is
+    (A W A, G + A W G A', H + A' H W A) with W = (I + G H)^(-1), which exists
+    because G and H are PSD.
     """
-    A1, G1, H1 = early
-    A2, G2, H2 = late
-    n = A1.shape[0]
-    W = np.linalg.solve(np.eye(n) + G1 @ H2, np.hstack([A1, G1]))
+    A, G, H = seg
+    n = A.shape[0]
+    W = np.linalg.solve(np.eye(n) + G @ H, np.hstack([A, G]))
     WA, WG = W[:, :n], W[:, n:]
-    G = G2 + A2 @ WG @ A2.T
-    H = H1 + A1.T @ H2 @ WA
-    return A2 @ WA, 0.5 * (G + G.T), 0.5 * (H + H.T)
+    G2 = G + A @ WG @ A.T
+    H2 = H + A.T @ H @ WA
+    return A @ WA, 0.5 * (G2 + G2.T), 0.5 * (H2 + H2.T)
 
 
-def _riccati_core(A, B, weights: LqrWeights, horizon: int) -> RiccatiSolution:
-    """Value iterate P_N by segment doubling, with its gain and closed loop.
+def _riccati_core(A, B, weights: LqrWeights) -> RiccatiSolution:
+    """Doubled value iterate P_k, k = 2^j - 1, with its gain and closed loop.
 
-    Doubles the one-stage segment, checking the stopping rule at each doubled
-    iterate P_k, k = 2^j - 1 <= horizon, and otherwise composes the binary
-    decomposition of horizon + 1 stages from the doubled segments.  Raises
-    RuntimeError on the first segment that is not finite.
+    Doubles the one-stage segment until the stopping rule holds at P_k or k
+    reaches ``MAX_ITERATIONS``.  Raises RuntimeError on the first segment that
+    is not finite.
     """
     Q, R = weights.Q_m, weights.R
     R_inv_Bt, jitter = solve_psd(R, B.T)
     G = B @ R_inv_Bt
     seg = (A, 0.5 * (G + G.T), Q)
-    powers = []  # powers[j] spans 2^j stages
     deltas: list[float] = []
     jitters = [jitter]
 
@@ -169,30 +167,15 @@ def _riccati_core(A, B, weights: LqrWeights, horizon: int) -> RiccatiSolution:
         jitters.append(jitter)
         return deltas[-1] <= RICCATI_TOL * (1.0 + float(np.linalg.norm(P, 2)))
 
-    def extend(early, late, reached: int):
-        with np.errstate(over="ignore", invalid="ignore"):
-            out = _compose(early, late)
-        if not all(np.all(np.isfinite(M)) for M in out):
-            raise RuntimeError(
-                f"Riccati iterate is not finite beyond iteration {reached} (horizon {horizon})"
-            )
-        return out
-
     stages = 1
-    while True:
-        powers.append(seg)
-        converged = meets_rule(seg[2])
-        if converged or 2 * stages > horizon + 1:
-            break
-        seg = extend(seg, seg, stages - 1)
+    while not (converged := meets_rule(seg[2])) and 2 * stages <= MAX_ITERATIONS + 1:
+        with np.errstate(over="ignore", invalid="ignore"):
+            seg = _double(seg)
+        if not all(np.all(np.isfinite(M)) for M in seg):
+            raise RuntimeError(
+                f"Riccati iterate is not finite beyond iteration {stages - 1} (guard {MAX_ITERATIONS})"
+            )
         stages *= 2
-    if not converged and stages <= horizon:
-        rest = horizon + 1 - stages
-        for j, piece in enumerate(powers):
-            if rest >> j & 1:
-                seg = extend(seg, piece, stages - 1)
-                stages += 1 << j
-        converged = meets_rule(seg[2])
     P = seg[2]
     BtP = B.T @ P
     gain_part, jitter = solve_psd(R + BtP @ B, BtP @ A)
@@ -206,24 +189,20 @@ def _riccati_core(A, B, weights: LqrWeights, horizon: int) -> RiccatiSolution:
         residual=deltas[-1],
         rho_L=spectral_radius(L),
         iterations=stages - 1,
+        basis=np.eye(len(A)),
         delta_history=tuple(deltas),
         converged=converged,
         jitter_applied=any(jitters),
     )
 
 
-def solve_dare(
-    A,
-    B,
-    weights: LqrWeights,
-    max_iter: int = MAX_ITERATIONS,
-) -> RiccatiSolution:
-    """Riccati value iterate from P_0 = Q, capped at ``max_iter`` steps.
+def solve_dare(A, B, weights: LqrWeights) -> RiccatiSolution:
+    """Riccati value iterate from P_0 = Q, to the stopping rule.
 
     Converged when ||P_{k+1} - P_k||_2 <= RICCATI_TOL * (1 + ||P_k||_2) at the
-    returned P_k (see ``RiccatiSolution``).  Raises RuntimeError on
-    non-convergence, on an iterate that overflows, or when the resulting
-    closed loop is not contractive.
+    returned P_k (see ``RiccatiSolution``).  Raises RuntimeError when the
+    guard ``MAX_ITERATIONS`` is reached first, on an iterate that overflows,
+    or when the resulting closed loop is not contractive.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     B = np.asarray(B, dtype=float)
@@ -231,9 +210,9 @@ def solve_dare(
         B = B[:, None]
     if A.shape[0] != A.shape[1] or B.shape[0] != A.shape[0] or weights.Q_m.shape != A.shape:
         raise ValueError("inconsistent shapes in solve_dare")
-    sol = _riccati_core(A, B, weights, max_iter)
+    sol = _riccati_core(A, B, weights)
     if not sol.converged:
-        raise RuntimeError(f"Riccati iteration did not converge in {max_iter} iterations")
+        raise RuntimeError(f"Riccati iteration did not converge in {sol.iterations} iterations")
     if not sol.rho_L < 1.0:
         raise RuntimeError(f"closed loop is not contractive: rho(A + BK) = {sol.rho_L:.6g}")
     return sol
@@ -265,7 +244,7 @@ def _deflate_marginal_modes(A: FloatArray):
     """Orthonormal basis of the invariant subspace of the modes outside the band
     | |eig| - 1 | < MARGINAL_BAND.
 
-    Returns (U1, T11) from an ordered real Schur form, or None when no mode
+    Returns (U1, T11) from an ordered real Schur form, or (I, A) when no mode
     falls in the band.
     """
     import scipy.linalg
@@ -274,7 +253,7 @@ def _deflate_marginal_modes(A: FloatArray):
         A, output="real", sort=lambda re, im: abs(np.hypot(re, im) - 1.0) >= MARGINAL_BAND
     )
     if sdim == A.shape[0]:
-        return None
+        return np.eye(sdim), A
     return Z[:, :sdim], T[:sdim, :sdim]
 
 
@@ -295,24 +274,20 @@ def solve_model_dare(
     | |eig(A_r)| - 1 | < ``MARGINAL_BAND`` are split off by an ordered real
     Schur form, and the iteration runs on the invariant subspace of the rest to
     its stopping rule.  A mode outside the band, unstable or not, is
-    synthesized.  The solution's ``basis`` is then the Schur basis U1 of the
-    kept modes, P_m = U1 P_s U1' and K_m = K_s U1'; with no mode in the band
-    the iteration runs on (A_r, B_r) itself.  Reaching ``MAX_ITERATIONS``
-    returns that iterate with ``converged=False``; an iterate that overflows
-    raises RuntimeError.
+    synthesized.  The solution's ``basis`` is the Schur basis U1 of the kept
+    modes, P_m = U1 P_s U1' and K_m = K_s U1'; with no mode in the band U1 is
+    I_r and the iteration runs on (A_r, B_r) itself, to the same bits.
+    Reaching ``MAX_ITERATIONS`` returns that iterate with ``converged=False``;
+    an iterate that overflows raises RuntimeError.
     """
     if weights is None:
         if Qprime is None or R is None:
             raise ValueError("provide either weights or both Qprime and R")
         weights = build_weights(model, Qprime, R)
     A, B = model.A_r, model.B_r
-    deflation = _deflate_marginal_modes(A)
-    if deflation is None:
-        red = _riccati_core(A, B, weights, MAX_ITERATIONS)
-        return replace(red, rho_L_full=red.rho_L)
-    U1, T11 = deflation
+    U1, T11 = _deflate_marginal_modes(A)
     Q_s = U1.T @ weights.Q_m @ U1
-    red = _riccati_core(T11, U1.T @ B, LqrWeights(Q_s, weights.R), MAX_ITERATIONS)
+    red = _riccati_core(T11, U1.T @ B, LqrWeights(Q_s, weights.R))
     P = U1 @ red.P_m @ U1.T
     K = red.K_m @ U1.T
     L = A + B @ K

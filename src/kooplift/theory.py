@@ -428,12 +428,6 @@ class ExactModelNorms:
         return 1.0 + max(self.A, self.B, self.P, self.K)
 
 
-def _synthesis_basis(model: KoopmanModel, sol: RiccatiSolution) -> FloatArray:
-    """Orthonormal basis, in the model's coordinates, of the subspace ``sol``
-    was synthesized on: the deflation's Schur basis, or I_r."""
-    return sol.basis if sol.basis is not None else np.eye(model.r)
-
-
 def exact_model_norms(
     G_exact: RkhsOperator,
     exact_model: KoopmanModel,
@@ -445,8 +439,10 @@ def exact_model_norms(
     The exact model's output landmarks must be G's output anchors, as they are
     for a model fitted on the full paired training set (``ValueError``
     otherwise): G, its blocks A and B, P, K and the closed loop then all read
-    the basis columns of G's output anchors Y and input anchors X.  Raises
-    TypeError for a thin-plate model.
+    the basis columns of G's output anchors Y and input anchors X.
+    ``exact_sol`` is the model's ``solve_model_dare`` solution, whose
+    ``basis`` spans the synthesized subspace.  Raises TypeError for a
+    thin-plate model.
     """
     if not isinstance(exact_model.lifting, NystromLift):
         raise TypeError("the exact model's norms need a kernel-lift model")
@@ -461,9 +457,9 @@ def exact_model_norms(
     # landmarks and feeds G's control block
     C_L = C[:, :r_x] + (basis.columns(out) @ (G_exact.core[:, G_exact.p :] @ exact_sol.K_m)) @ Wt
     # transient growth and sigma_min are taken on the synthesized subsystem:
-    # after a deflation its basis spans an A_r-invariant subspace, so this
-    # block is exactly the closed loop the gain was designed for
-    V = _synthesis_basis(exact_model, exact_sol)
+    # its basis spans an A_r-invariant subspace, so this block is exactly the
+    # closed loop the gain was designed for
+    V = exact_sol.basis
     L_red = V.T @ exact_sol.L_m @ V
     P_red = V.T @ exact_sol.P_m @ V
     sigma_min_P = float(np.min(np.linalg.eigvalsh(0.5 * (P_red + P_red.T))))
@@ -606,7 +602,7 @@ def _trajectory_gramian(L: FloatArray, z0: FloatArray) -> FloatArray:
     """
     s = float(z0 @ z0)
     weights = LqrWeights(np.outer(z0, z0) / s, np.eye(1))
-    return s * solve_dare(L.T, np.zeros((len(L), 1)), weights, max_iter=2_000_000).P_m
+    return s * solve_dare(L.T, np.zeros((len(L), 1)), weights).P_m
 
 
 def objective_reference(
@@ -615,10 +611,11 @@ def objective_reference(
     """The exact surrogate's regulator and its cost from the embedding of ``x0``.
 
     Costs are taken on the synthesized (invariant) subspace of the exact
-    surrogate, the system both gains are designed against.
+    surrogate, the system both gains are designed against: the span of the
+    ``basis`` of ``exact_sol``, the model's ``solve_model_dare`` solution.
     """
     R = np.atleast_2d(np.asarray(R, dtype=float))
-    V = _synthesis_basis(exact_model, exact_sol)
+    V = exact_sol.basis
     A = V.T @ exact_model.A_r @ V
     B = V.T @ exact_model.B_r
     Q = V.T @ Q_exact @ V

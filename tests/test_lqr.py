@@ -175,21 +175,26 @@ def test_nonconvergence_raises():
     A = np.diag([1.0, 0.5])
     B = np.array([[0.0], [1.0]])
     with pytest.raises(RuntimeError):
-        solve_dare(A, B, LqrWeights(np.eye(2), np.eye(1)), max_iter=2000)
+        solve_dare(A, B, LqrWeights(np.eye(2), np.eye(1)))
 
 
 def test_model_dare_matches_plain_solve_on_full_rank_model():
+    # no mode within the band: the basis is I_r and the synthesis is, bit for
+    # bit, the strict solver's on (A_r, B_r)
     rng = np.random.default_rng(5)
     X = rng.uniform(-1, 1, size=(40, 1))
     U = rng.uniform(-1, 1, size=(40, 1))
     ds = Dataset(X, U, 0.5 * X + 0.2 * U)
     model = fit(ds, NystromLift(M52, sample_landmarks(ds, 8, LandmarkStrategy.SharedUniform, seed=1)), gamma=1e-3)
+    assert np.all(np.abs(np.abs(np.linalg.eigvals(model.A_r)) - 1.0) >= lqr.MARGINAL_BAND)
     weights = build_weights(model, np.eye(1), np.eye(1))
     direct = solve_dare(model.A_r, model.B_r, weights)
     via_model = solve_model_dare(model, np.eye(1), np.eye(1))
-    np.testing.assert_allclose(via_model.P_m, direct.P_m, atol=1e-8 * (1 + np.linalg.norm(direct.P_m, 2)))
-    np.testing.assert_allclose(via_model.K_m, direct.K_m, atol=1e-8)
-    assert via_model.converged
+    assert via_model.converged and via_model.deflated == 0
+    assert np.array_equal(via_model.basis, np.eye(model.r))
+    np.testing.assert_array_equal(via_model.P_m, direct.P_m)
+    np.testing.assert_array_equal(via_model.K_m, direct.K_m)
+    assert via_model.rho_L_full == via_model.rho_L == direct.rho_L
 
 
 def test_model_dare_horizon_cap_flags_nonconvergence(monkeypatch):
@@ -240,17 +245,19 @@ def marginal_cubic_model():
 
 def restricted_problem(model, sol):
     """The problem ``sol`` was synthesized on, (A_r, B_r, Q_r, R) restricted to
-    the deflation's basis V when there is one, and P_m read on the same basis."""
-    V = np.eye(model.r) if sol.basis is None else sol.basis
+    its basis V, and P_m read on the same basis."""
+    V = sol.basis
     Q = V.T @ build_weights(model, np.eye(1), np.eye(1)).Q_m @ V
     return V.T @ model.A_r @ V, V.T @ model.B_r, 0.5 * (Q + Q.T), np.eye(1), V.T @ sol.P_m @ V
 
 
-@pytest.mark.parametrize("N", [1, 2, 3, 5, 100, 1000, 3001])
-def test_doubling_matches_value_iteration_at_capped_horizon(marginal_cubic_model, N):
-    # the core on the whole lift, marginal modes included, so no N is reached early
+@pytest.mark.parametrize("N", [1, 3, 7, 127, 1023, 4095])
+def test_doubling_matches_value_iteration_at_capped_horizon(marginal_cubic_model, monkeypatch, N):
+    # the core on the whole lift, marginal modes included, so no guard
+    # N = 2^j - 1 is reached early
+    monkeypatch.setattr(lqr, "MAX_ITERATIONS", N)
     model = marginal_cubic_model
-    sol = _riccati_core(model.A_r, model.B_r, build_weights(model, np.eye(1), np.eye(1)), N)
+    sol = _riccati_core(model.A_r, model.B_r, build_weights(model, np.eye(1), np.eye(1)))
     A, B, Q, R, P_solver = restricted_problem(model, sol)
     P_oracle = value_iteration_oracle(A, B, Q, R, horizon=N)
     assert np.linalg.norm(P_solver - P_oracle, 2) <= 1e-10 * np.linalg.norm(P_oracle, 2)
@@ -284,7 +291,7 @@ def test_overflowing_iterate_raises_in_solve_model_dare(marginal_cubic_model):
     model = copy.deepcopy(marginal_cubic_model)
     model.A_r = 1.5 * model.A_r
     model.B_r = np.zeros_like(model.B_r)
-    with pytest.raises(RuntimeError, match=rf"not finite beyond iteration \d+ \(horizon {lqr.MAX_ITERATIONS}\)"):
+    with pytest.raises(RuntimeError, match=rf"not finite beyond iteration \d+ \(guard {lqr.MAX_ITERATIONS}\)"):
         solve_model_dare(model, np.eye(1), np.eye(1))
 
 
@@ -294,4 +301,6 @@ def test_band_keeps_an_unstable_mode_outside_it():
     assert U1.shape == (3, 2)
     np.testing.assert_allclose(np.sort(np.linalg.eigvals(T11).real), [0.5, 1.0005], rtol=0, atol=1e-15)
     np.testing.assert_allclose(np.abs(U1[0]), 0.0, atol=1e-15)
-    assert _deflate_marginal_modes(np.diag([1.0 + 2 * lqr.MARGINAL_BAND, 0.5])) is None
+    A = np.diag([1.0 + 2 * lqr.MARGINAL_BAND, 0.5])
+    U1, T11 = _deflate_marginal_modes(A)
+    assert np.array_equal(U1, np.eye(2)) and T11 is A
