@@ -30,6 +30,7 @@ from .data import (
     Trajectory,
     build_pairs,
     cross_validate,
+    fmt17,
     load_trajectories,
     sample_landmarks,
     save_trajectories,
@@ -56,10 +57,6 @@ from .simulate import (
 __all__ = ["main"]
 
 
-def _fmt17(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def _json17(obj, indent: int = 0) -> str:
     """JSON text with floats at 17 significant digits (lossless round-trip)."""
     pad = " " * indent
@@ -79,7 +76,7 @@ def _json17(obj, indent: int = 0) -> str:
         v = float(obj)
         if v != v or v in (float("inf"), float("-inf")):
             return pad + json.dumps(str(v))
-        return pad + _fmt17(v)
+        return pad + fmt17(v)
     if obj is None:
         return pad + "null"
     return pad + json.dumps(obj)
@@ -105,6 +102,13 @@ def _load_config(args) -> dict:
     if args.seed is not None:
         cfg["seed"] = args.seed
     return cfg
+
+
+def _required(cfg: dict, key: str):
+    """cfg[key]; a missing key raises ValueError naming it."""
+    if key not in cfg:
+        raise ValueError(f"config key {key!r} is required")
+    return cfg[key]
 
 
 def _system(cfg: dict):
@@ -149,7 +153,7 @@ def _kernel(cfg: dict) -> KernelSpec:
 
 
 def _load_dataset(cfg: dict):
-    path = Path(cfg["data.path"])
+    path = Path(_required(cfg, "data.path"))
     if path.is_dir():
         files = sorted(path.glob("*.csv"))
     elif path.exists():
@@ -243,7 +247,7 @@ def cmd_fit(cfg: dict, out: Path) -> int:
 
 def cmd_control(cfg: dict, out: Path) -> int:
     sys_ = _system(cfg)
-    model = load_model(cfg["model.path"])
+    model = load_model(_required(cfg, "model.path"))
     qscale = float(cfg.get("lqr.qprime", 1.0))
     rscale = float(cfg.get("lqr.r", 1.0))
     Qprime = qscale * np.eye(sys_.d)
@@ -286,13 +290,13 @@ def cmd_control(cfg: dict, out: Path) -> int:
         else 0.0,
     }
     _write_json(out / "metrics.json", metrics)
-    print(f"cost={_fmt17(res.total_cost)} diverged={res.diverged}")
+    print(f"cost={fmt17(res.total_cost)} diverged={res.diverged}")
     return 0
 
 
 def cmd_forecast(cfg: dict, out: Path) -> int:
     sys_ = _system(cfg)
-    model = load_model(cfg["model.path"])
+    model = load_model(_required(cfg, "model.path"))
     steps = int(cfg.get("forecast.steps", 200))
     law = _input_law(cfg, "forecast")
     rng = None
@@ -316,7 +320,7 @@ def cmd_forecast(cfg: dict, out: Path) -> int:
         "diverged": truth.diverged,
     }
     _write_json(out / "metrics.json", metrics)
-    print(f"rmse_pct={_fmt17(metrics['rmse_pct'])}")
+    print(f"rmse_pct={fmt17(metrics['rmse_pct'])}")
     return 0
 
 

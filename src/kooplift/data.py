@@ -207,7 +207,9 @@ def sample_landmarks(
 # ---------------------------------------------------------------------------
 
 
-def _fmt(x: float) -> str:
+def fmt17(x: float) -> str:
+    """``x`` with 17 significant digits: every output file's float format,
+    which round-trips a double losslessly."""
     return format(float(x), ".17g")
 
 
@@ -231,8 +233,8 @@ def save_trajectories(path, trajs: Sequence[Trajectory]) -> None:
                 raise ValueError("trajectories disagree on dimensions")
             T = len(tr.controls)
             for k, x in enumerate(tr.states):
-                row = [tr.traj_id, _fmt(k * tr.dt)] + [_fmt(v) for v in x]
-                row += [_fmt(v) for v in tr.controls[k]] if k < T else [""] * n_u
+                row = [tr.traj_id, fmt17(k * tr.dt)] + [fmt17(v) for v in x]
+                row += [fmt17(v) for v in tr.controls[k]] if k < T else [""] * n_u
                 writer.writerow(row)
 
 

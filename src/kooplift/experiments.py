@@ -31,7 +31,7 @@ from .identify import (
     forecast,
 )
 from .kernels import KernelFamily, KernelSpec, gram_factor
-from .lqr import LqrWeights, solve_model_dare
+from .lqr import LqrWeights, build_weights, solve_model_dare
 from .numerics import RankTolerance, one_blas_thread
 from .simulate import (
     CollectionProtocol,
@@ -427,8 +427,9 @@ def riccati_objective_sweep(
     G = theory.build_exact_operator(ds, MATERN_UNIT, gamma)
     basis = _sweep_basis(ds)
     exact_model = fit_factored(ds, basis.factor, gamma, gamma)  # fit_exact on the basis's factor
-    Q_exact = exact_model.C_r.T @ exact_model.C_r
-    exact_sol = solve_model_dare(exact_model, np.eye(ds.d), R)
+    weights = build_weights(exact_model, np.eye(ds.d), R)
+    Q_exact = weights.Q_m
+    exact_sol = solve_model_dare(exact_model, weights=weights)
     norms = theory.exact_model_norms(G, exact_model, exact_sol, basis)
     reference = theory.objective_reference(exact_model, exact_sol, Q_exact, R, np.array([x0]))
     row = _gap_study(ds, G, norms.G, basis, gamma, delta)

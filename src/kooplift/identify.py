@@ -54,9 +54,10 @@ summed over blocks of pairs, and a block of pairs i0..i1-1 evaluates the rows
 of its states D[i0:i1 + 1] against each point set P, with its inputs' features
 those of all but the last and its outputs' those of all but the first; the
 pairs that end a trajectory take theirs from the end states D[n:], evaluated
-once up front.  A block's last state is the next block's first (the last
-block's is D[n]), so it is evaluated twice: one extra row per block, 44 of
-the 70 200 rows of a Duffing Nystrom sweep.  One set of rows serves both
+once up front.  Every block holds ``_BLOCK_PAIRS`` pairs (1 024; the last
+block the rest), whatever the fit.  A block's last state is the next block's
+first (the last block's is D[n]), so it is evaluated twice: one extra row per
+block, 69 of the 70 200 rows of a Duffing sweep.  One set of rows serves both
 sides when the input and output points agree (shared landmarks, thin-plate
 centers), and a fit holds a block of rows, one block of G and the sums,
 O(block m + k^2) memory whatever n.  ``fit_nested`` fits several lifts whose points are row
@@ -68,22 +69,21 @@ data's rows once, and ``fit`` is its call on one lift:
     product set              one per lift                 one at the largest m
     F'F, F'Psi, Psi'Psi      Phi, Psi at r_in, r_out      leading m of each block
     Psi'Y                    Psi at r_out                 leading m rows
-    blocks of pairs          those of the widest lift     those of the largest m
 
 A Nystrom sweep keeps one product set per lift because E_in changes with m:
 reading a smaller fit from the largest one's raw kernel products squares the
 landmark Gram's condition number.  A thin-plate fit at m is the leading
-sub-blocks of the largest fit's products, and every row a block evaluates is
-the one K(D, P) or thin_plate(D, P) would hold (the tests check this bit for
-bit on the cubic and the Duffing data, d = 1 and 2; the ``kernels`` module
-docstring lists the shapes where it holds).  So ``fit`` and a thin-plate sweep
-sum the same products in the same order as when the rows were read from the
-whole matrix.  The lifts of a Nystrom sweep sum theirs over the blocks of the
-widest lift, not over their own, so each agrees with ``fit`` on its lift alone
-to the round-off of the other order: measured within 2.5e-13 relative on the
-Duffing data (m = 10 to 80) and 2.3e-11 on the cubic data (m = 10 to 100,
-landmark Grams of condition number up to 1e10), and within 2.5e-12 in the
-Duffing forecasts' RMSEs.
+sub-blocks of the largest fit's products.  Every row a block evaluates is the
+one K(D, P) or thin_plate(D, P) would hold, and its leading columns the row
+against the leading points (the tests check the rows bit for bit on the cubic
+and the Duffing data, d = 1 and 2, and every Nystrom lift of a sweep of each
+against ``fit``; the ``kernels`` module docstring lists the shapes where it
+holds).  So ``fit`` and every lift of a Nystrom sweep sum the same products
+over the same blocks in the same order: each Nystrom lift of a sweep is bit
+for bit ``fit`` on it alone.  A thin-plate fit read from the largest fit's
+sub-blocks agrees with ``fit`` on its centers alone to the round-off of the
+wider products it is read from: measured within 1.5e-10 relative on the cubic
+data (m = 10 to 100) and 1.7e-10 on the Duffing data (m = 10 to 80).
 
 Against the dense formulas in the coordinates of the m x m weight
 W = (K_out^+)^(1/2) = E_out V_r' (F'F, F'Z and Z'Z each taken over F and
@@ -328,14 +328,11 @@ def _state_rows(X: FloatArray, Y: FloatArray) -> tuple[FloatArray, NDArray[np.in
     return np.vstack([X, Y[~shared]]), iy
 
 
-# entries per block of [Phi_x | U | Psi_y | Y] in ``_cross_products``: a 2 MB
-# buffer.  It sets the blocks every fit sums its products over, and so the
-# fits' last bits.  With the rows evaluated inside the block, one Duffing
-# forecast seed's two sweeps (n = 70 000, m up to 80, one thread, 30 runs per
-# size) took 0.45, 0.43, 0.47, 0.50 and 0.58 s in the median at 2^16 to 2^20
-# entries, with overlapping quartiles from 2^16 to 2^19, and peaked at 3.7,
-# 5.0, 7.1, 11.8 and 21.1 MB traced
-_BLOCK_ENTRIES = 1 << 18
+# pairs per block of [Phi_x | U | Psi_y | Y] in ``_cross_products``, whatever
+# the fit's width: every fit sums its products over the same blocks, so each
+# lift of a nested sweep sums in the order ``fit`` on it alone does.  The size
+# sets every fit's last bits
+_BLOCK_PAIRS = 1024
 
 
 def _state_row_blocks(pairwise, D: FloatArray, point_sets: tuple):
@@ -365,13 +362,13 @@ def _cross_products(ds: Dataset, iy: NDArray[np.intp], rows, fits: list) -> list
     pair (inputs, outputs) of sides (j, cols, E): a side's features of D[a:b]
     are rows(a, b)[j][:, :cols] E (E None for no factor), Phi_x those of the
     rows :n and Psi_y those of the rows iy, and ``outputs`` None means the two
-    sides share their features.  G is summed over blocks of pairs and never
-    built whole, and every fit reads each block's rows: the blocks are those of
-    the widest fit.  Within a trajectory pair i's output is D[i + 1], so a
-    block of pairs reads the rows D[i0:i1 + 1], its inputs' features are those
-    of all but the last and its outputs' those of all but the first (one
-    feature product for both sides when they are shared); the pairs that end a
-    trajectory take theirs from the states after X, D[n:], read once up front.
+    sides share their features.  G is summed over blocks of ``_BLOCK_PAIRS``
+    pairs and never built whole, and every fit reads each block's rows.
+    Within a trajectory pair i's output is D[i + 1], so a block of pairs reads
+    the rows D[i0:i1 + 1], its inputs' features are those of all but the last
+    and its outputs' those of all but the first (one feature product for both
+    sides when they are shared); the pairs that end a trajectory take theirs
+    from the states after X, D[n:], read once up front.
     """
     n, n_u, d = ds.n, ds.n_u, ds.d
 
@@ -386,10 +383,9 @@ def _cross_products(ds: Dataset, iy: NDArray[np.intp], rows, fits: list) -> list
     r_ins = [inputs[1] if inputs[2] is None else inputs[2].shape[1] for inputs, _ in fits]
     ks = [r_in + n_u + ends_out.shape[1] + d for r_in, ends_out in zip(r_ins, psi_ends)]
     Gs = [np.zeros((k, k)) for k in ks]
-    step = max(1, _BLOCK_ENTRIES // max(ks))
-    buffer = np.empty(min(step, n) * max(ks))
-    for i0 in range(0, n, step):
-        i1 = min(i0 + step, n)
+    buffer = np.empty(min(_BLOCK_PAIRS, n) * max(ks))
+    for i0 in range(0, n, _BLOCK_PAIRS):
+        i1 = min(i0 + _BLOCK_PAIRS, n)
         R = rows(i0, i1 + 1)
         j0, j1 = np.searchsorted(ends, (i0, i1))
         for (inputs, outputs), r_in, ends_out, k, G in zip(fits, r_ins, psi_ends, ks, Gs):
@@ -471,9 +467,7 @@ def fit_nested(
     its own cross products from them, and thin-plate fits read the leading
     sub-blocks of the largest fit's.  A thin-plate model agrees with ``fit`` on
     its lift alone to the tolerance the module docstring states, and a kernel
-    model to the round-off of summing its products over the blocks of the
-    widest lift (measured within 2.3e-11 relative, see the module docstring);
-    the widest lift's model is bit for bit the one ``fit`` returns.  Raises
+    model is bit for bit the one ``fit`` returns on its lift.  Raises
     ``ValueError`` for lifts that are not nested or that mix kinds or kernels.
     """
     lam = _ridge_weights(gamma, lam)
@@ -617,6 +611,13 @@ def _rank_diagnostics(m_in: int, m_out: int, info_in: dict, info_out: dict) -> d
     }
 
 
+def _transport(kernel: KernelSpec, points_a, E_a: FloatArray, points_b, E_b: FloatArray) -> FloatArray:
+    """E_a' K(points_a, points_b) E_b, the map from the lifted coordinates of
+    the features at ``points_b`` (thin factor E_b) to those at ``points_a``: a
+    kernel fit's transport, and ``theory.transport_weights``'s between two models."""
+    return (E_a.T @ gram(kernel, points_a, points_b)) @ E_b
+
+
 def _nystrom_parts(lifting: NystromLift, lm_in: FloatArray, lm_out: FloatArray, shared: bool):
     """What a kernel fit takes from its deduplicated landmarks alone: the lift
     that keeps them, the thin factors E_out and E_in, the transport
@@ -630,7 +631,7 @@ def _nystrom_parts(lifting: NystromLift, lm_in: FloatArray, lm_out: FloatArray, 
         E_in, info_in, transport = E_out, info, None
     else:
         E_in, info_in = psd_pinv_sqrt_factor(gram(spec, lm_in))
-        transport = (E_in.T @ gram(spec, lm_in, lm_out)) @ E_out
+        transport = _transport(spec, lm_in, E_in, lm_out, E_out)
     diagnostics = _rank_diagnostics(len(lm_in), len(lm_out), info_in, info)
     lifting = NystromLift(spec, LandmarkSet(lm_in, lm_out, seed=lifting.landmarks.seed))
     return lifting, E_out, E_in, transport, diagnostics
@@ -686,13 +687,28 @@ def model_to_dict(model: KoopmanModel) -> dict:
     }
 
 
-def _json_array(doc: dict, key: str, shape: tuple) -> FloatArray:
+def _json_field(doc: dict, key: str, path: str = ""):
+    """doc[key]; a missing key raises ValueError naming it by its dotted path."""
+    if not isinstance(doc, dict) or key not in doc:
+        raise ValueError(f"model has no {path + key!r}")
+    return doc[key]
+
+
+def _json_number(doc: dict, key: str, path: str = "") -> float:
+    """doc[key] as a float; anything but a JSON number raises ValueError naming the key."""
+    value = _json_field(doc, key, path)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"model {path + key} must be a number, got {value!r}")
+    return float(value)
+
+
+def _json_array(doc: dict, key: str, shape: tuple, path: str = "") -> FloatArray:
     """doc[key] as a finite float array of ``shape`` (None matches any size)."""
-    a = np.array(doc[key], dtype=float)
+    a = np.array(_json_field(doc, key, path), dtype=float)
     if a.ndim != len(shape) or any(s is not None and s != k for s, k in zip(shape, a.shape)):
-        raise ValueError(f"model {key} has shape {a.shape}, expected {shape}")
+        raise ValueError(f"model {path + key} has shape {a.shape}, expected {shape}")
     if not np.all(np.isfinite(a)):
-        raise ValueError(f"model {key} has non-finite entries")
+        raise ValueError(f"model {path + key} has non-finite entries")
     return a
 
 
@@ -703,8 +719,11 @@ def model_from_dict(doc: dict) -> KoopmanModel:
     loaded model synthesizes the fitted gain bit for bit; it is checked, not
     recomputed: every entry of E_out' K_out E_out - I_r must lie within
     ``WHITENING_TOL`` (for a thin-plate lift E_out must be the m x m identity).  A
-    document without ``schema_version`` or with another version is refused.
+    document without ``schema_version`` or with another version is refused, and
+    a missing or mistyped key raises ValueError naming it.
     """
+    if not isinstance(doc, dict):
+        raise ValueError(f"model document must be a JSON object, got {type(doc).__name__}")
     version = doc.get("schema_version")
     if version != MODEL_SCHEMA_VERSION:
         raise ValueError(f"model schema_version is {version!r}, expected {MODEL_SCHEMA_VERSION}")
@@ -714,29 +733,32 @@ def model_from_dict(doc: dict) -> KoopmanModel:
     B_r = _json_array(doc, "B_r", (r, None))
     C_r = _json_array(doc, "C_r", (None, r))
     d = C_r.shape[0]
-    gamma, lam = float(doc["gamma"]), float(doc["lambda"])
+    gamma, lam = _json_number(doc, "gamma"), _json_number(doc, "lambda")
     if not all(math.isfinite(v) and v > 0 for v in (gamma, lam)):
         raise ValueError(f"model gamma and lambda must be finite and positive, got {gamma}, {lam}")
-    lift_doc = doc["lifting"]
-    if lift_doc["variant"] == "nystrom":
+    lift_doc = _json_field(doc, "lifting")
+    variant = _json_field(lift_doc, "variant", "lifting.")
+    if variant == "nystrom":
+        kernel_doc = _json_field(lift_doc, "kernel", "lifting.")
         spec = KernelSpec(
-            family=KernelFamily(lift_doc["kernel"]["family"]),
-            lengthscale=lift_doc["kernel"]["lengthscale"],
-            variance=lift_doc["kernel"]["variance"],
+            family=KernelFamily(_json_field(kernel_doc, "family", "lifting.kernel.")),
+            lengthscale=_json_number(kernel_doc, "lengthscale", "lifting.kernel."),
+            variance=_json_number(kernel_doc, "variance", "lifting.kernel."),
         )
-        lm_out = _json_array(lift_doc, "landmarks_out", (m, d))
-        lm_in = _json_array(lift_doc, "landmarks_in", (None, d))
-        lifting: LiftingSpec = NystromLift(
-            spec, LandmarkSet(lm_in, lm_out, seed=lift_doc.get("landmark_seed", 0))
-        )
+        lm_out = _json_array(lift_doc, "landmarks_out", (m, d), "lifting.")
+        lm_in = _json_array(lift_doc, "landmarks_in", (None, d), "lifting.")
+        seed = lift_doc.get("landmark_seed", 0)
+        if isinstance(seed, bool) or not isinstance(seed, int):
+            raise ValueError(f"model lifting.landmark_seed must be an integer, got {seed!r}")
+        lifting: LiftingSpec = NystromLift(spec, LandmarkSet(lm_in, lm_out, seed=seed))
         defect = E_out.T @ gram(spec, lm_out) @ E_out - np.eye(r)
-    elif lift_doc["variant"] == "thinplate":
-        lifting = ThinPlateLift(_json_array(lift_doc, "centers", (m, d)))
+    elif variant == "thinplate":
+        lifting = ThinPlateLift(_json_array(lift_doc, "centers", (m, d), "lifting."))
         if r != m:
             raise ValueError(f"model out_factor has shape {E_out.shape}, expected ({m}, {m}) for a thin-plate lift")
         defect = E_out - np.eye(m)
     else:
-        raise ValueError(f"unknown lifting variant {lift_doc['variant']!r}")
+        raise ValueError(f"unknown lifting variant {variant!r}")
     if defect.size and np.max(np.abs(defect)) > WHITENING_TOL:
         raise ValueError(
             f"model out_factor does not whiten the landmark features: max |E'KE - I| = {np.max(np.abs(defect)):.2e}"

@@ -177,10 +177,8 @@ def _riccati_core(A, B, weights: LqrWeights) -> RiccatiSolution:
             )
         stages *= 2
     P = seg[2]
-    BtP = B.T @ P
-    gain_part, jitter = solve_psd(R + BtP @ B, BtP @ A)
+    K, _, jitter = _greedy_gain(P, A, B, R)
     jitters.append(jitter)
-    K = -gain_part
     L = A + B @ K
     return RiccatiSolution(
         P_m=P,
@@ -216,6 +214,15 @@ def solve_dare(A, B, weights: LqrWeights) -> RiccatiSolution:
     if not sol.rho_L < 1.0:
         raise RuntimeError(f"closed loop is not contractive: rho(A + BK) = {sol.rho_L:.6g}")
     return sol
+
+
+def _greedy_gain(P, A, B, R) -> tuple[FloatArray, FloatArray, bool]:
+    """The gain K = -M^(-1) B'PA of the value iterate P with M = R + B'PB, and
+    the jitter flag of its solve: (K, M, jitter)."""
+    BtP = B.T @ P
+    M = R + BtP @ B
+    gain_part, jitter = solve_psd(M, BtP @ A)
+    return -gain_part, M, jitter
 
 
 def _dare_defect(P, A, B, weights: LqrWeights) -> tuple[FloatArray, bool]:

@@ -22,11 +22,16 @@ r x (r + n_u), and the gap of two operators is sigma_max(C_A - C_B) with both
 factors read from the same bases.  Each weight multiplies whitened columns
 first: the R @ weight factors are contractions, so differences of nearly equal
 operators keep full relative precision instead of being squared away.  The
-Riccati solutions, the gain and the closed loop are read from the models'
-whitened embeddings W = R_out E_out: the solution P_r (r x r, in the model's
-coordinates) is the form (W P_r) W', the gain K W' and the closed loop G's
-state block plus (R_out G_u K) W'.  The weight transport from one model's
-coordinates to another's is E_a' K(out_a, out_b) E_b, r_a x r_b.
+Riccati solution P_r of a model (r x r, in its coordinates) is an operator of
+the same form, the core P_r read at the model's output landmarks with
+out_weight E_out and in_weight E_out', and the closed loop A + B K of the
+exact surrogate is G's state block plus the feedback operator with core G_u K
+and in_weight E_out' there.  So ||P||, ||A + B K|| and the Riccati gap are
+read from whitened factors like every other norm; only the gain, whose range
+is the controls, is read as the matrix K (R_out E_out)'.  The weight transport
+from one model's coordinates to another's is E_a' K(out_a, out_b) E_b,
+r_a x r_b, the map ``identify`` also forms between a lift's input and output
+landmarks.
 
 Every factor is read from an ``AnchorBasis``: one thin square-root factor of
 the Gram of a point set's distinct rows, from which any anchor set among those
@@ -82,10 +87,10 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .data import Dataset, LandmarkSet
-from .identify import KoopmanModel, NystromLift
+from .data import Dataset, LandmarkSet, fmt17
+from .identify import KoopmanModel, NystromLift, _transport
 from .kernels import KernelSpec, gram, gram_factor
-from .lqr import LqrWeights, RiccatiSolution, _dare_defect, solve_dare
+from .lqr import LqrWeights, RiccatiSolution, _dare_defect, _greedy_gain, solve_dare
 from .numerics import RankTolerance, psd_pinv_sqrt_factor, solve_psd, spectral_radius, tau
 
 FloatArray = NDArray[np.float64]
@@ -124,13 +129,13 @@ class RkhsOperator:
 
     The weights may be thin: ``out_weight`` is (q, a) and ``in_weight`` (b, p),
     so the core is (a, b + n_u); a weight of None is the identity (a = q,
-    b = p).
+    b = p).  An operator that ignores the state has a zero state block.
     """
 
     kernel: KernelSpec
     out_anchors: FloatArray  # (q, d)
-    core: FloatArray  # (a, b + n_u) if control block else (a, b)
-    in_anchors: FloatArray | None = None  # (p, d); None means p = 0
+    core: FloatArray  # (a, b + n_u)
+    in_anchors: FloatArray  # (p, d)
     out_weight: FloatArray | None = None  # (q, a); None means identity
     in_weight: FloatArray | None = None  # (b, p); None means identity
     n_u: int = 0
@@ -138,8 +143,7 @@ class RkhsOperator:
     def __post_init__(self) -> None:
         self.out_anchors = np.atleast_2d(np.asarray(self.out_anchors, dtype=float))
         self.core = np.atleast_2d(np.asarray(self.core, dtype=float))
-        if self.in_anchors is not None:
-            self.in_anchors = np.atleast_2d(np.asarray(self.in_anchors, dtype=float))
+        self.in_anchors = np.atleast_2d(np.asarray(self.in_anchors, dtype=float))
         if not np.all(np.isfinite(self.core)):
             raise ValueError("core coefficients contain non-finite entries")
         a = self.q if self.out_weight is None else self.out_weight.shape[1]
@@ -151,7 +155,7 @@ class RkhsOperator:
 
     @property
     def p(self) -> int:
-        return 0 if self.in_anchors is None else len(self.in_anchors)
+        return len(self.in_anchors)
 
     @property
     def q(self) -> int:
@@ -219,46 +223,31 @@ def _anchor_basis(tol: AnchorBasis | RankTolerance, kernel: KernelSpec, blocks) 
     return AnchorBasis(kernel, np.vstack(blocks), tol)
 
 
-def _bases(ops: list[RkhsOperator], tol: AnchorBasis | RankTolerance) -> tuple[AnchorBasis, AnchorBasis | None]:
+def _bases(ops: list[RkhsOperator], tol: AnchorBasis | RankTolerance) -> tuple[AnchorBasis, AnchorBasis]:
     """The output and input bases the norms of ``ops`` read their anchors from.
 
     Given a tolerance, the stacked output anchors and the stacked input
     anchors are each whitened on their own, once if every operator reads its
-    input at its own output anchors; no input anchors give no input basis.
+    input at its own output anchors.
     """
     kernel = ops[0].kernel
     out_basis = _anchor_basis(tol, kernel, [op.out_anchors for op in ops])
     if all(op.in_anchors is op.out_anchors for op in ops):
         return out_basis, out_basis
-    in_blocks = [op.in_anchors for op in ops if op.p]
-    return out_basis, _anchor_basis(tol, kernel, in_blocks) if in_blocks else None
+    return out_basis, _anchor_basis(tol, kernel, [op.in_anchors for op in ops])
 
 
-def _whitened(op: RkhsOperator, out_basis: AnchorBasis, in_basis: AnchorBasis | None) -> FloatArray:
+def _whitened(op: RkhsOperator, out_basis: AnchorBasis, in_basis: AnchorBasis) -> FloatArray:
     """The factor C = [(R_out W_out) core_x (W_in R_in') | (R_out W_out) core_u]
-    with ||op||_op = sigma_max(C), its anchors read as basis columns.
-
-    An operator without input anchors has a zero state block, as wide as the
-    input basis.
-    """
-    W_out = out_basis.columns(op.out_anchors)
-    if op.out_weight is not None:
-        W_out = W_out @ op.out_weight
-    if op.p:
-        W_in = in_basis.columns(op.in_anchors).T
-        if op.in_weight is not None:
-            W_in = op.in_weight @ W_in
-        state = (W_out @ op.core[:, : op.b]) @ W_in
-    else:
-        state = np.zeros((len(W_out), 0 if in_basis is None else in_basis.rank))
-    return np.hstack([state, W_out @ op.core[:, op.b :]])
-
-
-def _whitened_embedding(model: KoopmanModel, basis: AnchorBasis) -> tuple[FloatArray, FloatArray]:
-    """W = R_out E_out at the model's output landmarks, and W' taken as E_out' R_out'."""
-    R = basis.columns(model.lifting.landmarks.outputs)
-    E = model.out_factor
-    return R @ E, E.T @ R.T
+    with ||op||_op = sigma_max(C), its anchors read as basis columns (once, for
+    an operator that reads its input at its output anchors in one basis)."""
+    R_out = out_basis.columns(op.out_anchors)
+    same = in_basis is out_basis and op.in_anchors is op.out_anchors
+    W_out = R_out if op.out_weight is None else R_out @ op.out_weight
+    W_in = (R_out if same else in_basis.columns(op.in_anchors)).T
+    if op.in_weight is not None:
+        W_in = op.in_weight @ W_in
+    return np.hstack([(W_out @ op.core[:, : op.b]) @ W_in, W_out @ op.core[:, op.b :]])
 
 
 def operator_gap_norm(
@@ -327,6 +316,13 @@ def build_nystrom_operator(model: KoopmanModel) -> RkhsOperator:
         in_weight=model._in_factor.T,
         n_u=model.n_u,
     )
+
+
+def _riccati_form(model: KoopmanModel, P: FloatArray) -> RkhsOperator:
+    """The quadratic form P on the model's lifted coordinates, F E_out P E_out' F^*:
+    the core P read at the model's output landmarks through E_out on both sides."""
+    out, E = model.lifting.landmarks.outputs, model.out_factor
+    return RkhsOperator(model.lifting.kernel, out, P, out, out_weight=E, in_weight=E.T)
 
 
 # ---------------------------------------------------------------------------
@@ -400,9 +396,8 @@ def transport_weights(exact_model: KoopmanModel, Q_exact: FloatArray, ny_model: 
     """
     if not isinstance(exact_model.lifting, NystromLift) or not isinstance(ny_model.lifting, NystromLift):
         raise TypeError("weight transport requires kernel lifts on both sides")
-    kernel = exact_model.lifting.kernel
-    cross = gram(kernel, exact_model.lifting.landmarks.outputs, ny_model.lifting.landmarks.outputs)
-    T = exact_model.out_factor.T @ cross @ ny_model.out_factor
+    outs = [model.lifting.landmarks.outputs for model in (exact_model, ny_model)]
+    T = _transport(exact_model.lifting.kernel, outs[0], exact_model.out_factor, outs[1], ny_model.out_factor)
     Q = T.T @ Q_exact @ T
     return 0.5 * (Q + Q.T), T
 
@@ -452,10 +447,10 @@ def exact_model_norms(
     basis = _anchor_basis(tol, G_exact.kernel, [out, G_exact.in_anchors])
     C = _whitened(G_exact, basis, basis)
     r_x = basis.rank
-    W, Wt = _whitened_embedding(exact_model, basis)
     # closed loop A + B K: the gain reads the state at the model's output
-    # landmarks and feeds G's control block
-    C_L = C[:, :r_x] + (basis.columns(out) @ (G_exact.core[:, G_exact.p :] @ exact_sol.K_m)) @ Wt
+    # landmarks and feeds G's control block, the operator F G_u K E_out' F^*
+    E = exact_model.out_factor
+    feedback = RkhsOperator(G_exact.kernel, out, G_exact.core[:, G_exact.b :] @ exact_sol.K_m, out, in_weight=E.T)
     # transient growth and sigma_min are taken on the synthesized subsystem:
     # its basis spans an A_r-invariant subspace, so this block is exactly the
     # closed loop the gain was designed for
@@ -470,9 +465,9 @@ def exact_model_norms(
         G=_factor_norm(C),
         A=_factor_norm(C[:, :r_x]),
         B=_factor_norm(C[:, r_x:]),
-        P=_factor_norm((W @ exact_sol.P_m) @ Wt),
-        K=_factor_norm(exact_sol.K_m @ W.T),
-        L=_factor_norm(C_L),
+        P=_factor_norm(_whitened(_riccati_form(exact_model, exact_sol.P_m), basis, basis)),
+        K=_factor_norm(exact_sol.K_m @ (basis.columns(out) @ E).T),
+        L=_factor_norm(C[:, :r_x] + _whitened(feedback, basis, basis)),
         sigma_min_P=sigma_min_P,
         rho_L=rho,
         zeta=zeta,
@@ -540,19 +535,15 @@ def riccati_gap(
 ) -> float:
     """Operator-norm gap between the two Riccati solutions on the lifted space.
 
-    Each solution is the form (W P) W' on its model's whitened embedding W.
-    Both models must lift with the same kernel (``ValueError`` otherwise), and
-    a thin-plate model raises TypeError.
+    Each solution P_m is its model's Riccati form F E_out P_m E_out' F^*, and
+    the gap is their ``operator_gap_norm``.  Both models must lift with the
+    same kernel (``ValueError`` otherwise), and a thin-plate model raises
+    TypeError.
     """
     if not isinstance(exact_model.lifting, NystromLift) or not isinstance(ny_model.lifting, NystromLift):
         raise TypeError("the Riccati gap requires kernel lifts on both sides")
-    outs = [model.lifting.landmarks.outputs for model in (exact_model, ny_model)]
-    kernel = exact_model.lifting.kernel
-    if ny_model.lifting.kernel != kernel:
-        raise ValueError("operators use different kernels")
-    basis = _anchor_basis(tol, kernel, outs)
-    (W_ex, Wt_ex), (W_ny, Wt_ny) = (_whitened_embedding(model, basis) for model in (exact_model, ny_model))
-    return _factor_norm((W_ex @ exact_sol.P_m) @ Wt_ex - (W_ny @ ny_sol.P_m) @ Wt_ny)
+    forms = _riccati_form(exact_model, exact_sol.P_m), _riccati_form(ny_model, ny_sol.P_m)
+    return operator_gap_norm(*forms, tol)
 
 
 @dataclass(frozen=True)
@@ -621,9 +612,7 @@ def objective_reference(
     Q = V.T @ Q_exact @ V
     P = V.T @ exact_sol.P_m @ V
     P = 0.5 * (P + P.T)
-    BtP = B.T @ P
-    M = R + BtP @ B
-    K = -solve_psd(M, BtP @ A)[0]
+    K, M, _ = _greedy_gain(P, A, B, R)
     D = -_dare_defect(P, A, B, LqrWeights(Q, R))[0]
     z0 = V.T @ exact_model.embed_states(np.atleast_2d(np.asarray(x0, dtype=float)))[:, 0]
     Y = _trajectory_gramian(A + B @ K, z0)
@@ -716,4 +705,4 @@ def write_bound_reports(path, rows: list[BoundReport]) -> None:
         writer.writerow(BOUND_REPORT_FIELDS)
         for row in rows:
             values = (getattr(row, f) for f in BOUND_REPORT_FIELDS)
-            writer.writerow([format(v, ".17g") if isinstance(v, float) else v for v in values])
+            writer.writerow([fmt17(v) if isinstance(v, float) else v for v in values])

@@ -196,6 +196,13 @@ def test_unknown_system_errors(tmp_path):
     assert main(["collect", "--config", cfg, "--out", str(tmp_path / "x")]) == 1
 
 
+@pytest.mark.parametrize(("command", "key"), [("fit", "data.path"), ("control", "model.path"), ("forecast", "model.path")])
+def test_missing_input_path_is_named(tmp_path, capsys, command, key):
+    cfg = write_config(tmp_path / "c.json", {})
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "x")]) == 1
+    assert f"config key '{key}' is required" in capsys.readouterr().err
+
+
 def test_json17_round_trip(tmp_path):
     from kooplift.cli import _json17
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -480,6 +482,67 @@ def test_model_from_dict_rejects(linear_model, corrupt, match):
         model_from_dict(doc)
 
 
+def _drop(path):
+    """A corruption of a model document: delete doc[path]."""
+
+    def corrupt(doc):
+        *outer, key = path
+        for k in outer:
+            doc = doc[k]
+        del doc[key]
+
+    return corrupt
+
+
+@pytest.mark.parametrize(
+    "corrupt, match",
+    [
+        *(
+            pytest.param(_drop(path), f"model has no '{'.'.join(path)}'", id="no-" + ".".join(path))
+            for path in (
+                ["gamma"],
+                ["lambda"],
+                ["A_r"],
+                ["B_r"],
+                ["C_r"],
+                ["out_factor"],
+                ["lifting"],
+                ["lifting", "variant"],
+                ["lifting", "kernel"],
+                ["lifting", "kernel", "family"],
+                ["lifting", "kernel", "lengthscale"],
+                ["lifting", "kernel", "variance"],
+                ["lifting", "landmarks_in"],
+                ["lifting", "landmarks_out"],
+            )
+        ),
+        pytest.param(_edit(["gamma"], lambda g: "1e-8"), "gamma must be a number", id="string-gamma"),
+        pytest.param(
+            _edit(["lifting", "kernel", "lengthscale"], lambda v: "1.0"),
+            "lifting.kernel.lengthscale must be a number",
+            id="string-lengthscale",
+        ),
+        pytest.param(
+            _edit(["lifting", "landmark_seed"], lambda v: "0"),
+            "lifting.landmark_seed must be an integer",
+            id="string-landmark-seed",
+        ),
+    ],
+)
+def test_model_from_dict_names_missing_and_mistyped_keys(linear_model, corrupt, match):
+    # a loader error names the key, so the CLI prints more than "error: 'gamma'"
+    _, model = linear_model
+    doc = model_to_dict(model)
+    corrupt(doc)
+    with pytest.raises(ValueError, match=re.escape(match)):
+        model_from_dict(doc)
+
+
+def test_model_from_dict_refuses_a_document_that_is_not_an_object():
+    with pytest.raises(ValueError, match="must be a JSON object, got list"):
+        model_from_dict([])
+
+
 def test_model_from_dict_rejects_thinplate_center_count():
     ds = scalar_dataset(lambda x, u: 0.5 * x + 0.25 * u, n=40, seed=15)
     doc = model_to_dict(fit(ds, ThinPlateLift(np.linspace(-1.0, 1.0, 6)[:, None]), gamma=1e-6))
@@ -716,7 +779,7 @@ def test_shared_landmark_fit_builds_one_gram_and_one_pass(monkeypatch, planar_pa
         return gram(spec, A, B)
 
     monkeypatch.setattr(identify, "gram", counting_gram)
-    monkeypatch.setattr(identify, "_BLOCK_ENTRIES", 5_000)  # blocks of at most 79 of the 600 pairs
+    monkeypatch.setattr(identify, "_BLOCK_PAIRS", 79)  # blocks of 79 of the 600 pairs
     for strategy, grams_per_lift in ((LandmarkStrategy.SharedUniform, 1), (LandmarkStrategy.IndependentUniform, 3)):
         lifts = [NystromLift(M52, sample_landmarks(ds, m, strategy, seed=0)) for m in (10, 30)]
         for sweep in (lifts[1:], lifts):
@@ -789,6 +852,26 @@ def test_fit_nested_matches_separate_fits_nystrom(planar_pairs, strategy):
     models = fit_nested(ds, lifts, gamma=1e-6, lam=1e-5)
     for model, lifting in zip(models, lifts):
         assert_models_close(model, fit(ds, lifting, gamma=1e-6, lam=1e-5))
+
+
+@pytest.mark.parametrize("data", ["cubic", "duffing"])
+def test_fit_nested_nystrom_lifts_are_fit_bit_for_bit(data):
+    # every fit sums its products over the same blocks of pairs, whatever its
+    # width, from the leading columns of the same rows, so each Nystrom lift
+    # of a sweep is the model ``fit`` returns on it alone, bit for bit, with
+    # shared and with independent landmarks (the cubic data take 4 blocks, the
+    # Duffing data 69)
+    from kooplift.experiments import MATERN_UNIT, cubic_training_data, duffing_training_data
+
+    ds = (cubic_training_data if data == "cubic" else duffing_training_data)(seed=0)[1]
+    ms = (10, 20, 50, 100) if data == "cubic" else (10, 20, 40, 80)
+    for strategy in (LandmarkStrategy.SharedUniform, LandmarkStrategy.IndependentUniform):
+        lifts = [NystromLift(MATERN_UNIT, sample_landmarks(ds, m, strategy, seed=1)) for m in ms]
+        for model, lifting in zip(fit_nested(ds, lifts, gamma=1e-6), lifts):
+            alone = fit(ds, lifting, gamma=1e-6)
+            for name in ("A_r", "B_r", "C_r", "out_factor", "_coef", "_in_factor"):
+                assert_same_bits(getattr(model, name), getattr(alone, name))
+            assert model.diagnostics == alone.diagnostics
 
 
 def test_fit_nested_matches_separate_fits_thinplate(planar_pairs):
@@ -866,13 +949,13 @@ def _nested_fit_peak(data, case):
 @pytest.mark.parametrize("case", ["shared", "independent", "thinplate"])
 def test_fit_nested_peak_memory_stays_near_its_feature_passes(case):
     # the fit reads the data's rows a block at a time and builds no pass: its
-    # traced peak is the block buffers (a 2 MB block of G, the block's rows,
+    # traced peak is the block buffers (1 024 rows of G, the block's rows,
     # features and products) and the summed products.  At the cubic data's
     # 4 020 states and m = 200 a pass (6.4 MB) is about the size of those
     # buffers, so this size cannot tell the two apart and keeps the bound of
-    # passes + 1 units: measured 1.44 (shared), 2.10 (independent) and 0.93
-    # (thin-plate), where fits that held their passes peaked at 1.60, 2.73
-    # and 1.74
+    # passes + 1 units: measured 0.63 (shared), 0.93 (independent) and 1.21
+    # (thin-plate, whose 402 columns of G make the widest block), where fits
+    # that held their passes peaked at 1.60, 2.73 and 1.74
     peak, passes = _nested_fit_peak("cubic", case)
     assert peak <= passes + 1, peak
 
@@ -880,8 +963,8 @@ def test_fit_nested_peak_memory_stays_near_its_feature_passes(case):
 @pytest.mark.parametrize("case", ["shared", "independent", "thinplate"])
 def test_fit_nested_peak_memory_does_not_grow_with_n(case):
     # on the Duffing data (70 200 states, lifts 20/40/80) the block buffers
-    # are a fraction of one pass: measured 0.16 (shared), 0.20 (independent)
-    # and 0.15 (thin-plate) passes, where fits that held their passes peaked
+    # are a fraction of one pass: measured 0.13 (shared), 0.15 (independent)
+    # and 0.12 (thin-plate) passes, where fits that held their passes peaked
     # at 1.14, 2.14 and 1.09
     peak, _ = _nested_fit_peak("duffing", case)
     assert peak <= 0.5, peak

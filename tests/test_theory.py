@@ -89,10 +89,10 @@ def test_far_landmark_gives_vanishing_operator():
 
 
 def control_part(op):
-    """The operator restricted to its control input."""
-    return theory.RkhsOperator(
-        kernel=op.kernel, out_anchors=op.out_anchors, core=op.core[:, op.p :], out_weight=op.out_weight, n_u=op.n_u
-    )
+    """The operator restricted to its control input: its state block zeroed."""
+    core = op.core.copy()
+    core[:, : op.b] = 0.0
+    return replace(op, core=core)
 
 
 def test_nystrom_control_block_zero_without_controls():
@@ -297,8 +297,9 @@ def test_model_norms_reject_thin_plate_models(small_control_fixture):
 
 
 def test_operator_norm_of_empty_factor_is_zero(monkeypatch):
-    # an operator with no input block, and one whose anchor Gram whitens to
-    # zero rows (its Gram factor has no column), both have an empty factor and norm 0
+    # an operator with a zero state block and no control has a zero factor, and
+    # one whose anchor Gram whitens to zero rows (its Gram factor has no
+    # column) an empty factor: both have norm 0
     ds = toy_dataset(n=10, seed=13)
     G = theory.build_exact_operator(Dataset(ds.X, np.zeros((ds.n, 0)), ds.Y), M52, 1e-2)
     assert theory.operator_norm(control_part(G)) == 0.0
@@ -699,7 +700,7 @@ def stacked_anchor_norm(ops, tol):
     if all(op.in_anchors is op.out_anchors for op, _ in ops):
         R_in = R_out
     else:
-        R_in = psd_sqrt(gram(kernel, np.vstack([op.in_anchors for op, _ in ops if op.p])), tol)
+        R_in = psd_sqrt(gram(kernel, np.vstack([op.in_anchors for op, _ in ops])), tol)
     r_in = len(R_in)
     C = np.zeros((len(R_out), r_in + ops[0][0].n_u))
     q0 = p0 = 0
@@ -759,9 +760,11 @@ def test_sweep_basis_gaps_match_stacked_anchor_whitening(rate_sweep_rows):
 
 
 def test_riccati_gap_is_the_gap_of_the_riccati_forms(small_control_fixture, rate_sweep_rows):
-    # riccati_gap reads each model's whitened embedding W = R E_out directly;
-    # on a shared basis it is, bit for bit, the operator gap of the two forms
-    # F E_out P E_out' F^*
+    # on a shared basis riccati_gap is, bit for bit, the operator gap of the
+    # two forms F E_out P E_out' F^*, and exact_model_norms' P and L are the
+    # norms of the exact model's form and of its closed loop: G's state block
+    # plus the feedback F G_u K E_out' F^*, taken as the gap to the negated
+    # feedback (x - (-y) is x + y exactly)
     from kooplift.experiments import MATERN_UNIT, fit_exact
 
     small_ds, small_gamma, small_exact, small_sol, small_Q, _ = small_control_fixture
@@ -783,6 +786,16 @@ def test_riccati_gap_is_the_gap_of_the_riccati_forms(small_control_fixture, rate
         forms = riccati_form(exact_model, exact_sol.P_m), riccati_form(ny_model, ny_sol.P_m)
         assert gap > 0
         assert gap == theory.operator_gap_norm(*forms, basis)
+
+        G = theory.build_exact_operator(ds, kernel, gamma)
+        norms = theory.exact_model_norms(G, exact_model, exact_sol, basis)
+        state = theory.RkhsOperator(kernel, G.out_anchors, G.core[:, : G.b], G.in_anchors)
+        out = exact_model.lifting.landmarks.outputs
+        minus_feedback = theory.RkhsOperator(
+            kernel, out, -(G.core[:, G.b :] @ exact_sol.K_m), out, in_weight=exact_model.out_factor.T
+        )
+        assert norms.P == theory.operator_norm(forms[0], basis)
+        assert norms.L == theory.operator_gap_norm(state, minus_feedback, basis)
 
 
 def test_sweep_projection_errors_match_explicit_coordinates(rate_sweep_rows):
