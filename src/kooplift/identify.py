@@ -59,11 +59,12 @@ block the rest), whatever the fit.  A block's last state is the next block's
 first (the last block's is D[n]), so it is evaluated twice: one extra row per
 block, 69 of the 70 200 rows of a Duffing sweep.  One set of rows serves both
 sides when the input and output points agree (shared landmarks, thin-plate
-centers), and a fit holds a block of rows, one block of G and the sums,
-O(block m + k^2) memory whatever n.  ``fit_nested`` fits several lifts whose points are row
-prefixes of the largest lift's (the landmark draws of one seed, centers sliced
-``[:m]``) from the leading columns of the same rows, so a sweep evaluates the
-data's rows once, and ``fit`` is its call on one lift:
+centers), and a fit holds two blocks of rows and features (see below), one
+block of G and the sums, O(block m + k^2) memory whatever n.  ``fit_nested``
+fits several lifts whose points are row prefixes of the largest lift's (the
+landmark draws of one seed, centers sliced ``[:m]``) from the leading columns
+of the same rows, so a sweep evaluates the data's rows once, and ``fit`` is
+its call on one lift:
 
     blocks of G'G            Nystrom lift                 thin-plate lift
     product set              one per lift                 one at the largest m
@@ -84,6 +85,25 @@ for bit ``fit`` on it alone.  A thin-plate fit read from the largest fit's
 sub-blocks agrees with ``fit`` on its centers alone to the round-off of the
 wider products it is read from: measured within 1.5e-10 relative on the cubic
 data (m = 10 to 100) and 1.7e-10 on the Duffing data (m = 10 to 80).
+
+A fit of several blocks sums on one helper thread: while the helper assembles
+block b of G and adds its products into each fit's sums, the calling thread
+evaluates block b + 1's rows and each fit's features from them (the products
+R[:, :cols] E), and numpy releases the interpreter lock in both.  Block b + 1
+is handed over only once block b is summed, so every sum runs in block order
+over the same blocks and each product set is the serial loop's bit for bit (a
+test checks it at one and at two OpenBLAS threads).  The rows stay on the
+calling thread: read on the helper instead (the helper one block ahead, the
+caller summing), an independent Duffing sweep (m = 10 to 80, one OpenBLAS
+thread, 2 cores) took 432 ms a fit against 384 ms, with 23% more page
+faults, and the benchmark process peaked 1.7 MB higher.  The helper lives for
+one call; the last block is summed on the calling thread, so a fit of one
+block (n <= 1 024 pairs, every fit of the rate study) starts no thread.
+Holding the next block's features raises a sweep's traced peak, in units of
+one feature pass ((n + n_traj) x m doubles at the largest m): measured 0.70-0.78
+/ 1.16-1.27 / 1.44-1.47 on the cubic data (shared, independent, thin-plate;
+0.63 / 0.93 / 1.21 read serially) and 0.15 / 0.22 / 0.14 on the Duffing data
+(0.13 / 0.15 / 0.12).
 
 Against the dense formulas in the coordinates of the m x m weight
 W = (K_out^+)^(1/2) = E_out V_r' (F'F, F'Z and Z'Z each taken over F and
@@ -369,6 +389,15 @@ def _cross_products(ds: Dataset, iy: NDArray[np.intp], rows, fits: list) -> list
     and its outputs' those of all but the first (one feature product for both
     sides when they are shared); the pairs that end a trajectory take theirs
     from the states after X, D[n:], read once up front.
+
+    The calling thread reads every block; one helper thread sums each block
+    but the last while the caller reads the next one, and each fit's features
+    are released once its block of G holds them.  A block is handed over only
+    after the previous one is summed, so the sums run in block order and are
+    the serial loop's bit for bit.  The last block is summed on the calling
+    thread, and a fit of one block is read and summed there with no executor;
+    leaving the ``with`` joins the helper, also on a raise (a read's exception
+    is raised on the caller, a sum's from its ``result``).
     """
     n, n_u, d = ds.n, ds.n_u, ds.d
 
@@ -377,6 +406,18 @@ def _cross_products(ds: Dataset, iy: NDArray[np.intp], rows, fits: list) -> list
         F = R[j][part, :cols]
         return F if E is None else F @ E
 
+    def read(i0: int) -> list:
+        """The (Phi_x, Psi_y) rows of each fit in the block of pairs from i0."""
+        R = rows(i0, min(i0 + _BLOCK_PAIRS, n) + 1)
+        block = []
+        for inputs, outputs in fits:
+            if outputs is None:
+                Z = features(inputs, R)
+                block.append((Z[:-1], Z[1:]))
+            else:
+                block.append((features(inputs, R, slice(-1)), features(outputs, R, slice(1, None))))
+        return block
+
     ends = np.flatnonzero(iy >= n)  # iy[ends] = n, n + 1, ...
     end_rows = rows(n, n + len(ends))
     psi_ends = [features(inputs if outputs is None else outputs, end_rows) for inputs, outputs in fits]
@@ -384,22 +425,35 @@ def _cross_products(ds: Dataset, iy: NDArray[np.intp], rows, fits: list) -> list
     ks = [r_in + n_u + ends_out.shape[1] + d for r_in, ends_out in zip(r_ins, psi_ends)]
     Gs = [np.zeros((k, k)) for k in ks]
     buffer = np.empty(min(_BLOCK_PAIRS, n) * max(ks))
-    for i0 in range(0, n, _BLOCK_PAIRS):
+
+    def add(i0: int, block: list) -> None:
+        """Sum the block of pairs from i0 into each fit's G."""
         i1 = min(i0 + _BLOCK_PAIRS, n)
-        R = rows(i0, i1 + 1)
         j0, j1 = np.searchsorted(ends, (i0, i1))
-        for (inputs, outputs), r_in, ends_out, k, G in zip(fits, r_ins, psi_ends, ks, Gs):
+        for r_in, ends_out, k, G in zip(r_ins, psi_ends, ks, Gs):
             y0, y1 = r_in + n_u, k - d
             B = buffer[: (i1 - i0) * k].reshape(i1 - i0, k)
-            if outputs is None:
-                Z = features(inputs, R)
-                B[:, :r_in], B[:, y0:y1] = Z[:-1], Z[1:]
-            else:
-                B[:, :r_in], B[:, y0:y1] = features(inputs, R, slice(-1)), features(outputs, R, slice(1, None))
+            # popped: a fit's features are released once B holds them
+            B[:, :r_in], B[:, y0:y1] = block.pop(0)
             B[ends[j0:j1] - i0, y0:y1] = ends_out[j0:j1]
             B[:, r_in:y0], B[:, y1:] = ds.U[i0:i1], ds.Y[i0:i1]
             G += B.T @ B
-        R = Z = None  # the next block's read holds neither this block's rows nor its features
+
+    if n <= _BLOCK_PAIRS:  # one block: summed inline, with no executor or import
+        add(0, read(0))
+        return Gs
+    from concurrent.futures import ThreadPoolExecutor  # imported by the first tall fit, not at start-up
+
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        summed = None  # the helper's sums of the previous block
+        for i0 in range(0, n, _BLOCK_PAIRS):
+            block = read(i0)
+            if summed is not None:
+                summed.result()
+            if i0 + _BLOCK_PAIRS < n:
+                summed = helper.submit(add, i0, block)
+            else:
+                add(i0, block)
     return Gs
 
 
@@ -720,7 +774,8 @@ def model_from_dict(doc: dict) -> KoopmanModel:
     recomputed: every entry of E_out' K_out E_out - I_r must lie within
     ``WHITENING_TOL`` (for a thin-plate lift E_out must be the m x m identity).  A
     document without ``schema_version`` or with another version is refused, and
-    a missing or mistyped key raises ValueError naming it.
+    a missing or mistyped key raises ValueError naming it; ``diagnostics``, when
+    present, must be a JSON object (absent, it loads as {}).
     """
     if not isinstance(doc, dict):
         raise ValueError(f"model document must be a JSON object, got {type(doc).__name__}")
@@ -763,6 +818,9 @@ def model_from_dict(doc: dict) -> KoopmanModel:
         raise ValueError(
             f"model out_factor does not whiten the landmark features: max |E'KE - I| = {np.max(np.abs(defect)):.2e}"
         )
+    diagnostics = doc.get("diagnostics", {})
+    if not isinstance(diagnostics, dict):
+        raise ValueError(f"model diagnostics must be a JSON object, got {type(diagnostics).__name__}")
     return KoopmanModel(
         lifting=lifting,
         A_r=A_r,
@@ -771,7 +829,7 @@ def model_from_dict(doc: dict) -> KoopmanModel:
         gamma=gamma,
         lam=lam,
         out_factor=E_out,
-        diagnostics=dict(doc.get("diagnostics", {})),
+        diagnostics=dict(diagnostics),
     )
 
 

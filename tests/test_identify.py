@@ -1,4 +1,6 @@
+import contextlib
 import re
+import threading
 
 import numpy as np
 import pytest
@@ -24,7 +26,7 @@ from kooplift.identify import (
     save_model,
 )
 from kooplift.kernels import FACTOR_CUTOFF, KernelFamily, KernelSpec, gram, gram_factor, thin_plate_matrix
-from kooplift.numerics import psd_pinv_sqrt, psd_pinv_sqrt_factor, solve_psd
+from kooplift.numerics import one_blas_thread, psd_pinv_sqrt, psd_pinv_sqrt_factor, solve_psd
 
 M52 = KernelSpec(KernelFamily.Matern52, 1.0, 1.0)
 RBF = KernelSpec(KernelFamily.RBF, 1.0, 1.0)
@@ -543,6 +545,16 @@ def test_model_from_dict_refuses_a_document_that_is_not_an_object():
         model_from_dict([])
 
 
+def test_model_from_dict_refuses_diagnostics_that_are_not_an_object(linear_model):
+    _, model = linear_model
+    doc = model_to_dict(model)
+    for value, kind in (([], "list"), ("x", "str")):
+        with pytest.raises(ValueError, match=f"diagnostics must be a JSON object, got {kind}"):
+            model_from_dict(dict(doc, diagnostics=value))
+    del doc["diagnostics"]
+    assert model_from_dict(doc).diagnostics == {}
+
+
 def test_model_from_dict_rejects_thinplate_center_count():
     ds = scalar_dataset(lambda x, u: 0.5 * x + 0.25 * u, n=40, seed=15)
     doc = model_to_dict(fit(ds, ThinPlateLift(np.linspace(-1.0, 1.0, 6)[:, None]), gamma=1e-6))
@@ -913,6 +925,126 @@ def test_fit_nested_rejects_lifts_it_cannot_share(planar_pairs):
         fit_nested(ds, [], gamma=1e-6)
 
 
+def _serial_cross_products(ds, iy, rows, fits, block_pairs):
+    """The products G'G of ``identify._cross_products``, each fit summed over
+    its blocks in order by a plain loop on the calling thread."""
+    n, n_u, d = ds.n, ds.n_u, ds.d
+
+    def features(side, R, part=slice(None)):
+        j, cols, E = side
+        F = R[j][part, :cols]
+        return F if E is None else F @ E
+
+    ends = np.flatnonzero(iy >= n)
+    end_rows = rows(n, n + len(ends))
+    Gs = []
+    for inputs, outputs in fits:
+        psi_ends = features(inputs if outputs is None else outputs, end_rows)
+        G = None
+        for i0 in range(0, n, block_pairs):
+            i1 = min(i0 + block_pairs, n)
+            R = rows(i0, i1 + 1)
+            if outputs is None:
+                Z = features(inputs, R)
+                phi, psi = Z[:-1], Z[1:].copy()
+            else:
+                phi, psi = features(inputs, R, slice(-1)), features(outputs, R, slice(1, None)).copy()
+            at = (ends >= i0) & (ends < i1)
+            psi[ends[at] - i0] = psi_ends[at]
+            B = np.hstack([phi, ds.U[i0:i1], psi, ds.Y[i0:i1]])
+            G = B.T @ B if G is None else G + B.T @ B
+        Gs.append(G)
+    return Gs
+
+
+def test_pipelined_cross_products_equal_a_serial_loop(monkeypatch, planar_pairs, two_blas_threads):
+    # a helper thread sums each block while the caller reads the next one's
+    # rows and features, in block order: every G is the plain serial loop's
+    # bit for bit, at one and at two OpenBLAS threads
+    import kooplift.identify as identify
+
+    ds, _ = planar_pairs
+    monkeypatch.setattr(identify, "_BLOCK_PAIRS", 79)  # 8 blocks of the 600 pairs
+    calls = []
+    pipelined = identify._cross_products
+
+    def recording(*args):
+        Gs = pipelined(*args)
+        calls.append((args, Gs))
+        return Gs
+
+    monkeypatch.setattr(identify, "_cross_products", recording)
+    pool = np.random.default_rng(6).uniform(-1.0, 1.0, size=(40, 2))
+    sweeps = [
+        [NystromLift(M52, sample_landmarks(ds, m, strategy, seed=3)) for m in (10, 20, 40)]
+        for strategy in (LandmarkStrategy.SharedUniform, LandmarkStrategy.IndependentUniform)
+    ] + [[ThinPlateLift(pool[:m]) for m in (10, 20, 40)]]
+    factor = gram_factor(M52, np.vstack([ds.X, ds.Y]))
+    for scope in (contextlib.nullcontext, one_blas_thread):  # two threads, then one
+        calls.clear()
+        with scope():
+            for sweep in sweeps:
+                fit_nested(ds, sweep, gamma=1e-6)
+            fit_factored(ds, factor, 1e-6)
+            assert len(calls) == len(sweeps) + 1
+            for args, Gs in calls:
+                want = _serial_cross_products(*args, block_pairs=79)
+                assert len(Gs) == len(want) == len(args[-1])
+                assert all(np.array_equal(G, W) for G, W in zip(Gs, want))
+
+
+def test_cross_products_sum_on_one_helper_thread_that_ends_with_the_fit(monkeypatch, planar_pairs):
+    # every block's rows are read on the calling thread.  A fit of one block
+    # starts no thread; a fit of several sums on one helper thread beside the
+    # reads, joined before the fit returns, and a read that raises on a later
+    # block raises from the fit with the helper joined
+    import kooplift.identify as identify
+
+    ds, _ = planar_pairs
+    D, _ = _state_rows(ds.X, ds.Y)
+    reads = []  # (reading thread, threads alive) at each read
+
+    def recording(pairwise):
+        def wrapper(*args):
+            reads.append((threading.get_ident(), threading.active_count()))
+            return pairwise(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(identify, "gram", recording(gram))
+    monkeypatch.setattr(identify, "thin_plate_matrix", recording(thin_plate_matrix))
+    shared = [NystromLift(M52, sample_landmarks(ds, m, LandmarkStrategy.SharedUniform, seed=0)) for m in (10, 30)]
+    independent = [NystromLift(M52, sample_landmarks(ds, m, LandmarkStrategy.IndependentUniform, seed=0)) for m in (10, 30)]
+    centers = [ThinPlateLift(np.random.default_rng(7).uniform(-1.0, 1.0, size=(30, 2))[:m]) for m in (10, 30)]
+    before = threading.active_count()
+    for block_pairs, helpers in ((ds.n, 0), (79, 1)):  # one block of the 600 pairs, then 8
+        monkeypatch.setattr(identify, "_BLOCK_PAIRS", block_pairs)
+        for sweep in (shared, independent, centers):
+            reads.clear()
+            fit_nested(ds, sweep, gamma=1e-6)
+            assert {thread for thread, _ in reads} == {threading.get_ident()}
+            assert max(alive for _, alive in reads) == before + helpers
+            assert threading.active_count() == before
+
+    class Boom(Exception):
+        pass
+
+    raised = []
+
+    def failing_gram(spec, A, B=None):
+        # the read of the block of pairs 316..394, the fifth of eight
+        if B is not None and len(A) == 80 and A[0].tobytes() == D[4 * 79].tobytes():
+            raised.append(Boom("block 5"))
+            raise raised[-1]
+        return gram(spec, A, B)
+
+    monkeypatch.setattr(identify, "gram", failing_gram)
+    with pytest.raises(Boom) as info:
+        fit_nested(ds, shared, gamma=1e-6)
+    assert raised == [info.value]
+    assert threading.active_count() == before
+
+
 def _nested_fit_peak(data, case):
     """The traced peak of a nested fit of three lifts, in units of one feature
     pass, (n + n_traj) x m doubles at the largest m, and the passes a fit that
@@ -949,13 +1081,14 @@ def _nested_fit_peak(data, case):
 @pytest.mark.parametrize("case", ["shared", "independent", "thinplate"])
 def test_fit_nested_peak_memory_stays_near_its_feature_passes(case):
     # the fit reads the data's rows a block at a time and builds no pass: its
-    # traced peak is the block buffers (1 024 rows of G, the block's rows,
-    # features and products) and the summed products.  At the cubic data's
-    # 4 020 states and m = 200 a pass (6.4 MB) is about the size of those
-    # buffers, so this size cannot tell the two apart and keeps the bound of
-    # passes + 1 units: measured 0.63 (shared), 0.93 (independent) and 1.21
-    # (thin-plate, whose 402 columns of G make the widest block), where fits
-    # that held their passes peaked at 1.60, 2.73 and 1.74
+    # traced peak is the block buffers (1 024 rows of G, the features of the
+    # block the helper thread sums and the next block's rows and features)
+    # and the summed products.  At the cubic data's 4 020 states and m = 200
+    # a pass (6.4 MB) is about the size of those buffers, so this size cannot
+    # tell the two apart and keeps the bound of passes + 1 units: measured 0.78 (shared), 1.27 (independent) and 1.47 (thin-plate,
+    # whose 402 columns of G make the widest block), where fits that held
+    # their passes peaked at 1.60, 2.73 and 1.74 and the serial block loop at
+    # 0.63, 0.93 and 1.21
     peak, passes = _nested_fit_peak("cubic", case)
     assert peak <= passes + 1, peak
 
@@ -963,9 +1096,10 @@ def test_fit_nested_peak_memory_stays_near_its_feature_passes(case):
 @pytest.mark.parametrize("case", ["shared", "independent", "thinplate"])
 def test_fit_nested_peak_memory_does_not_grow_with_n(case):
     # on the Duffing data (70 200 states, lifts 20/40/80) the block buffers
-    # are a fraction of one pass: measured 0.13 (shared), 0.15 (independent)
-    # and 0.12 (thin-plate) passes, where fits that held their passes peaked
-    # at 1.14, 2.14 and 1.09
+    # of both threads are a fraction of one pass: measured 0.15 (shared), 0.22
+    # (independent) and 0.14 (thin-plate) passes, where fits that held their
+    # passes peaked at 1.14, 2.14 and 1.09 and the serial block loop at 0.13,
+    # 0.15 and 0.12
     peak, _ = _nested_fit_peak("duffing", case)
     assert peak <= 0.5, peak
 

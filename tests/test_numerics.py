@@ -9,7 +9,6 @@ import pytest
 from kooplift import experiments
 from kooplift.numerics import (
     RankTolerance,
-    _openblas_runtimes,
     blas_threads,
     one_blas_thread,
     psd_pinv_sqrt,
@@ -178,19 +177,6 @@ def test_solve_psd_plain_and_jitter():
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
-
-
-@pytest.fixture
-def two_blas_threads():
-    """Every OpenBLAS runtime set to 2 threads, whatever the environment said;
-    the prior counts are put back after the test."""
-    runtimes = _openblas_runtimes()
-    prior = blas_threads()
-    for _, set_threads in runtimes.values():
-        set_threads(2)
-    yield blas_threads()
-    for name, (_, set_threads) in runtimes.items():
-        set_threads(prior[name])
 
 
 def _gap_fixture():
