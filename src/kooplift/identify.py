@@ -395,9 +395,9 @@ def _cross_products(ds: Dataset, iy: NDArray[np.intp], rows, fits: list) -> list
     are released once its block of G holds them.  A block is handed over only
     after the previous one is summed, so the sums run in block order and are
     the serial loop's bit for bit.  The last block is summed on the calling
-    thread, and a fit of one block is read and summed there with no executor;
-    leaving the ``with`` joins the helper, also on a raise (a read's exception
-    is raised on the caller, a sum's from its ``result``).
+    thread, so a fit of one block submits nothing and the executor starts no
+    thread; leaving the ``with`` joins the helper, also on a raise (a read's
+    exception is raised on the caller, a sum's from its ``result``).
     """
     n, n_u, d = ds.n, ds.n_u, ds.d
 
@@ -439,10 +439,7 @@ def _cross_products(ds: Dataset, iy: NDArray[np.intp], rows, fits: list) -> list
             B[:, r_in:y0], B[:, y1:] = ds.U[i0:i1], ds.Y[i0:i1]
             G += B.T @ B
 
-    if n <= _BLOCK_PAIRS:  # one block: summed inline, with no executor or import
-        add(0, read(0))
-        return Gs
-    from concurrent.futures import ThreadPoolExecutor  # imported by the first tall fit, not at start-up
+    from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(max_workers=1) as helper:
         summed = None  # the helper's sums of the previous block
