@@ -32,7 +32,7 @@ from .identify import (
     save_model,
 )
 from .kernels import KernelFamily, KernelSpec, gram, kernel_eval
-from .lqr import LqrWeights, RiccatiSolution, build_weights, dare_residual, solve_dare, solve_model_dare
+from .lqr import LqrWeights, RiccatiSolution, build_weights, solve_dare, solve_model_dare
 from .numerics import RankTolerance, spectral_radius, tau
 from .simulate import (
     CollectionProtocol,
@@ -41,7 +41,6 @@ from .simulate import (
     collect_training_data,
     cubic_system,
     duffing_system,
-    metric_avg_running_cost,
     metric_rmse_pct,
     metric_rmse_u_pct,
     rk4_step,

@@ -30,6 +30,7 @@ from .data import (
     Trajectory,
     build_pairs,
     cross_validate,
+    derived_rng,
     fmt17,
     load_trajectories,
     sample_landmarks,
@@ -48,7 +49,6 @@ from .simulate import (
     ZeroInput,
     cubic_system,
     duffing_system,
-    metric_avg_running_cost,
     metric_rmse_pct,
     rollout_closed_loop,
     rollout_open_loop,
@@ -280,14 +280,7 @@ def cmd_control(cfg: dict, out: Path) -> int:
         "jitter_applied": sol.jitter_applied,
         "rho_L_full": sol.rho_L_full,
         "final_state": list(res.states[-1]),
-        "avg_running_cost": metric_avg_running_cost(
-            res.states[: len(res.controls)],
-            res.controls,
-            reference if reference is not None else np.zeros(sys_.d),
-            weight=qscale,
-        )
-        if len(res.controls)
-        else 0.0,
+        "avg_running_cost": res.total_cost / len(res.controls) if len(res.controls) else 0.0,
     }
     _write_json(out / "metrics.json", metrics)
     print(f"cost={fmt17(res.total_cost)} diverged={res.diverged}")
@@ -299,12 +292,7 @@ def cmd_forecast(cfg: dict, out: Path) -> int:
     model = load_model(_required(cfg, "model.path"))
     steps = int(cfg.get("forecast.steps", 200))
     law = _input_law(cfg, "forecast")
-    rng = None
-    if isinstance(law, UniformIID):
-        from .data import derived_rng
-
-        rng = derived_rng("forecast-input", int(cfg.get("seed", 0)))
-    U = law.draw(rng, 1, steps, sys_.dt, sys_.n_u)[0]
+    U = law.draw(derived_rng("forecast-input", int(cfg.get("seed", 0))), 1, steps, sys_.dt, sys_.n_u)[0]
     x0 = np.array(cfg.get("forecast.x0", [0.0] * sys_.d), dtype=float)
     truth = rollout_open_loop(sys_, x0, U)
     pred = forecast(model, x0, U[: len(truth.controls)])
@@ -384,29 +372,27 @@ def cmd_bench(cfg: dict, out: Path) -> int:
     return 0
 
 
+COMMANDS = {
+    "collect": cmd_collect,
+    "fit": cmd_fit,
+    "control": cmd_control,
+    "forecast": cmd_forecast,
+    "study-bounds": cmd_study_bounds,
+    "bench": cmd_bench,
+}
+
+
 @one_blas_thread()
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="kooplift", description=__doc__)
-    parser.add_argument("command", choices=["collect", "fit", "control", "forecast", "study-bounds", "bench"])
+    parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--config", help="path to a flat JSON config")
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
     parser.add_argument("--out", default="out", help="output directory")
     parser.add_argument("--override", action="append", metavar="KEY=VALUE", help="override a config key")
     args = parser.parse_args(argv)
     try:
-        cfg = _load_config(args)
-        out = Path(args.out)
-        if args.command == "collect":
-            return cmd_collect(cfg, out)
-        if args.command == "fit":
-            return cmd_fit(cfg, out)
-        if args.command == "control":
-            return cmd_control(cfg, out)
-        if args.command == "forecast":
-            return cmd_forecast(cfg, out)
-        if args.command == "study-bounds":
-            return cmd_study_bounds(cfg, out)
-        return cmd_bench(cfg, out)
+        return COMMANDS[args.command](_load_config(args), Path(args.out))
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -55,7 +55,6 @@ __all__ = [
     "RiccatiSolution",
     "build_weights",
     "solve_dare",
-    "dare_residual",
     "solve_model_dare",
 ]
 
@@ -235,16 +234,6 @@ def _dare_defect(P, A, B, weights: LqrWeights) -> tuple[FloatArray, bool]:
     BtP = B.T @ P
     inner_part, jitter = solve_psd(weights.R + BtP @ B, BtP)
     return P - A.T @ (P - BtP.T @ inner_part) @ A - weights.Q_m, jitter
-
-
-def dare_residual(P, A, B, weights: LqrWeights) -> float:
-    """||F(P, A, B)||_2 with F(P,A,B) = P - A'[P - PB(R+B'PB)^(-1)B'P]A - Q."""
-    P = np.atleast_2d(np.asarray(P, dtype=float))
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    B = np.asarray(B, dtype=float)
-    if B.ndim == 1:
-        B = B[:, None]
-    return float(np.linalg.norm(_dare_defect(P, A, B, weights)[0], 2))
 
 
 def _deflate_marginal_modes(A: FloatArray):

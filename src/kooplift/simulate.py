@@ -58,7 +58,6 @@ __all__ = [
     "rollout_open_loop",
     "metric_rmse_pct",
     "metric_rmse_u_pct",
-    "metric_avg_running_cost",
     "true_optimal_control_cubic",
     "DIVERGENCE_NORM",
 ]
@@ -593,19 +592,6 @@ def metric_rmse_pct(true_traj, forecast) -> float:
 def metric_rmse_u_pct(u_seq, u_opt_seq) -> float:
     """Normalized RMSE in percent between two control sequences."""
     return metric_rmse_pct(u_opt_seq, u_seq)
-
-
-def metric_avg_running_cost(states, controls, reference, weight: float) -> float:
-    """(1/T) sum_t [ weight ||x_t - r||^2 + ||u_t||^2 ] over aligned sequences."""
-    X = np.atleast_2d(np.asarray(states, dtype=float))
-    U = np.atleast_2d(np.asarray(controls, dtype=float))
-    if len(X) != len(U):
-        raise ValueError("states and controls must have equal length")
-    if not weight > 0:
-        raise ValueError(f"weight must be positive, got {weight}")
-    r = np.asarray(reference, dtype=float).ravel()
-    E = X - r[None, :]
-    return float(np.mean(weight * np.sum(E * E, axis=1) + np.sum(U * U, axis=1)))
 
 
 def true_optimal_control_cubic(x) -> float:

@@ -271,3 +271,64 @@ def test_control_reports_converged_synthesis_for_readme_example(readme_cubic_fit
     assert metrics["rho_closed_loop"] < 1.0
     assert metrics["rho_L_full"] >= metrics["rho_closed_loop"]
     assert metrics["jitter_applied"] is False
+
+
+
+def run_commands(root: Path, commands) -> dict:
+    """Run each (command, overrides) into root / command; every file written, by path under root."""
+    for command, overrides in commands:
+        argv = [command, "--out", str(root / command)]
+        for ov in overrides:
+            argv += ["--override", ov]
+        assert main(argv) == 0
+    return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_control_average_cost_is_the_rollouts_cost_per_step(readme_cubic_fit, tmp_path):
+    # both read the rollout's stage costs under Q' and R, so lqr.r weighs the average too
+    _, fit_out = readme_cubic_fit
+    overrides = [f"model.path={fit_out / 'model.json'}", "control.x0=[0.9]", "lqr.r=4", "lqr.qprime=2"]
+    files = run_commands(tmp_path / "run", [("control", overrides)])
+    metrics = json.loads(files[Path("control/metrics.json")])
+    assert metrics["steps"] > 0
+    expected = metrics["total_cost"] / metrics["steps"]
+    assert metrics["avg_running_cost"] == pytest.approx(expected, rel=1e-15, abs=0.0)
+    files = run_commands(tmp_path / "empty", [("control", [*overrides, "control.steps=0"])])
+    metrics = json.loads(files[Path("control/metrics.json")])
+    assert metrics["steps"] == 0 and metrics["avg_running_cost"] == 0.0
+
+
+def test_forecast_input_stream_follows_the_seed_only_for_the_uniform_law(collected, tmp_path):
+    _, data_dir = collected
+    fit_out = tmp_path / "fit"
+    assert main(["fit", "--out", str(fit_out), "--override", f"data.path={data_dir}", "--override", "fit.m=12"]) == 0
+
+    def truth(law: str, seed: int) -> bytes:
+        overrides = [f"model.path={fit_out / 'model.json'}", "forecast.x0=[0.5]", "forecast.steps=50"]
+        overrides += [f"forecast.input={law}", f"seed={seed}"]
+        files = run_commands(tmp_path / f"{law}_{seed}", [("forecast", overrides)])
+        return files[Path("forecast/truth.csv")]
+
+    assert truth("uniform", 0) != truth("uniform", 3)
+    for law in ("square", "zero"):
+        assert truth(law, 0) == truth(law, 3)
+
+
+def test_every_command_rerun_is_byte_identical(collected, tmp_path):
+    _, data_dir = collected
+
+    def commands(root: Path):
+        model = root / "fit" / "model.json"
+        return [
+            ("fit", [f"data.path={data_dir}", "fit.m=12"]),
+            ("control", [f"model.path={model}", "control.x0=[0.9]", "control.steps=50"]),
+            ("forecast", [f"model.path={model}", "forecast.x0=[0.5]", "forecast.steps=50"]),
+            ("study-bounds", ["bounds.seeds=1", "bounds.m_list=[10,20]"]),
+        ]
+
+    first = run_commands(tmp_path / "a", commands(tmp_path / "a"))
+    second = run_commands(tmp_path / "b", commands(tmp_path / "b"))
+    # model and report, rollout and metrics, truth, forecast and metrics, bounds
+    assert len(first) == 8 and first.keys() == second.keys()
+    differ = [str(path) for path in first if first[path] != second[path]]
+    assert not differ, f"files that differ between two runs: {differ}"

@@ -13,7 +13,6 @@ from kooplift.lqr import (
     _deflate_marginal_modes,
     _riccati_core,
     build_weights,
-    dare_residual,
     solve_dare,
     solve_model_dare,
 )
@@ -130,17 +129,6 @@ def test_scale_covariance():
     sol2 = solve_dare(A, B, LqrWeights(eta * w.Q_m, eta * w.R))
     np.testing.assert_allclose(sol2.P_m, eta * sol1.P_m, atol=1e-8 * eta * np.linalg.norm(sol1.P_m))
     np.testing.assert_allclose(sol2.K_m, sol1.K_m, atol=1e-10)
-
-
-def test_dare_residual_cases():
-    A = np.array([[1.0]])
-    B = np.array([[1.0]])
-    w = LqrWeights(np.eye(1), np.eye(1))
-    sol = solve_dare(A, B, w)
-    assert dare_residual(sol.P_m, A, B, w) <= 1e-12
-    assert dare_residual(np.zeros((1, 1)), A, B, w) == pytest.approx(1.0)  # ||Q||
-    golden = (1.0 + math.sqrt(5.0)) / 2.0
-    assert dare_residual(np.array([[golden]]), A, B, w) <= 1e-12
 
 
 def test_riccati_solution_records_any_jitter(monkeypatch, marginal_cubic_model):

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -22,7 +23,6 @@ from kooplift.simulate import (
     collect_training_data,
     cubic_system,
     duffing_system,
-    metric_avg_running_cost,
     metric_rmse_pct,
     metric_rmse_u_pct,
     rk4_step,
@@ -501,19 +501,6 @@ def test_metric_rmse_u():
     assert metric_rmse_u_pct(-u, u) == pytest.approx(200.0)
 
 
-def test_metric_avg_running_cost():
-    assert metric_avg_running_cost(np.zeros((5, 2)), np.zeros((5, 1)), np.zeros(2), 0.0075) == 0.0
-    v = metric_avg_running_cost([[1.0, 0.0]], [[2.0]], np.zeros(2), 0.0075)
-    assert v == pytest.approx(4.0075)
-    X = np.array([[1.0, 0.0], [0.5, 0.2]])
-    U = np.array([[2.0], [0.1]])
-    single = metric_avg_running_cost(X, U, np.zeros(2), 0.0075)
-    doubled = metric_avg_running_cost(np.vstack([X, X]), np.vstack([U, U]), np.zeros(2), 0.0075)
-    assert doubled == pytest.approx(single)
-    with pytest.raises(ValueError):
-        metric_avg_running_cost(X, U, np.zeros(2), 0.0)
-
-
 def test_true_optimal_control_cubic():
     assert true_optimal_control_cubic(0.0) == 0.0
     assert true_optimal_control_cubic(1.0) == pytest.approx(1.0 - math.sqrt(2.0))
@@ -530,8 +517,23 @@ def test_true_optimal_control_cubic_takes_one_state():
 
 
 def test_public_names_resolve():
-    import kooplift.simulate as simulate
+    # every module's __all__ names what the module has, and the package
+    # re-exports only names that its modules list in __all__
+    import ast
+    import importlib
+    import pkgutil
 
-    missing = [name for name in simulate.__all__ if not hasattr(simulate, name)]
-    assert not missing, f"simulate.__all__ names what the module lacks: {missing}"
+    import kooplift
+
+    stale = []
+    for info in pkgutil.iter_modules(kooplift.__path__):
+        module = importlib.import_module(f"kooplift.{info.name}")
+        stale += [f"kooplift.{info.name}.{name}" for name in module.__all__ if not hasattr(module, name)]
+    tree = ast.parse(Path(kooplift.__file__).read_text())
+    imports = [node for node in tree.body if isinstance(node, ast.ImportFrom)]
+    assert imports and all(node.level == 1 for node in imports)
+    for node in imports:
+        public = importlib.import_module(f"kooplift.{node.module}").__all__
+        stale += [f"kooplift: {node.module}.{alias.name}" for alias in node.names if alias.name not in public]
+    assert not stale, f"exported names that are not public or not there: {stale}"
     assert {"rollout_policy", "rollout_open_loop", "FixedInit"} <= set(simulate.__all__)
