@@ -47,6 +47,7 @@ from .simulate import (
     UniformBox,
     UniformIID,
     ZeroInput,
+    collect_training_data,
     cubic_system,
     duffing_system,
     metric_rmse_pct,
@@ -109,6 +110,14 @@ def _required(cfg: dict, key: str):
     if key not in cfg:
         raise ValueError(f"config key {key!r} is required")
     return cfg[key]
+
+
+def _steps(cfg: dict, key: str, default: int, least: int) -> int:
+    """cfg[key] as a step count; a count below ``least`` raises ValueError naming the key."""
+    steps = int(cfg.get(key, default))
+    if steps < least:
+        raise ValueError(f"config key {key!r} must be >= {least}, got {steps}")
+    return steps
 
 
 def _system(cfg: dict):
@@ -180,7 +189,7 @@ def cmd_collect(cfg: dict, out: Path) -> int:
         init_law=_init_law(cfg),
         seed=int(cfg.get("seed", 0)),
     )
-    trajs = experiments.collect_training_data(sys_, protocol)
+    trajs = collect_training_data(sys_, protocol)
     out.mkdir(parents=True, exist_ok=True)
     for tr in trajs:
         save_trajectories(out / f"traj_{int(tr.traj_id):03d}.csv", [tr])
@@ -246,6 +255,7 @@ def cmd_fit(cfg: dict, out: Path) -> int:
 
 
 def cmd_control(cfg: dict, out: Path) -> int:
+    steps = _steps(cfg, "control.steps", 10_000, least=0)
     sys_ = _system(cfg)
     model = load_model(_required(cfg, "model.path"))
     qscale = float(cfg.get("lqr.qprime", 1.0))
@@ -256,7 +266,6 @@ def cmd_control(cfg: dict, out: Path) -> int:
     x0 = np.array(cfg.get("control.x0", [0.0] * sys_.d), dtype=float)
     ref = cfg.get("control.reference")
     reference = None if ref is None else np.array(ref, dtype=float)
-    steps = int(cfg.get("control.steps", 10_000))
     stop_norm = cfg.get("control.stop_norm", 1e-6)
     stop_norm = None if stop_norm is None else float(stop_norm)
     res = rollout_closed_loop(
@@ -288,9 +297,9 @@ def cmd_control(cfg: dict, out: Path) -> int:
 
 
 def cmd_forecast(cfg: dict, out: Path) -> int:
+    steps = _steps(cfg, "forecast.steps", 200, least=1)
     sys_ = _system(cfg)
     model = load_model(_required(cfg, "model.path"))
-    steps = int(cfg.get("forecast.steps", 200))
     law = _input_law(cfg, "forecast")
     U = law.draw(derived_rng("forecast-input", int(cfg.get("seed", 0))), 1, steps, sys_.dt, sys_.n_u)[0]
     x0 = np.array(cfg.get("forecast.x0", [0.0] * sys_.d), dtype=float)

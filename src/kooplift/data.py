@@ -24,6 +24,10 @@ import numpy as np
 from numpy.typing import NDArray
 
 FloatArray = NDArray[np.float64]
+# relative tolerance on sampling intervals: within one CSV trajectory, and
+# between the trajectories of one dataset (a dt read back from CSV moves by
+# about 1e-14 relative with the trajectory's length)
+DT_RTOL = 1e-6
 
 __all__ = [
     "Trajectory",
@@ -156,16 +160,24 @@ class LandmarkSet:
 
 
 def build_pairs(trajs: Sequence[Trajectory]) -> Dataset:
-    """Concatenate within-trajectory consecutive pairs, never across boundaries."""
+    """Concatenate within-trajectory consecutive pairs, never across boundaries.
+
+    Every trajectory must share the first one's state and input dimensions and,
+    within ``DT_RTOL``, its sampling interval.
+    """
     if not trajs:
         raise ValueError("no trajectories given")
     Xs, Us, Ys = [], [], []
-    d, n_u = trajs[0].d, trajs[0].n_u
+    d, n_u, dt = trajs[0].d, trajs[0].n_u, trajs[0].dt
     for tr in trajs:
         if len(tr.states) < 2:
             raise ValueError(f"trajectory {tr.traj_id!r} has fewer than 2 states")
         if tr.d != d or tr.n_u != n_u:
             raise ValueError("trajectories disagree on dimensions")
+        if abs(tr.dt - dt) > DT_RTOL * dt:
+            raise ValueError(
+                f"trajectories disagree on dt: {trajs[0].traj_id!r} has dt = {dt!r}, {tr.traj_id!r} has dt = {tr.dt!r}"
+            )
         Xs.append(tr.states[:-1])
         Us.append(tr.controls)
         Ys.append(tr.states[1:])
@@ -286,7 +298,7 @@ def load_trajectories(path) -> list[Trajectory]:
             raise ValueError(f"{path}: trajectory {tid!r} has fewer than 2 rows")
         dts = np.diff(times)
         dt = float(np.median(dts))
-        if dt <= 0 or not np.allclose(dts, dt, rtol=1e-6, atol=1e-12):
+        if dt <= 0 or not np.allclose(dts, dt, rtol=DT_RTOL, atol=1e-12):
             raise ValueError(f"{path}: trajectory {tid!r} is not uniformly sampled")
         states, controls = [], []
         for k, (_, fields) in enumerate(rows):

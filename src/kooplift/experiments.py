@@ -2,7 +2,8 @@
 
 Each scenario fixes one training dataset (its own seed) and varies landmark
 draws and, where relevant, test initial conditions across the requested seeds,
-so repeated runs are bit-identical.
+so repeated runs are bit-identical.  The seeds run one after another on the
+calling thread.
 
 Each scenario call runs on one OpenBLAS thread (``numerics.one_blas_thread``),
 whatever the library default, and restores the prior thread counts when it
@@ -59,7 +60,6 @@ SWEEP_BASIS_TOL = RankTolerance(1e-13)
 
 __all__ = [
     "MATERN_UNIT",
-    "seed_map",
     "cubic_training_data",
     "duffing_training_data",
     "fit_nystrom",
@@ -72,21 +72,6 @@ __all__ = [
     "gap_sweep",
     "riccati_objective_sweep",
 ]
-
-
-def seed_map(fn, seeds, workers: int = 1) -> list:
-    """Apply fn to each seed, optionally on a bounded thread pool.
-
-    Results come back in seed order, so the output is identical for any worker
-    count; each seed's work is self-contained and RNG-derived from its seed.
-    """
-    seeds = list(seeds)
-    if workers <= 1:
-        return [fn(s) for s in seeds]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, seeds))
 
 
 def cubic_training_data(seed: int = 0) -> tuple[SystemSpec, Dataset]:
@@ -140,15 +125,17 @@ def fit_exact(ds: Dataset, gamma: float = 1e-6) -> KoopmanModel:
     return fit_factored(ds, gram_factor(MATERN_UNIT, np.vstack([ds.X, ds.Y])), gamma, gamma)
 
 
-def _synthesized(ds: Dataset, m: int, gamma: float, Qprime, n_seeds: int, workers: int):
+def _synthesized(ds: Dataset, m: int, gamma: float, Qprime, n_seeds: int):
     """The compressed models of seeds 0 .. n_seeds - 1 and their regulators, as two lists."""
+    models = [fit_nystrom(ds, m, seed, gamma) for seed in range(n_seeds)]
+    return models, [solve_model_dare(model, Qprime, np.eye(1)) for model in models]
 
-    def one(seed: int):
-        model = fit_nystrom(ds, m, seed, gamma)
-        return model, solve_model_dare(model, Qprime, np.eye(1))
 
-    fitted = seed_map(one, range(n_seeds), workers)
-    return [model for model, _ in fitted], [sol for _, sol in fitted]
+def _check_workers(workers: int) -> None:
+    """Seeds run one after another on the calling thread; ``workers`` stays
+    only because the benchmark passes ``workers=1``."""
+    if workers != 1:
+        raise ValueError(f"workers must be 1, got {workers!r}")
 
 
 def _optimal_cubic(x) -> np.ndarray:
@@ -185,8 +172,9 @@ def cubic_cost_experiment(
     uncompressed model, and the known optimal feedback.  All of those loops
     run as one rollout stack.
     """
+    _check_workers(workers)
     sys, ds = cubic_training_data(seed=data_seed)
-    models, sols = _synthesized(ds, m, gamma, np.eye(1), n_seeds, workers)
+    models, sols = _synthesized(ds, m, gamma, np.eye(1), n_seeds)
     if exact:
         model_ex = fit_exact(ds, gamma)
         models, sols = models + [model_ex], sols + [solve_model_dare(model_ex, np.eye(1), np.eye(1))]
@@ -216,7 +204,6 @@ def cubic_rmse_experiment(
     x0: float = 0.9,
     T: int = 200,
     data_seed: int = 0,
-    workers: int = 1,
 ) -> list[float]:
     """Control-signal mismatch against the known optimal regulator, in percent.
 
@@ -225,7 +212,7 @@ def cubic_rmse_experiment(
     compares the two control sequences over T steps.
     """
     sys, ds = cubic_training_data(seed=data_seed)
-    models, sols = _synthesized(ds, m, gamma, np.eye(1), n_seeds, workers)
+    models, sols = _synthesized(ds, m, gamma, np.eye(1), n_seeds)
     *runs, opt = rollout_closed_loops(sys, models, sols, np.array([x0]), T, policies=[_optimal_cubic])
     return [metric_rmse_u_pct(res.controls, opt.controls) for res in runs]
 
@@ -250,12 +237,11 @@ def duffing_stabilization_experiment(
     horizon_s: float = 5.0,
     target_norm: float = 0.05,
     data_seed: int = 0,
-    workers: int = 1,
 ) -> StabilizationResult:
     """Regulate the oscillator to the origin with a small compressed model."""
     sys, ds = duffing_training_data(seed=data_seed)
     T = int(round(horizon_s / sys.dt))
-    runs = rollout_closed_loops(sys, *_synthesized(ds, m, gamma, np.eye(2), n_seeds, workers), np.array(x0), T)
+    runs = rollout_closed_loops(sys, *_synthesized(ds, m, gamma, np.eye(2), n_seeds), np.array(x0), T)
     min_norms = [float(np.min(np.linalg.norm(res.states, axis=1))) for res in runs]
     reached = [mn < target_norm for mn in min_norms]
     diverged = sum(int(res.diverged) for res in runs)
@@ -281,6 +267,7 @@ def duffing_forecast_experiment(
     ``fit_nested`` call, which evaluates the data's rows once, a block at a
     time.
     """
+    _check_workers(workers)
     sys, ds = duffing_training_data(seed=data_seed)
     T = int(round(horizon_s / sys.dt))
     U = SquareWave().draw(None, 1, T, sys.dt, sys.n_u)[0]
@@ -303,7 +290,7 @@ def duffing_forecast_experiment(
 
         return {m: (rmse(ny), rmse(tp)) for m, ny, tp in zip(m_list, ny_models, tp_models)}
 
-    per_seed = seed_map(one, range(n_seeds), workers)
+    per_seed = [one(seed) for seed in range(n_seeds)]
     results: dict = {
         "m_list": list(m_list),
         "nystrom": {m: [row[m][0] for row in per_seed] for m in m_list},
@@ -385,7 +372,6 @@ def gap_sweep(
     n_seeds: int = 50,
     gamma: float = 1e-6,
     delta: float = 0.05,
-    workers: int = 1,
 ) -> tuple[list[theory.BoundReport], float]:
     """Measured operator gaps across landmark draws, next to the m-rate bound.
 
@@ -396,10 +382,7 @@ def gap_sweep(
     basis = _sweep_basis(ds)
     norm_G = theory.operator_norm(G, basis)
     row = _gap_study(ds, G, norm_G, basis, gamma, delta)
-    rows = []
-    for m in m_list:
-        rows.extend(seed_map(lambda seed: row(m, seed)[0], range(n_seeds), workers))
-    return rows, norm_G
+    return [row(m, seed)[0] for m in m_list for seed in range(n_seeds)], norm_G
 
 
 @one_blas_thread()
@@ -420,6 +403,7 @@ def riccati_objective_sweep(
     surrogate's state weight transported into its coordinates, so both Riccati
     equations weigh the same operator on the lifted space.
     """
+    _check_workers(workers)
     R = np.eye(1)
     eig_R = np.linalg.eigvalsh(R)
     sigma_min_R, sigma_max_R = float(np.min(eig_R)), float(np.max(eig_R))
@@ -433,30 +417,28 @@ def riccati_objective_sweep(
     norms = theory.exact_model_norms(G, exact_model, exact_sol, basis)
     reference = theory.objective_reference(exact_model, exact_sol, Q_exact, R, np.array([x0]))
     row = _gap_study(ds, G, norms.G, basis, gamma, delta)
-    rows = []
-    for m in m_list:
-        def one(seed: int) -> theory.BoundReport:
-            gap_row, ny_model = row(m, seed)
-            eps = gap_row.empirical_gap
-            Q_ny, T = theory.transport_weights(exact_model, Q_exact, ny_model)
-            ny_sol = solve_model_dare(ny_model, weights=LqrWeights(Q_ny, R))
-            obj = theory.objective_gap(reference, ny_sol, T)
-            g_eps = theory.riccati_gap_bound(eps, norms, norm_R_inv)
-            riccati_ok = theory.riccati_gap_precondition(eps, norms, norm_R_inv)
-            return replace(
-                gap_row,
-                riccati_gap=theory.riccati_gap(exact_model, exact_sol, ny_model, ny_sol, basis),
-                riccati_bound=g_eps,
-                riccati_precondition=riccati_ok,
-                objective_gap=obj.gap,
-                objective_bound=theory.objective_gap_bound(g_eps, norms, sigma_max_R, MATERN_UNIT.variance),
-                objective_precondition=riccati_ok and theory.objective_gap_precondition(g_eps, norms, sigma_min_R),
-                Gamma=norms.Gamma,
-                tau=norms.tau,
-                tau_truncated=norms.tau_truncated,
-                zeta=norms.zeta,
-                sigma_min_P=norms.sigma_min_P,
-            )
 
-        rows.extend(seed_map(one, range(n_seeds), workers))
-    return rows
+    def one(m: int, seed: int) -> theory.BoundReport:
+        gap_row, ny_model = row(m, seed)
+        eps = gap_row.empirical_gap
+        Q_ny, T = theory.transport_weights(exact_model, Q_exact, ny_model)
+        ny_sol = solve_model_dare(ny_model, weights=LqrWeights(Q_ny, R))
+        obj = theory.objective_gap(reference, ny_sol, T)
+        g_eps = theory.riccati_gap_bound(eps, norms, norm_R_inv)
+        riccati_ok = theory.riccati_gap_precondition(eps, norms, norm_R_inv)
+        return replace(
+            gap_row,
+            riccati_gap=theory.riccati_gap(exact_model, exact_sol, ny_model, ny_sol, basis),
+            riccati_bound=g_eps,
+            riccati_precondition=riccati_ok,
+            objective_gap=obj.gap,
+            objective_bound=theory.objective_gap_bound(g_eps, norms, sigma_max_R, MATERN_UNIT.variance),
+            objective_precondition=riccati_ok and theory.objective_gap_precondition(g_eps, norms, sigma_min_R),
+            Gamma=norms.Gamma,
+            tau=norms.tau,
+            tau_truncated=norms.tau_truncated,
+            zeta=norms.zeta,
+            sigma_min_P=norms.sigma_min_P,
+        )
+
+    return [one(m, seed) for m in m_list for seed in range(n_seeds)]

@@ -206,9 +206,7 @@ def solve_psd(M, rhs):
     try:
         c, low = scipy.linalg.cho_factor(M, lower=True, check_finite=False)
         return scipy.linalg.cho_solve((c, low), rhs, check_finite=False), False
-    except np.linalg.LinAlgError:
-        pass
-    except scipy.linalg.LinAlgError:  # pragma: no cover - alias of the above in practice
+    except np.linalg.LinAlgError:  # scipy.linalg.LinAlgError is this class
         pass
     jitter = JITTER_SCALE * max(float(np.trace(M)), np.finfo(float).tiny)
     Mj = M + jitter * np.eye(M.shape[0])

@@ -228,6 +228,48 @@ def test_fit_expands_glob_across_collect_runs(collected, tmp_path):
     assert json.loads((out / "fit_report.json").read_text())["n_pairs"] == 120
 
 
+def test_fit_refuses_collect_runs_at_different_dt(collected, tmp_path, capsys):
+    # runs at one dt fit together whatever their durations; a second dt is refused
+    cfg, _ = collected
+    runs = {"long": ["collect.duration=0.3"], "coarse": ["system.dt=0.02"]}
+    for name, overrides in runs.items():
+        argv = ["collect", "--config", cfg, "--out", str(tmp_path / "runs" / name / "b")]
+        assert main(argv + [arg for ov in overrides for arg in ("--override", ov)]) == 0
+        assert main(["collect", "--config", cfg, "--out", str(tmp_path / "runs" / name / "a")]) == 0
+
+    def fit(name: str) -> int:
+        data = f"data.path={tmp_path / 'runs' / name / '*' / 'traj_*.csv'}"
+        return main(["fit", "--out", str(tmp_path / "fit" / name), "--override", data, "--override", "fit.m=12"])
+
+    assert fit("long") == 0
+    # 3 trajectories x 20 pairs, and 3 x 30
+    assert json.loads((tmp_path / "fit" / "long" / "fit_report.json").read_text())["n_pairs"] == 150
+    capsys.readouterr()
+    assert fit("coarse") == 1
+    assert "disagree on dt" in capsys.readouterr().err
+    assert not (tmp_path / "fit" / "coarse").exists()
+
+
+@pytest.mark.parametrize(
+    ("command", "override", "message"),
+    [
+        ("control", "control.steps=-3", "'control.steps' must be >= 0, got -3"),
+        ("forecast", "forecast.steps=-2", "'forecast.steps' must be >= 1, got -2"),
+        ("forecast", "forecast.steps=0", "'forecast.steps' must be >= 1, got 0"),
+    ],
+    ids=["control-negative", "forecast-negative", "forecast-zero"],
+)
+def test_step_counts_are_refused_by_key(collected, tmp_path, capsys, command, override, message):
+    _, data_dir = collected
+    fit_out = tmp_path / "fit"
+    assert main(["fit", "--out", str(fit_out), "--override", f"data.path={data_dir}", "--override", "fit.m=12"]) == 0
+    overrides = [f"model.path={fit_out / 'model.json'}", override]
+    capsys.readouterr()
+    assert main([command, "--out", str(tmp_path / "x")] + [a for ov in overrides for a in ("--override", ov)]) == 1
+    assert f"error: config key {message}" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 @pytest.fixture()
 def readme_cubic_fit(tmp_path):
     """The README's cubic example: collect, then fit 100 landmarks at gamma = 1e-6."""

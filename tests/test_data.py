@@ -59,6 +59,14 @@ def test_build_pairs_rejects_short_trajectory():
         build_pairs([Trajectory(dt=0.1, states=np.zeros((1, 1)), controls=np.zeros((0, 1)))])
 
 
+def test_build_pairs_refuses_mixed_dt():
+    t1 = make_traj(3, tid="a", dt=0.1, seed=1)
+    with pytest.raises(ValueError, match="disagree on dt: 'a' has dt = 0.1, 'b' has dt = 0.2"):
+        build_pairs([t1, make_traj(4, tid="b", dt=0.2, seed=2)])
+    # a dt read back from CSV moves in its last bits with the trajectory's length
+    assert build_pairs([t1, make_traj(4, tid="b", dt=0.1 * (1 + 1.4e-14), seed=2)]).n == 5
+
+
 def test_csv_round_trip_bit_exact(tmp_path):
     tr = make_traj(2, d=2, n_u=1, dt=0.05, tid="7", seed=3)
     path = tmp_path / "one.csv"

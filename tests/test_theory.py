@@ -816,15 +816,23 @@ def test_sweep_projection_errors_match_explicit_coordinates(rate_sweep_rows):
             assert val == pytest.approx(oracle, rel=1e-4)
 
 
-def test_sweeps_bit_identical_across_worker_counts():
-    # the sweep's one basis is shared read-only by seed_map's threads
-    from kooplift.experiments import fixture_dataset, gap_sweep, riccati_objective_sweep
+def test_benchmark_entry_points_refuse_a_second_worker(monkeypatch):
+    # seeds run in one loop on the calling thread; the benchmark passes
+    # workers=1, and any other value is refused before the data are built
+    from kooplift import experiments
 
-    _, ds = fixture_dataset(n=100, seed=7)
-    for sweep in (gap_sweep, riccati_objective_sweep):
-        serial, threaded = (sweep(ds, m_list=(5, 10), n_seeds=3, gamma=1e-4, workers=w) for w in (1, 2))
-        if sweep is gap_sweep:
-            (serial, norm_1), (threaded, norm_2) = serial, threaded
-            assert repr(norm_1) == repr(norm_2)
-        assert len(serial) == 6
-        assert [repr(r) for r in serial] == [repr(r) for r in threaded]
+    def no_work(*args, **kwargs):
+        raise AssertionError("built data before checking workers")
+
+    monkeypatch.setattr(experiments, "cubic_training_data", no_work)
+    monkeypatch.setattr(experiments, "duffing_training_data", no_work)
+    monkeypatch.setattr(experiments.theory, "build_exact_operator", no_work)
+    calls = (
+        lambda w: experiments.cubic_cost_experiment(n_seeds=1, workers=w),
+        lambda w: experiments.duffing_forecast_experiment(n_seeds=1, workers=w),
+        lambda w: experiments.riccati_objective_sweep(None, n_seeds=1, workers=w),
+    )
+    for call in calls:
+        for workers in (2, 0):
+            with pytest.raises(ValueError, match="workers"):
+                call(workers)
